@@ -11,9 +11,25 @@ the run next to the figures.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Iterable, Sequence
 
 from common import emit_json
+
+import repro
+
+
+def run_clients(manager: Any, jobs: Sequence[Callable[[Any], Any]],
+                names: Sequence[str] | None = None) -> list[Any]:
+    """Run every job on its own thread over its own
+    ``repro.connect(manager)`` connection; results in job order, the
+    first failure (by job index) re-raised."""
+    def client(job: Callable[[Any], Any], name: str | None) -> Any:
+        with repro.connect(manager, name=name) as connection:
+            return job(connection)
+
+    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+        return list(pool.map(client, jobs, names or [None] * len(jobs)))
 
 
 def counter_snapshot(db: Any, fn: Callable[[], Any]) -> tuple[Any, dict]:

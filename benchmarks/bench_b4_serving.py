@@ -29,11 +29,12 @@ the JSON ``regressions`` list, which CI's bench-smoke job fails on
 
 from __future__ import annotations
 
-from _util import emit_bench
+from _util import emit_bench, run_clients
 from common import print_header, print_table
 
+import repro
 from repro import Prima
-from repro.serve import ServeLoop
+from repro.serve import SessionManager
 
 N_ITEMS = 10_000
 GROUPS = 8
@@ -57,15 +58,15 @@ def constructed(db: Prima) -> int:
 
 def streamed_window(db: Prima, regressions: list[str]) -> dict[str, object]:
     """LIMIT k through a streaming cursor: constructs ≤ k, ≤ 2f in flight."""
-    manager = db.serve(max_sessions=2)
+    manager = SessionManager(db, max_sessions=2)
     db.reset_accounting()
-    with manager.open(name="window") as session:
-        cursor = session.open_cursor(
+    with repro.connect(manager, name="window") as conn:
+        cursor = conn.cursor(
             f"SELECT ALL FROM item ORDER BY n LIMIT {K}",
             fetch_size=FETCH_SIZE)
         rows = [molecule.atom["n"] for molecule in cursor]
+        report = db.io_report()    # before GOODBYE, a billed pair
     built = constructed(db)
-    report = db.io_report()
     assert rows == list(range(K)), "served window delivered wrong molecules"
     assert built <= K, \
         f"LIMIT {K} constructed {built} molecules through the cursor"
@@ -84,16 +85,16 @@ def streamed_window(db: Prima, regressions: list[str]) -> dict[str, object]:
 
 def abandoned_scan(db: Prima, regressions: list[str]) -> dict[str, object]:
     """Abandon an unbounded scan after k molecules: streamed vs whole-set."""
-    manager = db.serve(max_sessions=2)
+    manager = SessionManager(db, max_sessions=2)
 
     db.reset_accounting()
-    with manager.open(name="stream") as session:
-        result = session.query("SELECT ALL FROM item ORDER BY n",
-                               fetch_size=FETCH_SIZE)
+    with repro.connect(manager, name="stream") as conn:
+        result = conn.query("SELECT ALL FROM item ORDER BY n",
+                            fetch_size=FETCH_SIZE)
         consumed = [result.fetch_next() for _ in range(K)]
         result.close()
+        stream_report = db.io_report()
     stream_built = constructed(db)
-    stream_report = db.io_report()
     assert all(m is not None for m in consumed)
     # current batch + one prefetched batch + the truncation probe
     bound = K + 2 * FETCH_SIZE + 1
@@ -101,14 +102,14 @@ def abandoned_scan(db: Prima, regressions: list[str]) -> dict[str, object]:
         f"abandoned stream constructed {stream_built} (> {bound})"
 
     db.reset_accounting()
-    with manager.open(name="whole") as session:
-        result = session.query("SELECT ALL FROM item ORDER BY n",
-                               fetch_size=None)
+    with repro.connect(manager, name="whole") as conn:
+        result = conn.query("SELECT ALL FROM item ORDER BY n",
+                            fetch_size=None)
         for _ in range(K):
             result.fetch_next()
         result.close()
+        whole_report = db.io_report()
     whole_built = constructed(db)
-    whole_report = db.io_report()
     assert whole_built >= N_ITEMS, "whole-set open should construct all"
 
     stream_ms = stream_report["net_comm_time_ms"]
@@ -131,22 +132,22 @@ def abandoned_scan(db: Prima, regressions: list[str]) -> dict[str, object]:
 def concurrent_sessions(db: Prima,
                         regressions: list[str]) -> dict[str, object]:
     """8 sessions over distinct cursors: per-session results deterministic."""
-    manager = db.serve(max_sessions=GROUPS, admission="queue")
+    manager = SessionManager(db, max_sessions=GROUPS, admission="queue")
     expected = [[n for n in range(N_ITEMS) if n % GROUPS == g]
                 for g in range(GROUPS)]
 
     def job(group: int):
-        def run(session):
-            result = session.query(
+        def run(conn):
+            result = conn.query(
                 f"SELECT ALL FROM item WHERE grp = {group}", fetch_size=64)
             return [molecule.atom["n"] for molecule in result]
         return run
 
-    loop = ServeLoop(manager)
     rounds = []
     for round_no in range(2):
-        results = loop.run([job(g) for g in range(GROUPS)],
-                           names=[f"r{round_no}-s{g}" for g in range(GROUPS)])
+        results = run_clients(
+            manager, [job(g) for g in range(GROUPS)],
+            names=[f"r{round_no}-s{g}" for g in range(GROUPS)])
         rounds.append(results)
         for group, (got, want) in enumerate(zip(results, expected)):
             if got != want:

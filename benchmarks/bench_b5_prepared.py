@@ -34,6 +34,7 @@ import time
 from _util import emit_bench
 from common import print_header, print_table
 
+import repro
 from repro import Prima
 
 N_ITEMS = 4_000
@@ -136,8 +137,8 @@ def run_cached_text(db: Prima, repeat: int = REPEAT,
 
 def run_serving(db: Prima, repeat: int = 200) -> dict[str, object]:
     """EXECUTE_PREPARED vs re-shipped OPEN: request bytes per execute."""
-    manager = db.serve()
-    session = manager.open("bench")
+    session = repro.connect(db, name="bench")
+    manager = session.manager
     stmt = session.prepare(QUERY)
     stmt.execute(0, 5).materialize()          # warm the statement handle
     before = manager.stats.snapshot()["bytes_sent"]

@@ -33,11 +33,12 @@ import os
 import threading
 import time
 
-from _util import emit_bench
+from _util import emit_bench, run_clients
 from common import print_header, print_table
 
+import repro
 from repro import Prima
-from repro.serve import ServeLoop
+from repro.serve import SessionManager
 
 N_ITEMS = 6_000
 GROUPS = 8
@@ -60,21 +61,21 @@ def read_scaling(db: Prima, regressions: list[str]) -> dict[str, object]:
     rows_expected = N_ITEMS // GROUPS
     sweep = []
     for sessions in SESSION_SWEEP:
-        manager = db.serve(max_sessions=sessions, admission="queue")
+        manager = SessionManager(db, max_sessions=sessions,
+                                 admission="queue")
         locks = manager.txns.locks
         s_before, x_before = locks.grants["S"], locks.grants["X"]
 
         def job(group: int):
-            def run(session):
-                result = session.query(
+            def run(conn):
+                result = conn.query(
                     f"SELECT ALL FROM item WHERE grp = {group % GROUPS}",
                     fetch_size=FETCH_SIZE)
                 return len([m for m in result])
             return run
 
         started = time.perf_counter()
-        counts = ServeLoop(manager).run(
-            [job(g) for g in range(sessions)])
+        counts = run_clients(manager, [job(g) for g in range(sessions)])
         elapsed = time.perf_counter() - started
         if counts != [rows_expected] * sessions:
             regressions.append(
@@ -106,7 +107,7 @@ def reader_overlap(db: Prima, regressions: list[str]) -> dict[str, object]:
     threads meets inside the engine lock (impossible under PR 5's
     engine RLock, where ``max_concurrent_readers`` could never pass 1).
     """
-    manager = db.serve(max_sessions=4, admission="queue")
+    manager = SessionManager(db, max_sessions=4, admission="queue")
     fanout = 4
     barrier = threading.Barrier(fanout, timeout=30)
 
@@ -132,13 +133,13 @@ def reader_overlap(db: Prima, regressions: list[str]) -> dict[str, object]:
 def reads_under_retained_x(db: Prima,
                            regressions: list[str]) -> dict[str, object]:
     """Readers progress while a peer session retains type-level X."""
-    manager = db.serve(max_sessions=4, admission="queue")
-    writer = manager.open(name="writer")
+    manager = SessionManager(db, max_sessions=4, admission="queue")
+    writer = repro.connect(manager, name="writer")
     writer.execute(f"INSERT item (n = {N_ITEMS + 1})")
     delivered = []
     try:
         for g in range(3):
-            reader = manager.open()
+            reader = repro.connect(manager)
             rows = reader.query(f"SELECT ALL FROM item WHERE grp = {g}",
                                 fetch_size=FETCH_SIZE)
             delivered.append(len([m for m in rows]))
@@ -156,9 +157,9 @@ def reads_under_retained_x(db: Prima,
 def isolation_under_churn(db: Prima,
                           regressions: list[str]) -> dict[str, object]:
     """A cursor pinned before a write never sees it, batch after batch."""
-    manager = db.serve(max_sessions=2, admission="queue")
-    reader = manager.open(name="pinned")
-    writer = manager.open(name="churn")
+    manager = SessionManager(db, max_sessions=2, admission="queue")
+    reader = repro.connect(manager, name="pinned")
+    writer = repro.connect(manager, name="churn")
     cursor = reader.query("SELECT ALL FROM item WHERE grp = 0",
                           fetch_size=FETCH_SIZE)
     seen = [m.atom["n"] for m in cursor.fetch_many(FETCH_SIZE)]

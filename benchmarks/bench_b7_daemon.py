@@ -12,8 +12,8 @@ markers (``benchmarks/check_regressions.py`` fails CI on them):
 
 * **O(1) threads** (hard assert): the daemon's thread count does not
   grow with the client count — 1 → 64 concurrent sessions are all
-  served from the same event-loop thread (the thread-per-session
-  :class:`~repro.serve.ServeLoop` needs one OS thread *each*);
+  served from the same event-loop thread (in-process clients on
+  threads, ``_util.run_clients``, need one OS thread *each*);
 * **throughput** (marker): at 32 concurrent clients the daemon must
   deliver at least ``THROUGHPUT_MARGIN`` of the thread-per-session
   loop's rows/s — the event loop must not collapse under concurrency
@@ -33,11 +33,12 @@ import asyncio
 import threading
 import time
 
-from _util import emit_bench
+from _util import emit_bench, run_clients
 from common import print_header, print_table
 
+import repro
 from repro import Prima
-from repro.serve import PrimaDaemon, ServeLoop, SessionManager, protocol
+from repro.serve import PrimaDaemon, SessionManager, protocol
 
 N_ITEMS = 4_096
 GROUPS = 64
@@ -125,15 +126,15 @@ def daemon_vs_thread_loop(db: Prima,
     manager = SessionManager(db, max_sessions=clients, admission="queue")
 
     def job(group: int):
-        def run(session):
-            result = session.query(
+        def run(conn):
+            result = conn.query(
                 f"SELECT ALL FROM item WHERE grp = {group % GROUPS}",
                 fetch_size=FETCH_SIZE)
             return len([m for m in result])
         return run
 
     started = time.perf_counter()
-    counts = ServeLoop(manager).run([job(g) for g in range(clients)])
+    counts = run_clients(manager, [job(g) for g in range(clients)])
     loop_elapsed = time.perf_counter() - started
     assert counts == [ROWS_PER_CLIENT] * clients
 
@@ -174,11 +175,10 @@ def auto_tuning(db: Prima, regressions: list[str]) -> dict[str, object]:
 
     def stream(fetch_size) -> tuple[float, int, int]:
         manager = SessionManager(db, default_fetch_size=fetch_size)
-        session = manager.open(name="bench")
-        cursor = session.open_cursor(query)
-        rows = len([m for m in cursor])
-        session.close()
-        report = manager.io_report()
+        with repro.connect(manager, name="bench") as conn:
+            cursor = conn.cursor(query)
+            rows = len([m for m in cursor])
+            report = manager.io_report()   # before GOODBYE, a billed pair
         return (report["net_comm_time_ms"], report["net_messages"],
                 cursor.fetch_size), rows
 

@@ -28,11 +28,11 @@ from __future__ import annotations
 import pickle
 import time
 
-from _util import emit_bench
+from _util import emit_bench, run_clients
 from common import print_header, print_table
 
 from repro import Prima, ShardedCluster
-from repro.serve import ServeLoop, SessionManager
+from repro.serve import SessionManager
 
 N_ITEMS = 4_096
 GROUPS = 32
@@ -98,10 +98,10 @@ def routed_lookup_gate(regressions: list[str]) -> dict[str, object]:
 def _session_job(group: int):
     """One serving session: a scatter group stream plus a spray of
     routed point lookups."""
-    def run(session) -> int:
-        rows = len([m for m in session.query(
+    def run(conn) -> int:
+        rows = len([m for m in conn.query(
             f"SELECT ALL FROM item WHERE grp = {group % GROUPS}")])
-        stmt = session.prepare("SELECT ALL FROM item WHERE n = ?")
+        stmt = conn.prepare("SELECT ALL FROM item WHERE n = ?")
         for i in range(LOOKUPS_PER_SESSION):
             rows += len(stmt.execute((group * LOOKUPS_PER_SESSION + i)
                                      % N_ITEMS).materialize())
@@ -121,8 +121,8 @@ def scale_sweep(regressions: list[str]) -> dict[str, object]:
                 manager = SessionManager(cluster, max_sessions=sessions,
                                          admission="queue")
                 started = time.perf_counter()
-                counts = ServeLoop(manager).run(
-                    [_session_job(g) for g in range(sessions)])
+                counts = run_clients(
+                    manager, [_session_job(g) for g in range(sessions)])
                 elapsed = time.perf_counter() - started
                 assert counts == [rows_per_session] * sessions
                 service = cluster.service_report()

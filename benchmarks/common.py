@@ -1,6 +1,6 @@
 """Shared infrastructure for the benchmark harness.
 
-Every bench file is runnable two ways (DESIGN.md §7):
+Every bench file is runnable two ways:
 
 * ``python benchmarks/bench_*.py`` — prints the figure/table-shaped report;
 * ``pytest benchmarks/ --benchmark-only`` — timings via pytest-benchmark.

@@ -3,7 +3,7 @@
 The execution environment has no network and no ``wheel`` package, which
 breaks PEP 660 editable builds; the classic ``setup.py develop`` path used
 by pip for projects with a ``setup.py`` works without it.  All metadata
-lives in pyproject.toml.
+lives here.
 """
 
 from setuptools import find_packages, setup

@@ -3,7 +3,7 @@
 The original system coupled engineering workstations to a database server
 over a LAN; the claim under test (benchmark A9) is that the *set-oriented*
 MAD interface is a major prerequisite to reduce communication overhead.
-The substitution (DESIGN.md §5) is a message/byte cost model: every request
+The substitution is a message/byte cost model: every request
 or response is one message paying a fixed latency plus size/bandwidth.
 Absolute parameters resemble a 1987 10-Mbit LAN with heavy per-message
 software overhead; only the ratios matter.

@@ -2,14 +2,14 @@
 
 The server executes molecule queries on behalf of workstations and accepts
 checked-in modifications at commit time (checkout/checkin, [KLMP84]).
-Since the serving-layer rewrite the façade rides on :mod:`repro.serve`:
-a :class:`~repro.serve.SessionManager` multiplexes the workstations (each
-holding its own session with transaction/lock scope), queries stream
-through remote cursors (OPEN / FETCH(n) / CLOSE over the network model),
-and checkins run as short-lived transactions.  The historical surface is
-preserved: ``query()`` with the default whole-set fetch still costs one
-request and one response message (open-with-fetch), exactly the
-set-oriented MAD interface of benchmark A9.
+The façade rides on :mod:`repro.serve`: a
+:class:`~repro.serve.SessionManager` multiplexes the workstations (each
+holding its own :func:`repro.connect` connection, hence its own session
+with transaction/lock scope), queries stream through remote cursors
+(OPEN / FETCH(n) / CLOSE over the network model), and checkins run as
+short-lived transactions.  ``query()`` with the default whole-set fetch
+costs one request and one response message (open-with-fetch), exactly
+the set-oriented MAD interface of benchmark A9.
 """
 
 from __future__ import annotations
@@ -21,48 +21,47 @@ from repro.coupling.network import NetworkModel
 from repro.data.result import ResultSet
 from repro.db import Prima
 from repro.mad.types import Surrogate
-from repro.serve import DEFAULT_FETCH_SIZE, Session, SessionManager
+from repro.serve import DEFAULT_FETCH_SIZE, Connection, SessionManager, connect
 
 
 class PrimaServer:
     """Message-oriented facade over a Prima instance.
 
-    ``sessions`` is the serving subsystem underneath: workstations open
-    their own sessions against it, while the server's direct entry
-    points (``query``, ``checkin``, the record-at-a-time baseline) run on
-    a lazily opened *service session*.  ``stats``/``model`` alias the
-    manager's network accounting, so all traffic of all sessions lands in
-    one place — per-session splits come from ``sessions.io_report()``.
+    ``sessions`` is the serving subsystem underneath: workstations
+    connect to it, while the server's direct entry points (``query``,
+    ``checkin``) run on a lazily opened *service connection*.
+    ``stats``/``model`` alias the manager's network accounting, so all
+    traffic of all sessions lands in one place — per-session splits come
+    from ``sessions.io_report()``.
     """
 
     def __init__(self, db: Prima, model: NetworkModel | None = None,
                  max_sessions: int = 8, admission: str = "reject",
-                 fetch_size: int | None = None) -> None:
+                 default_fetch_size: int | None = None) -> None:
         self.db = db
-        self.sessions = SessionManager(db, model=model,
-                                       max_sessions=max_sessions,
-                                       admission=admission,
-                                       default_fetch_size=fetch_size)
+        self.sessions = SessionManager(
+            db, model=model, max_sessions=max_sessions, admission=admission,
+            default_fetch_size=default_fetch_size)
         self.model = self.sessions.model
         self.stats = self.sessions.stats
-        self._service: Session | None = None
+        self._service: Connection | None = None
 
     # -- internals ---------------------------------------------------------------
 
     def _message(self, nbytes: int) -> None:
         self.stats.account(self.model, nbytes)
 
-    def _service_session(self) -> Session:
-        """The server's own session for direct (non-workstation) calls."""
+    def _service_connection(self) -> Connection:
+        """The server's own connection for direct (non-workstation)
+        calls."""
         if self._service is None or self._service.closed:
-            self._service = self.sessions.open(name="service")
+            self._service = connect(self.sessions, name="service")
         return self._service
 
     def disconnect(self) -> None:
-        """Close the service session: releases its cursors, its read
-        locks (which would otherwise block sessions' DML on the queried
-        types for the server's lifetime) and its admission slot.  The
-        next direct call reconnects transparently."""
+        """Close the service connection: releases its cursors, its
+        retained write locks and its admission slot.  The next direct
+        call reconnects transparently."""
         if self._service is not None and not self._service.closed:
             self._service.close()
 
@@ -73,12 +72,12 @@ class PrimaServer:
         """A molecule query over a remote streaming cursor.
 
         With ``fetch_size=None`` (the default when the server has no
-        ``fetch_size`` knob set) the whole set ships in the open response
+        ``default_fetch_size`` set) the whole set ships in the open response
         — one request, one response, the paper's set-oriented coupling.
         An integer ``fetch_size`` streams the set in batches with
         one-batch prefetch instead (see :mod:`repro.serve.cursor`).
         """
-        return self._service_session().query(mql, fetch_size=fetch_size)
+        return self._service_connection().query(mql, fetch_size=fetch_size)
 
     def checkin(self, modifications: dict[Surrogate, dict[str, Any]],
                 deletions: list[Surrogate] | None = None,
@@ -86,15 +85,15 @@ class PrimaServer:
                 = None) -> dict[Surrogate, Surrogate]:
         """Apply a workstation's object buffer in one message pair.
 
-        Delegates to the service session's transactional checkin (see
-        :meth:`repro.serve.Session.checkin`): creations are inserted
+        Delegates to the service connection's transactional checkin (see
+        :meth:`repro.serve.Connection.checkin`): creations are inserted
         under real surrogates (the temporary → real mapping is returned
         and billed into the ack), references among new atoms are
         remapped in two phases so cyclic n:m references work, and the
         whole application is undo-logged — a failing checkin rolls back
         cleanly.
         """
-        return self._service_session().checkin(
+        return self._service_connection().checkin(
             modifications, deletions=deletions, creations=creations)
 
     # -- record-at-a-time interface (the conventional baseline) ------------------------

@@ -7,9 +7,9 @@ runs close to the application: molecules are **checked out** into a local
 locality of reference), and modified molecules move back to PRIMA at commit
 time (**checkin**).
 
-Every workstation holds its own **session** on the server's serving layer
-(:mod:`repro.serve`): checkout drives a *remote streaming cursor*, and
-checkin runs as a short transaction under the session scope.  Three
+Every workstation holds its own **connection** to the server's serving
+layer (:func:`repro.connect`): checkout drives a *remote streaming cursor*,
+and checkin runs as a short transaction under the session scope.  Three
 checkout shapes cover benchmark A9's comparison and the streaming mode the
 serving layer adds:
 
@@ -38,7 +38,7 @@ from repro.data.result import ResultSet
 from repro.errors import CouplingError
 from repro.mad.molecule import Molecule
 from repro.mad.types import Surrogate, reference_values
-from repro.serve import DEFAULT_FETCH_SIZE, Session
+from repro.serve import DEFAULT_FETCH_SIZE, Connection, connect
 
 
 class ObjectBuffer:
@@ -93,7 +93,7 @@ class Workstation:
         self.server = server
         self.name = name
         self.buffer = ObjectBuffer()
-        self._session: Session | None = None
+        self._session: Connection | None = None
         self._checked_out: list[Molecule] = []
         #: atoms created locally: temporary surrogate -> values.
         self._creations: dict[Surrogate, dict[str, Any]] = {}
@@ -103,14 +103,14 @@ class Workstation:
         self.last_mapping: dict[Surrogate, Surrogate] = {}
 
     @property
-    def session(self) -> Session:
-        """This workstation's serving-layer session (opened lazily)."""
+    def session(self) -> Connection:
+        """This workstation's connection to the server (opened lazily)."""
         if self._session is None or self._session.closed:
-            self._session = self.server.sessions.open(name=self.name)
+            self._session = connect(self.server.sessions, name=self.name)
         return self._session
 
     def disconnect(self) -> None:
-        """Close the session: releases cursors, locks, the admission
+        """Close the connection: releases cursors, locks, the admission
         slot.  Local state (object buffer, pending creations) survives —
         the next server interaction reconnects."""
         if self._session is not None and not self._session.closed:
@@ -124,13 +124,13 @@ class Workstation:
         """Fetch the molecules of ``mql`` into the object buffer.
 
         Set-oriented checkout opens a remote cursor on this workstation's
-        session; every molecule is loaded into the object buffer *as its
+        connection; every molecule is loaded into the object buffer *as its
         batch arrives at the workstation* — immediately for the default
         whole-set fetch, incrementally while the returned cursor is
         consumed for a streaming ``fetch_size``.
         """
         if set_oriented:
-            cursor = self.session.open_cursor(
+            cursor = self.session.checkout(
                 mql, fetch_size=fetch_size, on_arrival=self._receive)
             return ResultSet(source=cursor, plan_text=cursor.plan_text)
         # Record-at-a-time baseline: roots first, then the closure —

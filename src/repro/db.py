@@ -79,7 +79,7 @@ class Prima:
         #: Network accounting of attached serving endpoints (see
         #: :meth:`attach_network`); summed into :meth:`io_report`.
         self._network_stats: list[Any] = []
-        #: Serving managers opened over this instance (see :meth:`serve`);
+        #: Serving managers over this instance (:meth:`attach_sessions`);
         #: their per-session counters reset with :meth:`reset_accounting`.
         self._session_managers: list["SessionManager"] = []
 
@@ -214,67 +214,6 @@ class Prima:
         self.access.delete(surrogate)
         self.data.publish_data_version()
 
-    # -- serving ------------------------------------------------------------------------
-
-    def serve(self, model=None, max_sessions: int = 8,
-              admission: str = "reject",
-              queue_timeout: float | None = None,
-              fetch_size: int | str | None = None,
-              parallel_mode: str = "threads",
-              parallel_workers: int | None = None,
-              idle_cursor_timeout: float | None = None,
-              idle_statement_timeout: float | None = None,
-              session_lease: float | None = None,
-              clock=None):
-        """A :class:`~repro.serve.SessionManager` over this instance.
-
-        .. deprecated::
-            As a *client* entry point this is superseded by
-            :func:`repro.connect` — ``connect(db, **knobs)`` builds (or
-            reuses) the manager *and* opens a session with one uniform
-            API over every transport.  ``serve()`` remains as a thin
-            shim for code that wants the bare manager (server-side
-            plumbing, the daemon, benchmarks).
-
-        The serving layer multiplexes many concurrent client sessions
-        onto this PRIMA: each session gets its own transaction/lock
-        scope, queries stream through remote cursors (OPEN / FETCH(n) /
-        CLOSE over the coupling network's cost model, double-buffered),
-        and admission control bounds concurrency.  Knobs:
-
-        * ``max_sessions`` — concurrent-session bound;
-        * ``admission`` — ``'reject'`` (raise at the limit) or
-          ``'queue'`` (wait for a slot, optionally ``queue_timeout``);
-        * ``fetch_size`` — default cursor batch size (None: whole set in
-          the open response, the set-oriented one-message-pair mode;
-          ``"auto"``: tuned per cursor from the network model against
-          the measured molecule wire size, see :mod:`repro.serve.tuning`);
-        * ``parallel_mode`` / ``parallel_workers`` — worker fabric and
-          cap of :meth:`~repro.serve.Session.parallel_query`
-          (``'threads'`` or ``'processes'``);
-        * ``idle_cursor_timeout`` / ``idle_statement_timeout`` /
-          ``session_lease`` — resource hygiene (seconds; None disables):
-          reclaim idle cursors, idle statement handles, and whole
-          sessions without message traffic (``clock`` injects a test
-          clock; sweeps run via :meth:`SessionManager.reap`, which the
-          daemon drives periodically);
-        * ``model`` — the :class:`~repro.coupling.NetworkModel` billed.
-
-        The manager's network counters surface in :meth:`io_report` as
-        ``net_messages`` / ``net_bytes`` / ``net_comm_time_ms``.
-        """
-        from repro.serve import SessionManager
-        return SessionManager(self, model=model, max_sessions=max_sessions,
-                              admission=admission,
-                              queue_timeout=queue_timeout,
-                              default_fetch_size=fetch_size,
-                              parallel_mode=parallel_mode,
-                              parallel_workers=parallel_workers,
-                              idle_cursor_timeout=idle_cursor_timeout,
-                              idle_statement_timeout=idle_statement_timeout,
-                              session_lease=session_lease,
-                              clock=clock)
-
     def parallel_select(self, mql: str, processors: int = 4,
                         partitions: int | None = None,
                         max_workers: int | None = None,
@@ -294,6 +233,8 @@ class Prima:
                                partitions=partitions,
                                max_workers=max_workers, mode=mode,
                                args=args, params=params)
+
+    # -- serving (clients come in through :func:`repro.connect`) -------------------------
 
     def attach_network(self, stats) -> None:
         """Register a serving endpoint's :class:`NetworkStats` so its

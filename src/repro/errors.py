@@ -222,24 +222,3 @@ class ProtocolError(SessionError):
     """A malformed or out-of-order message on the serving wire
     (undecodable frame, oversized length prefix, a request before
     HELLO, ...)."""
-
-
-class ServeError(SessionError):
-    """Multiple serve-loop jobs failed concurrently.
-
-    Aggregates every failure (in deterministic job order) instead of
-    dropping all but the first; ``failures`` maps job index to the
-    exception raised.  A single failing job re-raises its exception
-    directly, so the common case keeps its type.
-    """
-
-    def __init__(self, failures: list[tuple[int, BaseException]]) -> None:
-        summary = "; ".join(
-            f"job {index}: {type(exc).__name__}: {exc}"
-            for index, exc in failures
-        )
-        super().__init__(
-            f"{len(failures)} serve-loop jobs failed ({summary})"
-        )
-        #: ``(job_index, exception)`` pairs, ordered by job index.
-        self.failures = list(failures)

@@ -3,7 +3,7 @@
 The paper proposes multi-processor PRIMA architectures in which decomposed
 units of work (DUs) are scheduled and executed concurrently by the DBMS.
 This module substitutes the planned multi-processor hardware with a
-deterministic discrete-event simulation (see DESIGN.md §5): each DU carries
+deterministic discrete-event simulation: each DU carries
 a measured service time; the scheduler assigns ready DUs to the first free
 of P simulated processors, honouring conflict edges (conflicting DUs are
 serialised in index order, preserving the single-user operation's

@@ -8,35 +8,31 @@ Grows the paper's workstation–server coupling into a serving subsystem:
   EXECUTE_PREPARED, EXECUTE, EXPLAIN, CHECKIN, HELLO / PING / GOODBYE)
   plus the one codec that frames them and bills them against the
   network cost model — identically on every transport;
-* :class:`SessionManager` / :class:`Session` — many concurrent client
-  sessions (own transaction/lock scope, counters, admission control,
-  idle/lease resource hygiene) multiplexed onto one
-  :class:`~repro.db.Prima`; :meth:`Session.handle` is the
-  transport-agnostic dispatch;
+* :class:`SessionManager` / :class:`Session` — the server side: many
+  concurrent sessions (own transaction/lock scope, counters, admission
+  control, idle/lease resource hygiene) multiplexed onto one
+  :class:`~repro.db.Prima` or cluster; :meth:`Session.handle` answers
+  one request and is the only way into a session;
 * :class:`RemoteCursor` — lazy result-set pipelines streamed in
   fetch-size batches with double-buffered prefetch (and optional
   network-model-tuned batch sizes, :mod:`repro.serve.tuning`);
 * :class:`~repro.serve.daemon.PrimaDaemon` — the asyncio event-loop
   transport: many clients over a socket from a single thread, bounded
   send queues for backpressure;
-* :class:`ServeLoop` — the synchronous thread-per-session transport for
-  in-process job batches;
-* :func:`connect` / :class:`Connection` — the one client entry point,
-  identical over the in-process and daemon-socket transports.
+* :func:`connect` / :class:`Connection` — the client side, and the
+  only one: identical over the in-process and daemon-socket transports.
 """
 
-from repro.errors import ServeError
 from repro.serve import protocol
-from repro.serve.connection import Connection, connect
+from repro.serve.connection import (
+    DEFAULT_FETCH_SIZE,
+    Connection,
+    RemotePreparedStatement,
+    connect,
+)
 from repro.serve.cursor import RemoteCursor, ServerCursor
 from repro.serve.daemon import PrimaDaemon, serve_daemon
-from repro.serve.loop import ServeLoop
-from repro.serve.session import (
-    DEFAULT_FETCH_SIZE,
-    RemotePreparedStatement,
-    Session,
-    SessionManager,
-)
+from repro.serve.session import Session, SessionManager
 
 __all__ = [
     "Connection",
@@ -44,8 +40,6 @@ __all__ = [
     "PrimaDaemon",
     "RemoteCursor",
     "RemotePreparedStatement",
-    "ServeError",
-    "ServeLoop",
     "ServerCursor",
     "Session",
     "SessionManager",

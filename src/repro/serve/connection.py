@@ -1,14 +1,14 @@
-"""One client API over every transport: :func:`connect` and
+"""The client side of the serving layer: :func:`connect` and
 :class:`Connection`.
 
-The serving layer grew three generations of entry points — direct
-:class:`~repro.serve.SessionManager` construction, ``Prima.serve()``,
-and the coupling façades — each exposing a slightly different client
-surface.  This module collapses them: :func:`connect` takes *anything
-serveable* (nothing, a :class:`~repro.db.Prima`, a manager, a daemon, a
-``host:port`` address) and returns a :class:`Connection` whose API is
-**identical regardless of transport**, because every method is one typed
-request of :mod:`repro.serve.protocol` pushed through a transport:
+Request messages are built here (and in the asyncio twin,
+:mod:`repro.serve.aio`) and nowhere else.  :func:`connect` takes
+*anything serveable* (nothing, a :class:`~repro.db.Prima`, a cluster,
+a manager, a daemon, a ``host:port`` address) and returns a
+:class:`Connection` whose API is **identical regardless of transport**,
+because every method is one typed request of :mod:`repro.serve.protocol`
+pushed through a transport — an object with ``request``,
+``poll_notifications`` and ``close``:
 
 * **in process** — :class:`LocalTransport` hands the message straight to
   :meth:`repro.serve.Session.handle`;
@@ -49,23 +49,37 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.data.result import ResultSet
-from repro.errors import ProtocolError, SessionError
+from repro.errors import ProtocolError, SessionError, SessionStateError
 from repro.mad.molecule import Molecule
 from repro.mad.types import Surrogate
 from repro.serve import protocol
 from repro.serve.cursor import RemoteCursor
-from repro.serve.session import (
-    DEFAULT_FETCH_SIZE,
-    RemotePreparedStatement,
-    Session,
-    SessionManager,
-    _wire_fetch_size,
-)
+from repro.serve.session import Session, SessionManager
+
+#: "Use the manager's default fetch size" — callers that want to defer
+#: the batching decision to the server's knob pass this instead of an
+#: explicit size/None.  It is the wire value itself, so it needs no
+#: translation on the way out.
+DEFAULT_FETCH_SIZE = protocol.DEFAULT_FETCH_SIZE_WIRE
+
+
+def _result_set(transport, reply: protocol.Response,
+                on_arrival: Callable[[Molecule], None] | None = None,
+                ) -> ResultSet:
+    """The client-side result of one statement: a lazy set streaming
+    over a remote cursor (SELECT) or the DML outcome."""
+    if isinstance(reply, protocol.OpenReply):
+        cursor = RemoteCursor(transport, reply, on_arrival=on_arrival)
+        return ResultSet(source=cursor, plan_text=cursor.plan_text)
+    return ResultSet(molecules=reply.molecules, affected=reply.affected,
+                     inserted=reply.inserted)
 
 
 class LocalTransport:
     """In-process transport: requests go straight to
-    :meth:`Session.handle`; exceptions propagate natively."""
+    :meth:`Session.handle`; exceptions propagate natively (no
+    :class:`~repro.serve.protocol.WireError` wrapping — there is no
+    wire)."""
 
     __slots__ = ("session",)
 
@@ -74,6 +88,17 @@ class LocalTransport:
 
     def request(self, message: protocol.Request) -> protocol.Response:
         return self.session.handle(message)
+
+    def poll_notifications(self, timeout: float = 0.0,
+                           ) -> list[protocol.Notify]:
+        """Drain the session's notification queue, waiting up to
+        ``timeout`` seconds for the first frame."""
+        deadline = time.monotonic() + max(timeout, 0.0)
+        while True:
+            out = self.session.pop_notifications()
+            if out or time.monotonic() >= deadline:
+                return out
+            time.sleep(0.002)
 
     def close(self) -> None:
         """Nothing to release: the session owns the resources."""
@@ -243,7 +268,7 @@ class Connection:
         """
         self._require_open()
         reply = self._transport.request(protocol.Open(
-            mql, _wire_fetch_size(fetch_size), args, params))
+            mql, fetch_size, args, params))
         return RemoteCursor(self._transport, reply, on_arrival=on_arrival)
 
     def query(self, mql: str, fetch_size: Any = DEFAULT_FETCH_SIZE,
@@ -265,13 +290,8 @@ class Connection:
         """Execute one statement; the server routes SELECT to a
         default-sized cursor, DML to a subtransaction."""
         self._require_open()
-        reply = self._transport.request(
-            protocol.Execute(mql, args, params or None))
-        if isinstance(reply, protocol.OpenReply):
-            cursor = RemoteCursor(self._transport, reply)
-            return ResultSet(source=cursor, plan_text=cursor.plan_text)
-        return ResultSet(molecules=reply.molecules, affected=reply.affected,
-                         inserted=reply.inserted)
+        return _result_set(self._transport, self._transport.request(
+            protocol.Execute(mql, args, params or None)))
 
     def explain(self, mql: str, *args: Any, **params: Any) -> str:
         """The server-side processing plan of ``mql``."""
@@ -363,21 +383,7 @@ class Connection:
         identical frame contents either way (the parity the live-query
         tests assert)."""
         self._require_open()
-        poll = getattr(self._transport, "poll_notifications", None)
-        if poll is not None:
-            return poll(timeout)
-        deadline = time.monotonic() + max(timeout, 0.0)
-        while True:
-            if self.manager is not None:
-                # Flush throttled/coalesced deltas that have left their
-                # re-notify window (in process there is no daemon tick).
-                live = self.manager._live  # noqa: SLF001
-                if live is not None:
-                    live.pump()
-            out = self.session.pop_notifications()
-            if out or time.monotonic() >= deadline:
-                return out
-            time.sleep(0.002)
+        return self._transport.poll_notifications(timeout)
 
     # -- connection management -----------------------------------------------
 
@@ -419,6 +425,86 @@ class Connection:
         transport = type(self._transport).__name__
         state = "closed" if self._closed else "open"
         return f"Connection({self.name!r}, {state}, {transport})"
+
+
+class RemotePreparedStatement:
+    """The client half of a server-side prepared statement.
+
+    Created from the :class:`~repro.serve.protocol.PrepareReply` of a
+    PREPARE exchange — the statement text shipped once; this handle
+    re-executes it with fresh bindings over EXECUTE_PREPARED messages
+    that carry only the statement id and the parameter values.  SELECT
+    handles stream their result through the ordinary remote-cursor
+    machinery (first batch in the response, double-buffered prefetch,
+    the full client cursor contract); DML handles execute under the
+    session's subtransaction lock discipline.  Like the cursor, the
+    handle is transport-agnostic: it speaks protocol dataclasses through
+    whatever transport created it.
+    """
+
+    def __init__(self, transport, reply: protocol.PrepareReply) -> None:
+        self._transport = transport
+        self.statement_id = reply.statement_id
+        self.text = reply.text
+        self.kind = reply.kind
+        self.param_count = reply.param_count
+        self.param_names = reply.param_names
+        self._closed = False
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise SessionStateError(
+                f"prepared statement #{self.statement_id} is deallocated"
+            )
+
+    def open_cursor(self, *args: Any,
+                    fetch_size: Any = DEFAULT_FETCH_SIZE,
+                    on_arrival: Callable[[Molecule], None] | None = None,
+                    **params: Any) -> RemoteCursor:
+        """EXECUTE_PREPARED: a streaming cursor over one execution."""
+        self._require_open()
+        if self.kind != "select":
+            raise SessionStateError(
+                "remote cursors serve SELECT statements only "
+                "(use execute() for DML)"
+            )
+        reply = self._transport.request(protocol.ExecutePrepared(
+            self.statement_id, args, params or None, fetch_size))
+        return RemoteCursor(self._transport, reply, on_arrival=on_arrival)
+
+    def execute(self, *args: Any, fetch_size: Any = DEFAULT_FETCH_SIZE,
+                on_arrival: Callable[[Molecule], None] | None = None,
+                **params: Any) -> ResultSet:
+        """Re-execute with fresh bindings (no text, no re-plan).
+
+        SELECTs return the usual lazy :class:`ResultSet` over a remote
+        cursor; DML returns its outcome set.
+        """
+        self._require_open()
+        if self.kind != "select":
+            fetch_size = None
+        return _result_set(self._transport, self._transport.request(
+            protocol.ExecutePrepared(self.statement_id, args,
+                                     params or None, fetch_size)),
+            on_arrival)
+
+    def close(self) -> None:
+        """DEALLOCATE the server-side handle (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        self._transport.request(protocol.Deallocate(self.statement_id))
+
+    def __enter__(self) -> "RemotePreparedStatement":
+        return self
+
+    def __exit__(self, _exc_type, _exc, _tb) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        state = "deallocated" if self._closed else "prepared"
+        return (f"RemotePreparedStatement(#{self.statement_id}, {state}, "
+                f"{self.text!r})")
 
 
 class LiveSubscription:
@@ -488,7 +574,7 @@ def _socket_connection(host: str, port: int, name: str | None,
         )
     return Connection(transport, welcome.session,
                       welcome.default_fetch_size,
-                      shards=getattr(welcome, "shards", 1))
+                      shards=welcome.shards)
 
 
 def _session_connection(session: Session, *,
@@ -517,11 +603,13 @@ def connect(target: Any = None, *, name: str | None = None,
       :class:`SessionManager` is reused (so several ``connect(db)``
       calls share one admission domain); otherwise a new manager is
       created with ``options`` as its knobs (``max_sessions``,
-      ``admission``, ``fetch_size``, ``idle_cursor_timeout``,
+      ``admission``, ``default_fetch_size``, ``idle_cursor_timeout``,
       ``session_lease``, ... — see :class:`SessionManager`).
-    * a :class:`SessionManager` — open one more session on it.
+    * a :class:`SessionManager` — open one more session on it (its
+      knobs are fixed: ``options`` raise :class:`ValueError`).
     * a :class:`~repro.serve.daemon.PrimaDaemon` — a socket connection
-      to a locally running daemon.
+      to a locally running daemon (no ``options`` either: the knobs
+      belong to the daemon's manager).
     * ``"prima://host:port"`` (or ``(host, port)``) — a socket
       connection to a remote daemon; ``timeout`` bounds connection
       establishment, and admission queueing blocks in the HELLO
@@ -529,10 +617,6 @@ def connect(target: Any = None, *, name: str | None = None,
       identical (``Welcome.shards`` reports the count).
 
     ``name`` labels the session (``io_report`` keys, lock diagnostics).
-
-    This façade supersedes direct ``SessionManager(...)`` construction
-    and ``Prima.serve(...)`` as the client entry point — both remain as
-    thin shims for the server-side plumbing they still provide.
     """
     from repro.db import Prima
 
@@ -554,12 +638,14 @@ def connect(target: Any = None, *, name: str | None = None,
             manager = SessionManager(target, **options)
         return _session_connection(manager.open(name=name, timeout=timeout),
                                    manager=manager)
+    address = getattr(target, "address", None)   # PrimaDaemon duck type
+    if options and (isinstance(target, SessionManager)
+                    or address is not None):
+        raise ValueError(
+            "manager knobs cannot be changed on an existing "
+            f"{type(target).__name__}: {sorted(options)}"
+        )
     if isinstance(target, SessionManager):
-        if options:
-            raise ValueError(
-                "manager knobs cannot be changed on an existing "
-                f"SessionManager: {sorted(options)}"
-            )
         return _session_connection(target.open(name=name, timeout=timeout),
                                    manager=target)
     if isinstance(target, tuple) and len(target) == 2:
@@ -568,8 +654,7 @@ def connect(target: Any = None, *, name: str | None = None,
     if isinstance(target, str):
         host, port = _parse_address(target)
         return _socket_connection(host, port, name, timeout)
-    address = getattr(target, "address", None)   # PrimaDaemon duck type
-    if address is not None and not options:
+    if address is not None:
         host, port = address
         return _socket_connection(host, port, name, timeout)
     raise TypeError(

@@ -278,7 +278,7 @@ class RemoteCursor:
         EXPLAIN is a first-class protocol citizen: the plan text rides
         the wire once at open time, so inspecting it here costs no extra
         round trip (ad-hoc explanation without a cursor goes through
-        :meth:`repro.serve.Session.explain` instead).
+        :meth:`repro.serve.Connection.explain` instead).
         """
         return self.plan_text
 

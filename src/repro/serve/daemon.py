@@ -1,10 +1,10 @@
 """The asyncio daemon: many concurrent clients, one event-loop thread.
 
-The thread-per-session :class:`~repro.serve.loop.ServeLoop` burns one OS
-thread per client; this daemon multiplexes every connection onto a
-single event loop instead, so the server's thread count stays **O(1)**
-no matter how many sessions are open (the property
-``benchmarks/bench_b7_daemon.py`` gates on).  Per connection:
+A thread per client burns one OS thread per session; this daemon
+multiplexes every connection onto a single event loop instead, so the
+server's thread count stays **O(1)** no matter how many sessions are
+open (the property ``benchmarks/bench_b7_daemon.py`` gates on).  Per
+connection:
 
 * a **reader coroutine** decodes length-prefixed frames into the typed
   requests of :mod:`repro.serve.protocol` and dispatches them inline to

@@ -31,12 +31,12 @@ Each :class:`Session` owns
 **The protocol core.**  Every client exchange is one typed request in,
 one typed response out (:mod:`repro.serve.protocol`), dispatched through
 :meth:`Session.handle` — the single transport-agnostic entry point.  The
-in-process transport (:class:`~repro.serve.connection.LocalTransport`,
-and this class's own convenience methods) calls ``handle`` directly; the
-asyncio daemon (:mod:`repro.serve.daemon`) decodes the same dataclasses
-off a socket and calls the same method.  Message/byte accounting happens
-once, in ``handle``, via :func:`repro.serve.protocol.wire_size` — so
-every transport is billed identically against the network cost model.
+in-process transport (:class:`~repro.serve.connection.LocalTransport`)
+calls ``handle`` directly; the asyncio daemon
+(:mod:`repro.serve.daemon`) decodes the same dataclasses off a socket
+and calls the same method.  Message/byte accounting happens once, in
+``handle``, via :func:`repro.serve.protocol.wire_size` — so every
+transport is billed identically against the network cost model.
 
 **Resource hygiene at scale.**  Three knobs reclaim what abandoned
 clients leave behind (all off by default; the daemon runs a periodic
@@ -78,14 +78,12 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.data.prepared import PreparedStatement
-from repro.data.result import ResultSet
 from repro.errors import (
     CouplingError,
     SessionExpiredError,
     SessionLimitError,
     SessionStateError,
 )
-from repro.mad.molecule import Molecule
 from repro.mad.types import Surrogate
 from repro.mql.ast import (
     DeleteStatement,
@@ -94,7 +92,7 @@ from repro.mql.ast import (
 )
 from repro.obs import MetricsRegistry
 from repro.serve import protocol
-from repro.serve.cursor import RemoteCursor, ServerCursor
+from repro.serve.cursor import ServerCursor
 from repro.serve.protocol import batch_bytes, wire_size
 from repro.serve.tuning import AUTO_PROBE_SIZE, tune_fetch_size
 from repro.txn import Transaction, TransactionManager
@@ -102,22 +100,8 @@ from repro.util.rwlock import ReadWriteLock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.coupling.network import NetworkModel
+    from repro.data.result import ResultSet
     from repro.db import Prima
-
-#: Sentinel: "use the manager's default fetch size" — callers that
-#: want to defer the batching decision to the server's knob pass
-#: this instead of an explicit size/None.  On the wire it travels as
-#: the string ``"default"`` (sentinel identity does not survive
-#: serialisation).
-DEFAULT_FETCH_SIZE = object()
-
-
-def _wire_fetch_size(fetch_size: Any) -> int | str | None:
-    """Map the client-side sentinel to its wire representation."""
-    if fetch_size is DEFAULT_FETCH_SIZE:
-        return protocol.DEFAULT_FETCH_SIZE_WIRE
-    return fetch_size
-
 
 #: Requests whose handling time is a *query* latency (they bind and run
 #: a statement), observed into ``query_latency_ms`` next to the generic
@@ -142,31 +126,15 @@ class _StatementHolder:
         self.last_used = now
 
 
-class _LocalTransport:
-    """The in-process transport: protocol messages straight into
-    :meth:`Session.handle`.  Exceptions propagate natively (no
-    :class:`~repro.serve.protocol.WireError` wrapping — there is no
-    wire)."""
-
-    __slots__ = ("session",)
-
-    def __init__(self, session: "Session") -> None:
-        self.session = session
-
-    def request(self, message: protocol.Request) -> protocol.Response:
-        return self.session.handle(message)
-
-    def close(self) -> None:
-        """The transport owns no resources; the session outlives it."""
-
-
 class Session:
-    """One client session: transaction scope, cursors, counters.
+    """The server side of one client session: transaction scope,
+    cursors, statement handles, counters.
 
-    The server-facing core is :meth:`handle`; the remaining public
-    methods (``open_cursor``/``query``/``prepare``/``execute``/
-    ``explain``/``checkin``) are the in-process convenience client,
-    speaking the same protocol through a local transport.
+    :meth:`handle` answers one protocol request; everything else public
+    is resource ownership (``close``/``abort``/``expire``/``reap_idle``,
+    the notification queue).  Clients never call a session directly —
+    they hold a :class:`~repro.serve.connection.Connection` whose
+    transport delivers their requests here.
     """
 
     def __init__(self, manager: "SessionManager", name: str) -> None:
@@ -194,7 +162,6 @@ class Session:
         #: Serialises this session's messages (the per-session half of
         #: the serving thread model).
         self._lock = threading.RLock()
-        self._transport = _LocalTransport(self)
         #: Undelivered server pushes (live-query NOTIFY frames) for the
         #: in-process transport; bounded so an unpolled session cannot
         #: grow without limit — overflow drops the oldest frame.  The
@@ -312,8 +279,7 @@ class Session:
     # -- cursor messages -----------------------------------------------------
 
     def _resolve_fetch_size(self, fetch_size: Any) -> int | str | None:
-        if fetch_size is DEFAULT_FETCH_SIZE or \
-                fetch_size == protocol.DEFAULT_FETCH_SIZE_WIRE:
+        if fetch_size == protocol.DEFAULT_FETCH_SIZE_WIRE:
             fetch_size = self.manager.default_fetch_size
         if fetch_size is None or fetch_size == protocol.AUTO_FETCH_SIZE:
             return fetch_size
@@ -344,7 +310,7 @@ class Session:
         if prepared.kind != "select":
             raise SessionStateError(
                 "remote cursors serve SELECT statements only "
-                "(use Session.execute for DML)"
+                "(use execute() for DML)"
             )
         result = self._db.data.open_result(prepared, args, params or {})
         self._count("snapshot_reads")
@@ -479,7 +445,8 @@ class Session:
         with self.manager.engine.reader():
             prepared = self._db.data.prepare(request.mql)
             if prepared.kind == "select":
-                fetch_size = self._resolve_fetch_size(DEFAULT_FETCH_SIZE)
+                fetch_size = self._resolve_fetch_size(
+                    protocol.DEFAULT_FETCH_SIZE_WIRE)
                 return self._open_pipeline(prepared, request.args,
                                            request.params, fetch_size)
         result = self._execute_locked(prepared, request.args, request.params)
@@ -544,8 +511,21 @@ class Session:
 
     def _handle_checkin(self,
                         request: protocol.Checkin) -> protocol.CheckinReply:
-        """Apply a workstation's object buffer in one message pair (see
-        :meth:`checkin` for the protocol semantics)."""
+        """CHECKIN: apply a workstation's object buffer in one message
+        pair.
+
+        ``creations`` carries atoms created locally under *temporary*
+        surrogates; they are inserted here and the mapping temporary →
+        real surrogate is returned (and billed into the ack message).
+        References among new atoms are remapped, in two phases so cyclic
+        n:m references among creations work.
+
+        The application runs in a short-lived transaction under the
+        engine lock: every touched atom is X-locked (and undo-logged) for
+        the duration, the commit releases the locks — concurrent
+        checkins serialise at message granularity and the later one wins
+        (the optimistic object-buffer protocol).
+        """
         with self.manager.engine.writer():
             mapping = self._apply_checkin(request.modifications,
                                           request.deletions,
@@ -620,7 +600,12 @@ class Session:
         return delivered
 
     def pop_notifications(self) -> list[protocol.Notify]:
-        """Drain the in-process notification queue (sync client poll)."""
+        """Drain the in-process notification queue (sync client poll),
+        first flushing throttled/coalesced deltas that have left their
+        re-notify window (in process there is no daemon tick)."""
+        live = self.manager._live  # noqa: SLF001
+        if live is not None:
+            live.pump()
         out: list[protocol.Notify] = []
         while True:
             try:
@@ -662,62 +647,6 @@ class Session:
         protocol.Goodbye: _handle_goodbye,
     }
 
-    # -- client entry points (the in-process convenience client) -------------
-
-    def open_cursor(self, mql: str, fetch_size: Any = DEFAULT_FETCH_SIZE,
-                    on_arrival: Callable[[Molecule], None] | None = None,
-                    args: tuple = (),
-                    params: dict[str, Any] | None = None) -> RemoteCursor:
-        """OPEN a remote streaming cursor over ``mql``.
-
-        ``fetch_size=None`` ships the whole set in the open response (the
-        set-oriented one-message-pair mode); an integer streams batches
-        of that size with one-batch prefetch; ``"auto"`` lets the server
-        tune the batch size from the network model.  ``on_arrival`` runs
-        per molecule as its batch reaches the client.  ``args``/
-        ``params`` bind ``?`` / ``:name`` placeholders for this one
-        execution; a statement executed repeatedly is better served by
-        :meth:`prepare` (the text ships once).
-        """
-        reply = self.handle(protocol.Open(mql, _wire_fetch_size(fetch_size),
-                                          args, params))
-        return RemoteCursor(self._transport, reply, on_arrival=on_arrival)
-
-    def query(self, mql: str, fetch_size: Any = DEFAULT_FETCH_SIZE,
-              on_arrival: Callable[[Molecule], None] | None = None,
-              args: tuple = (),
-              params: dict[str, Any] | None = None) -> ResultSet:
-        """A lazy :class:`ResultSet` streaming over a remote cursor."""
-        cursor = self.open_cursor(mql, fetch_size=fetch_size,
-                                  on_arrival=on_arrival,
-                                  args=args, params=params)
-        return ResultSet(source=cursor, plan_text=cursor.plan_text)
-
-    def subscribe(self, mql: str, args: tuple = (),
-                  params: dict[str, Any] | None = None,
-                  deliver: str = "notify") -> protocol.SubscribeReply:
-        """SUBSCRIBE a SELECT for server push; poll
-        :meth:`pop_notifications` (or ``Connection.notifications()``)
-        for the NOTIFY frames."""
-        return self.handle(protocol.Subscribe(mql, args, params, deliver))
-
-    def unsubscribe(self, subscription_id: int) -> None:
-        """UNSUBSCRIBE one live query (idempotent)."""
-        self.handle(protocol.Unsubscribe(subscription_id))
-
-    def prepare(self, mql: str) -> "RemotePreparedStatement":
-        """PREPARE ``mql`` server-side; the client keeps a handle.
-
-        The statement text crosses the wire exactly once.  Every
-        ``handle.execute(...)`` afterwards is an EXECUTE_PREPARED
-        message shipping only the handle id and the placeholder
-        bindings — the server binds its cached, catalog-versioned plan
-        and streams the cursor as usual (no re-parse, no re-plan, no
-        text).
-        """
-        reply = self.handle(protocol.Prepare(mql))
-        return RemotePreparedStatement(self._transport, reply)
-
     def _execute_locked(self, prepared: PreparedStatement, args: tuple,
                         params: dict[str, Any] | None) -> ResultSet:
         """Run a non-SELECT prepared statement in a *subtransaction*.
@@ -749,44 +678,6 @@ class Session:
                 raise
             writer.commit()      # the session inherits the X lock
         return result
-
-    def execute(self, mql: str, *args: Any, **params: Any) -> ResultSet:
-        """Execute one statement; DML runs in a *subtransaction* (see
-        :meth:`_execute_locked` for the lock discipline).  SELECTs route
-        to a default-sized remote cursor.  ``*args``/``**params`` bind
-        placeholders.
-        """
-        reply = self.handle(protocol.Execute(mql, args, params or None))
-        if isinstance(reply, protocol.OpenReply):
-            cursor = RemoteCursor(self._transport, reply)
-            return ResultSet(source=cursor, plan_text=cursor.plan_text)
-        return ResultSet(molecules=reply.molecules, affected=reply.affected,
-                         inserted=reply.inserted)
-
-    def explain(self, mql: str, *args: Any, **params: Any) -> str:
-        """The server-side processing plan of ``mql``, over the wire.
-
-        ``args``/``params`` optionally bind placeholders so the rendered
-        plan shows concrete ranges instead of ``?n`` markers."""
-        return self.handle(
-            protocol.Explain(mql, args, params or None)).text
-
-    def server_stats(self, reset: bool = False) -> dict[str, Any]:
-        """The server's observability export over the wire: the merged
-        ``metrics_report()`` (counters + gauges + histograms) and the
-        slow-query log, as one STATS message pair."""
-        reply = self.handle(protocol.Stats(reset))
-        return {"metrics": reply.metrics, "slowlog": reply.slowlog}
-
-    def trace(self, mql: str, *args: Any, **params: Any) -> dict[str, Any]:
-        """Run ``mql`` server-side under a forced trace; returns the
-        span tree as ``{"text": rendered, "tree": Span.to_dict()}``."""
-        reply = self.handle(protocol.Trace(mql, args, params or None))
-        return {"text": reply.text, "tree": reply.tree}
-
-    def ping(self) -> str:
-        """Keepalive: refresh this session's lease; returns its label."""
-        return self.handle(protocol.Ping()).session
 
     def _statement_target(self, statement) -> str | None:
         if isinstance(statement, InsertStatement):
@@ -823,31 +714,6 @@ class Session:
                                mode=mode if mode is not None
                                else self.manager.parallel_mode,
                                engine_lock=self.manager.engine.reader())
-
-    # -- checkin (the write half of the coupling protocol) -------------------
-
-    def checkin(self, modifications: dict[Surrogate, dict[str, Any]],
-                deletions: list[Surrogate] | None = None,
-                creations: list[tuple[Surrogate, dict[str, Any]]] | None
-                = None) -> dict[Surrogate, Surrogate]:
-        """Apply a workstation's object buffer in one message pair.
-
-        ``creations`` carries atoms created locally under *temporary*
-        surrogates; they are inserted here and the mapping temporary →
-        real surrogate is returned (and billed into the ack message).
-        References among new atoms are remapped, in two phases so cyclic
-        n:m references among creations work.
-
-        The application runs in a short-lived transaction under the
-        engine lock: every touched atom is X-locked (and undo-logged) for
-        the duration, the commit releases the locks — concurrent
-        checkins serialise at message granularity and the later one wins
-        (the optimistic object-buffer protocol).
-        """
-        reply = self.handle(protocol.Checkin(modifications,
-                                             deletions or [],
-                                             creations or []))
-        return reply.mapping
 
     def _apply_checkin(self, modifications, deletions,
                        creations) -> dict[Surrogate, Surrogate]:
@@ -994,90 +860,6 @@ class Session:
         state = "closed" if self.closed else "open"
         return (f"Session({self.name!r}, {state}, "
                 f"{len(self._cursors)} cursor(s))")
-
-
-class RemotePreparedStatement:
-    """The client half of a server-side prepared statement.
-
-    Created from the :class:`~repro.serve.protocol.PrepareReply` of a
-    PREPARE exchange — the statement text shipped once; this handle
-    re-executes it with fresh bindings over EXECUTE_PREPARED messages
-    that carry only the statement id and the parameter values.  SELECT
-    handles stream their result through the ordinary remote-cursor
-    machinery (first batch in the response, double-buffered prefetch,
-    the full client cursor contract); DML handles execute under the
-    session's subtransaction lock discipline.  Like the cursor, the
-    handle is transport-agnostic: it speaks protocol dataclasses through
-    whatever transport created it.
-    """
-
-    def __init__(self, transport, reply: protocol.PrepareReply) -> None:
-        self._transport = transport
-        self.statement_id = reply.statement_id
-        self.text = reply.text
-        self.kind = reply.kind
-        self.param_count = reply.param_count
-        self.param_names = reply.param_names
-        self._closed = False
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise SessionStateError(
-                f"prepared statement #{self.statement_id} is deallocated"
-            )
-
-    def open_cursor(self, *args: Any,
-                    fetch_size: Any = DEFAULT_FETCH_SIZE,
-                    on_arrival: Callable[[Molecule], None] | None = None,
-                    **params: Any) -> RemoteCursor:
-        """EXECUTE_PREPARED: a streaming cursor over one execution."""
-        self._require_open()
-        if self.kind != "select":
-            raise SessionStateError(
-                "remote cursors serve SELECT statements only "
-                "(use execute() for DML)"
-            )
-        reply = self._transport.request(protocol.ExecutePrepared(
-            self.statement_id, args, params or None,
-            _wire_fetch_size(fetch_size)))
-        return RemoteCursor(self._transport, reply, on_arrival=on_arrival)
-
-    def execute(self, *args: Any, fetch_size: Any = DEFAULT_FETCH_SIZE,
-                on_arrival: Callable[[Molecule], None] | None = None,
-                **params: Any) -> ResultSet:
-        """Re-execute with fresh bindings (no text, no re-plan).
-
-        SELECTs return the usual lazy :class:`ResultSet` over a remote
-        cursor; DML returns its outcome set.
-        """
-        self._require_open()
-        if self.kind != "select":
-            reply = self._transport.request(protocol.ExecutePrepared(
-                self.statement_id, args, params or None, None))
-            return ResultSet(molecules=reply.molecules,
-                             affected=reply.affected,
-                             inserted=reply.inserted)
-        cursor = self.open_cursor(*args, fetch_size=fetch_size,
-                                  on_arrival=on_arrival, **params)
-        return ResultSet(source=cursor, plan_text=cursor.plan_text)
-
-    def close(self) -> None:
-        """DEALLOCATE the server-side handle (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._transport.request(protocol.Deallocate(self.statement_id))
-
-    def __enter__(self) -> "RemotePreparedStatement":
-        return self
-
-    def __exit__(self, _exc_type, _exc, _tb) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "deallocated" if self._closed else "prepared"
-        return (f"RemotePreparedStatement(#{self.statement_id}, {state}, "
-                f"{self.text!r})")
 
 
 class SessionManager:

@@ -8,7 +8,7 @@ a :class:`~repro.shard.coordinator.Coordinator` executes MQL across
 them.  The cluster object duck-types the ``Prima`` surface (``prepare``
 / ``execute`` / ``explain`` / ``io_report`` / ``commit`` / ``close`` /
 direct atom access), so examples, benchmarks, and the whole serving
-layer (``db.serve()``, the daemon, ``repro.connect``) run over a
+layer (``SessionManager``, the daemon, ``repro.connect``) run over a
 cluster unchanged.
 
 Sharding invariants:
@@ -340,15 +340,6 @@ class ShardedCluster:
         self.data.publish_data_version()
 
     # -- serving -------------------------------------------------------------
-
-    def serve(self, **kwargs):
-        """A :class:`~repro.serve.SessionManager` over the cluster —
-        the same serving layer, the coordinator underneath."""
-        from repro.serve import SessionManager
-        model = kwargs.pop("model", None)
-        fetch_size = kwargs.pop("fetch_size", None)
-        return SessionManager(self, model=model,
-                              default_fetch_size=fetch_size, **kwargs)
 
     def attach_network(self, stats) -> None:
         if stats not in self._network_stats:

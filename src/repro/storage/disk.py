@@ -16,7 +16,7 @@ deterministic simulation:
   the file manager's cluster mechanism.
 
 The cost model's absolute numbers are loosely calibrated to a late-1980s
-disk (they only matter relatively — see DESIGN.md section 5).
+disk (they only matter relatively).
 """
 
 from __future__ import annotations

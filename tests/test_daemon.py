@@ -13,6 +13,8 @@ codec.
 from __future__ import annotations
 
 import asyncio
+import inspect
+import re
 import struct
 import threading
 import time
@@ -25,7 +27,6 @@ from repro.coupling.network import NetworkModel
 from repro.errors import (
     CursorStateError,
     ProtocolError,
-    ServeError,
     SessionError,
     SessionExpiredError,
     SessionLimitError,
@@ -34,7 +35,6 @@ from repro.errors import (
 from repro.serve import (
     Connection,
     PrimaDaemon,
-    ServeLoop,
     SessionManager,
     protocol,
 )
@@ -122,6 +122,18 @@ class TestConnect:
             assert manager.active_sessions == 1
         with pytest.raises(ValueError, match="knobs"):
             repro.connect(manager, max_sessions=5)
+        with PrimaDaemon(manager) as daemon:
+            with pytest.raises(ValueError, match="knobs cannot be changed"):
+                repro.connect(daemon, max_sessions=5)
+
+    def test_every_documented_manager_knob_is_accepted(self, db):
+        doc = repro.connect.__doc__
+        knobs = re.findall(r"``(\w+)``", doc[doc.index("as its knobs"):
+                                             doc.index("see :class:")])
+        assert "default_fetch_size" in knobs and len(knobs) >= 5
+        assert set(knobs) <= set(inspect.signature(SessionManager).parameters)
+        with repro.connect(db, default_fetch_size=4) as conn:
+            assert conn.default_fetch_size == 4
 
     def test_rejects_unknown_target(self):
         with pytest.raises(TypeError, match="cannot connect"):
@@ -510,40 +522,6 @@ class TestAutoTuning:
                                      fetch_size="auto")
                 assert MIN_FETCH_SIZE <= cursor.fetch_size <= MAX_FETCH_SIZE
                 assert len(list(cursor)) == N_ITEMS
-
-
-# ---------------------------------------------------------------------------
-# ServeLoop failure aggregation
-# ---------------------------------------------------------------------------
-
-class TestServeLoopFailures:
-    def test_concurrent_failures_aggregate(self, db):
-        manager = SessionManager(db, max_sessions=4)
-        loop = ServeLoop(manager)
-
-        def ok(session):
-            return len(list(session.query("SELECT ALL FROM item")))
-
-        def bad_value(session):
-            raise ValueError("job one broke")
-
-        def bad_key(session):
-            raise KeyError("job three broke")
-
-        with pytest.raises(ServeError) as info:
-            loop.run([ok, bad_value, ok, bad_key])
-        failures = info.value.failures
-        assert [index for index, _exc in failures] == [1, 3]
-        assert isinstance(failures[0][1], ValueError)
-        assert isinstance(failures[1][1], KeyError)
-        assert "job 1" in str(info.value) and "job 3" in str(info.value)
-        assert manager.active_sessions == 0
-
-    def test_single_failure_keeps_its_type(self, db):
-        manager = SessionManager(db, max_sessions=4)
-        loop = ServeLoop(manager)
-        with pytest.raises(ValueError, match="alone"):
-            loop.run([lambda s: (_ for _ in ()).throw(ValueError("alone"))])
 
 
 # ---------------------------------------------------------------------------

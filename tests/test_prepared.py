@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+import repro
 from repro import Prima
 from repro.errors import (
     ExecutionError,
@@ -24,7 +25,7 @@ from repro.errors import (
 from repro.mql.ast import Parameter
 from repro.mql.parser import parse
 from repro.parallel import parallel_select
-from repro.serve import protocol
+from repro.serve import SessionManager, protocol
 
 
 def make_items(db: Prima, count: int = 60) -> None:
@@ -415,12 +416,12 @@ class TestInvalidation:
 class TestServingPrepared:
     def test_execute_prepared_streams_without_text(self, db):
         make_items(db)
-        manager = db.serve(max_sessions=2)
-        with manager.open("w1") as session:
+        manager = SessionManager(db, max_sessions=2)
+        with repro.connect(manager, name="w1") as conn:
             long_tail = " AND n >= 0" * 30
             text = ("SELECT ALL FROM item WHERE grp = ?" + long_tail +
                     " ORDER BY n LIMIT 3")
-            stmt = session.prepare(text)
+            stmt = conn.prepare(text)
             # Re-execution ships handle + bindings only: its request is
             # far smaller than reshipping the statement text.
             before = manager.stats.snapshot()["bytes_sent"]
@@ -428,7 +429,7 @@ class TestServingPrepared:
             prepared_bytes = manager.stats.snapshot()["bytes_sent"] - before
             assert rows == [2, 9, 16]
             before = manager.stats.snapshot()["bytes_sent"]
-            plain = session.query(text, args=(2,))
+            plain = conn.query(text, args=(2,))
             assert [m.atom["n"] for m in plain] == [2, 9, 16]
             plain_bytes = manager.stats.snapshot()["bytes_sent"] - before
             assert prepared_bytes < plain_bytes - len(long_tail)
@@ -436,9 +437,9 @@ class TestServingPrepared:
     def test_rebinding_across_executions(self, db):
         make_items(db)
         db.reset_accounting()
-        manager = db.serve()
-        with manager.open() as session:
-            stmt = session.prepare(
+        manager = SessionManager(db)
+        with repro.connect(manager) as conn:
+            stmt = conn.prepare(
                 "SELECT ALL FROM item WHERE n = ? ORDER BY grp LIMIT ?")
             assert [m.atom["n"] for m in stmt.execute(4, 2)] == [4]
             assert [m.atom["n"] for m in stmt.execute(40, 2)] == [40]
@@ -449,9 +450,8 @@ class TestServingPrepared:
 
     def test_prepared_cursor_honours_fetch_size(self, db):
         make_items(db, 40)
-        manager = db.serve(fetch_size=4)
-        with manager.open() as session:
-            stmt = session.prepare("SELECT ALL FROM item WHERE grp = :g")
+        with repro.connect(db, default_fetch_size=4) as conn:
+            stmt = conn.prepare("SELECT ALL FROM item WHERE grp = :g")
             cursor = stmt.open_cursor(g=1)
             rows = [m.atom["n"] for m in cursor]
             assert rows == [1, 8, 15, 22, 29, 36]
@@ -460,12 +460,11 @@ class TestServingPrepared:
     def test_prepared_dml_through_session(self, db):
         db.execute("CREATE ATOM_TYPE node (node_id: IDENTIFIER, "
                    "v: INTEGER)")
-        manager = db.serve()
-        with manager.open() as session:
-            insert = session.prepare("INSERT node (v = ?)")
+        with repro.connect(db) as conn:
+            insert = conn.prepare("INSERT node (v = ?)")
             for i in range(5):
                 insert.execute(i)
-            result = session.execute(
+            result = conn.execute(
                 "MODIFY node SET v = :nv FROM node WHERE v = :ov",
                 nv=99, ov=2)
             assert result.affected == 1
@@ -474,26 +473,25 @@ class TestServingPrepared:
 
     def test_deallocated_handle_refuses(self, db):
         make_items(db, 5)
-        manager = db.serve()
-        with manager.open() as session:
-            stmt = session.prepare("SELECT ALL FROM item")
-            assert session.open_statements == 1
+        with repro.connect(db) as conn:
+            stmt = conn.prepare("SELECT ALL FROM item")
+            assert conn.session.open_statements == 1
             stmt.close()
-            assert session.open_statements == 0
+            assert conn.session.open_statements == 0
             with pytest.raises(SessionStateError):
                 stmt.execute()
 
     def test_unknown_statement_handle(self, db):
         make_items(db, 5)
-        manager = db.serve()
-        with manager.open() as session:
+        with repro.connect(db) as conn:
             with pytest.raises(SessionStateError, match="no prepared"):
-                session.handle(protocol.ExecutePrepared(statement_id=99))
+                conn.session.handle(protocol.ExecutePrepared(statement_id=99))
 
     def test_ldl_between_serving_executions_replans(self, db):
         make_items(db)
-        manager = db.serve()
-        with manager.open("admin") as admin, manager.open("reader") as rd:
+        manager = SessionManager(db)
+        with repro.connect(manager, name="admin") as admin, \
+                repro.connect(manager, name="reader") as rd:
             stmt = rd.prepare("SELECT ALL FROM item ORDER BY grp LIMIT 4")
             first = stmt.execute()
             assert "ATOM TYPE SCAN" in first.plan_text
@@ -516,7 +514,7 @@ class TestConcurrentInvalidation:
         churns tuning structures must always see correct results —
         every execution runs a current (re-validated) plan."""
         make_items(db, 80)
-        manager = db.serve(max_sessions=6)
+        manager = SessionManager(db, max_sessions=6)
         text = "SELECT ALL FROM item WHERE grp = ? ORDER BY n LIMIT 5"
         expected = {
             g: [m.atom["n"] for m in db.query(text, g)]
@@ -527,14 +525,14 @@ class TestConcurrentInvalidation:
 
         def reader(worker: int) -> None:
             try:
-                session = manager.open(f"r{worker}")
-                stmt = session.prepare(text)
+                conn = repro.connect(manager, name=f"r{worker}")
+                stmt = conn.prepare(text)
                 for round_no in range(40):
                     group = (worker + round_no) % 7
                     rows = [m.atom["n"] for m in stmt.execute(group)]
                     assert rows == expected[group], \
                         f"stale plan result {rows} for group {group}"
-                session.close()
+                conn.close()
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
                 stop.set()
@@ -604,12 +602,12 @@ class TestFacadeLifecycle:
     def test_context_manager_closes_and_flushes(self):
         with Prima() as db:
             make_items(db, 5)
-            manager = db.serve()
-            session = manager.open("s")
-            session.query("SELECT ALL FROM item").materialize()
+            manager = SessionManager(db)
+            conn = repro.connect(manager, name="s")
+            conn.query("SELECT ALL FROM item").materialize()
             assert db.io_report().get("net_messages", 0) > 0
         # closed: sessions torn down, network stats detached
-        assert session.closed
+        assert conn.session.closed
         assert "net_messages" not in db.io_report()
 
     def test_close_is_idempotent(self):
@@ -619,9 +617,9 @@ class TestFacadeLifecycle:
 
     def test_reset_accounting_resets_session_counters(self, db):
         make_items(db, 10)
-        manager = db.serve()
-        session = manager.open("alice")
-        session.query("SELECT ALL FROM item").materialize()
+        manager = SessionManager(db)
+        conn = repro.connect(manager, name="alice")
+        conn.query("SELECT ALL FROM item").materialize()
         report = manager.io_report()
         assert report["session:alice:cursors_opened"] == 1
         assert report["serve_cursors_opened"] == 1
@@ -630,7 +628,7 @@ class TestFacadeLifecycle:
         assert report.get("session:alice:cursors_opened", 0) == 0
         assert report.get("serve_cursors_opened", 0) == 0
         assert report["net_messages"] == 0
-        session.close()
+        conn.close()
 
     def test_query_and_stream_are_one_implementation(self):
         assert Prima.query is Prima.execute
@@ -653,9 +651,8 @@ class TestAcceptanceCrossSurface:
         stmt = db.prepare(text)          # cache hit: the same template
         db.reset_accounting()
         direct = [m.atom["n"] for m in stmt.execute(2, 3)]
-        manager = db.serve()
-        with manager.open() as session:
-            handle = session.prepare(text)   # hit again — no parse
+        with repro.connect(db) as conn:
+            handle = conn.prepare(text)   # hit again — no parse
             served = [m.atom["n"] for m in handle.execute(2, 3)]
         outcome = parallel_select(db, stmt, processors=2, args=(2, 3))
         via_parallel = [m.atom["n"] for m in outcome.result]

@@ -1,7 +1,7 @@
 """Property-based tests on cross-module invariants (hypothesis).
 
 The B*-tree and grid-file oracles live next to their unit tests; this file
-covers the remaining DESIGN.md §6 properties: record encoding, buffer
+covers the remaining cross-module properties: record encoding, buffer
 round-trips, the back-reference symmetry invariant under arbitrary DML
 sequences, and nested-transaction recovery.
 """
@@ -101,7 +101,7 @@ _dml_ops = st.lists(
 def test_backreference_symmetry_invariant(ops):
     """After ANY sequence of inserts/connects/disconnects/deletes the
     database satisfies: a references b <=> b back-references a, and no
-    reference dangles (DESIGN.md §6)."""
+    reference dangles."""
     from repro.access.system import AccessSystem
     from repro.mad import (IDENTIFIER, REAL, AtomType, ReferenceType,
                            Schema, SetType)

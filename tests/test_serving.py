@@ -1,9 +1,12 @@
-"""Tests: the serving layer — sessions, remote cursors, serve loop."""
+"""Tests: the serving layer — sessions, remote cursors, clients."""
 
+import contextlib
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro
 from repro import Prima
 from repro.coupling import PrimaServer, Workstation
 from repro.errors import (
@@ -12,7 +15,7 @@ from repro.errors import (
     SessionLimitError,
     SessionStateError,
 )
-from repro.serve import ServeLoop, protocol
+from repro.serve import PrimaDaemon, SessionManager, protocol
 from repro.workloads import brep
 
 N_ITEMS = 120
@@ -32,213 +35,220 @@ def db():
 
 @pytest.fixture
 def manager(db):
-    return db.serve(max_sessions=4)
+    return SessionManager(db, max_sessions=4)
+
+
+@pytest.fixture(params=["local", "daemon"])
+def conn(request, manager):
+    """One client connection, over each transport in turn."""
+    with contextlib.ExitStack() as stack:
+        target = manager if request.param == "local" \
+            else stack.enter_context(PrimaDaemon(manager))
+        yield stack.enter_context(repro.connect(target))
+
+
+def run_clients(manager, jobs, names=None):
+    """One thread and one ``repro.connect(manager)`` per job; results in
+    job order, the first failure (by job index) re-raised."""
+    def client(job, name):
+        with repro.connect(manager, name=name) as connection:
+            return job(connection)
+
+    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+        return list(pool.map(client, jobs, names or [None] * len(jobs)))
 
 
 class TestSessionLifecycle:
     def test_open_and_close(self, manager):
-        session = manager.open(name="alpha")
+        conn = repro.connect(manager, name="alpha")
         assert manager.active_sessions == 1
-        assert not session.closed
-        session.close()
-        assert session.closed
+        assert not conn.session.closed
+        conn.close()
+        assert conn.session.closed
         assert manager.active_sessions == 0
 
     def test_closed_session_rejects_messages(self, manager):
-        session = manager.open()
-        session.close()
+        conn = repro.connect(manager)
+        conn.close()
         with pytest.raises(SessionStateError):
-            session.query("SELECT ALL FROM item")
+            conn.session.handle(protocol.Open("SELECT ALL FROM item"))
 
     def test_context_manager_closes(self, manager):
-        with manager.open() as session:
-            assert not session.closed
-        assert session.closed
+        with repro.connect(manager) as conn:
+            assert not conn.session.closed
+        assert conn.session.closed
         assert manager.active_sessions == 0
 
     def test_double_close_is_idempotent(self, manager):
-        session = manager.open()
-        session.close()
-        session.close()
+        conn = repro.connect(manager)
+        conn.close()
+        conn.close()
+        conn.session.close()
         assert manager.active_sessions == 0
 
     def test_session_names_unique(self, manager):
-        first = manager.open(name="cad")
-        second = manager.open(name="cad")
+        first = repro.connect(manager, name="cad")
+        second = repro.connect(manager, name="cad")
         assert first.name != second.name
 
-    def test_duplicate_names_keep_distinct_report_keys(self, db):
-        manager = db.serve(max_sessions=4)
+    def test_duplicate_names_keep_distinct_report_keys(self, manager):
+        def job(conn):
+            conn.query("SELECT ALL FROM item WHERE grp = 7",
+                       fetch_size=8).materialize()
+            return conn.name
 
-        def job(session):
-            session.query("SELECT ALL FROM item WHERE grp = 7",
-                          fetch_size=8).materialize()
-            return session.name
-
-        names = ServeLoop(manager).run([job, job], names=["ws", "ws"])
+        names = run_clients(manager, [job, job], names=["ws", "ws"])
         assert len(set(names)) == 2
         report = manager.io_report()
         for name in names:
             assert report[f"session:{name}:cursors_opened"] == 1
 
-    def test_dml_and_select_through_session(self, manager):
-        with manager.open() as session:
-            inserted = session.execute("INSERT item (n = 900)").inserted
-            assert inserted is not None
-            rows = session.query("SELECT ALL FROM item WHERE n = 900")
-            assert [m.atom["n"] for m in rows] == [900]
+    def test_dml_and_select_through_session(self, conn):
+        inserted = conn.execute("INSERT item (n = 900)").inserted
+        assert inserted is not None
+        rows = conn.query("SELECT ALL FROM item WHERE n = 900")
+        assert [m.atom["n"] for m in rows] == [900]
 
-    def test_cursor_rejects_dml(self, manager):
-        with manager.open() as session:
-            with pytest.raises(SessionStateError):
-                session.open_cursor("INSERT item (n = 901)")
+    def test_cursor_rejects_dml(self, conn):
+        with pytest.raises(SessionStateError):
+            conn.cursor("INSERT item (n = 901)")
 
 
 class TestAdmissionControl:
     def test_reject_at_limit(self, db):
-        manager = db.serve(max_sessions=2)
-        first, second = manager.open(), manager.open()
+        manager = SessionManager(db, max_sessions=2)
+        first, second = repro.connect(manager), repro.connect(manager)
         with pytest.raises(SessionLimitError):
-            manager.open()
+            repro.connect(manager)
         first.close()
-        third = manager.open()   # slot freed
+        third = repro.connect(manager)   # slot freed
         third.close()
         second.close()
 
     def test_queue_waits_for_slot(self, db):
-        manager = db.serve(max_sessions=1, admission="queue")
-        first = manager.open()
+        manager = SessionManager(db, max_sessions=1, admission="queue")
+        first = repro.connect(manager)
         release = threading.Timer(0.05, first.close)
         release.start()
         try:
-            second = manager.open()   # blocks until the timer closes first
+            second = repro.connect(manager)   # blocks until first closes
         finally:
             release.join()
         assert first.closed
         second.close()
 
     def test_queue_timeout_raises(self, db):
-        manager = db.serve(max_sessions=1, admission="queue",
-                           queue_timeout=0.01)
-        first = manager.open()
+        manager = SessionManager(db, max_sessions=1, admission="queue",
+                                 queue_timeout=0.01)
+        first = repro.connect(manager)
         with pytest.raises(SessionLimitError):
-            manager.open()
+            repro.connect(manager)
         first.close()
 
     def test_knob_validation(self, db):
         with pytest.raises(ValueError):
-            db.serve(max_sessions=0)
+            SessionManager(db, max_sessions=0)
         with pytest.raises(ValueError):
-            db.serve(admission="drop")
+            SessionManager(db, admission="drop")
 
 
 class TestRemoteCursor:
-    def test_whole_set_is_one_message_pair(self, db, manager):
-        with manager.open() as session:
-            before = manager.stats.messages
-            result = session.query("SELECT ALL FROM item WHERE grp = 0",
-                                   fetch_size=None)
-            assert manager.stats.messages == before + 2
-            assert len(result) == N_ITEMS // GROUPS
-            # fully shipped at open: consuming costs nothing further
-            assert manager.stats.messages == before + 2
+    def test_whole_set_is_one_message_pair(self, manager, conn):
+        before = manager.stats.messages
+        result = conn.query("SELECT ALL FROM item WHERE grp = 0",
+                            fetch_size=None)
+        assert manager.stats.messages == before + 2
+        assert len(result) == N_ITEMS // GROUPS
+        # fully shipped at open: consuming costs nothing further
+        assert manager.stats.messages == before + 2
 
-    def test_streaming_batches_and_order(self, db, manager):
-        with manager.open() as session:
-            result = session.query("SELECT ALL FROM item ORDER BY n",
-                                   fetch_size=16)
-            assert [m.atom["n"] for m in result] == list(range(N_ITEMS))
+    def test_streaming_batches_and_order(self, conn):
+        result = conn.query("SELECT ALL FROM item ORDER BY n", fetch_size=16)
+        assert [m.atom["n"] for m in result] == list(range(N_ITEMS))
 
-    def test_limit_constructs_at_most_k(self, db, manager):
+    def test_limit_constructs_at_most_k(self, db, conn):
         k, f = 30, 8
-        with manager.open() as session:
-            db.reset_accounting()
-            cursor = session.open_cursor(
-                f"SELECT ALL FROM item ORDER BY n LIMIT {k}", fetch_size=f)
-            rows = [m.atom["n"] for m in cursor]
+        db.reset_accounting()
+        cursor = conn.cursor(
+            f"SELECT ALL FROM item ORDER BY n LIMIT {k}", fetch_size=f)
+        rows = [m.atom["n"] for m in cursor]
+        conn.close()
         assert rows == list(range(k))
         constructed = db.io_report()["operator_rows:MoleculeConstruct"]
         assert constructed <= k
         assert cursor.max_in_flight <= 2 * f
 
-    def test_open_constructs_at_most_two_batches(self, db, manager):
+    def test_open_constructs_at_most_two_batches(self, db, conn):
         f = 10
-        with manager.open() as session:
-            db.reset_accounting()
-            cursor = session.open_cursor("SELECT ALL FROM item ORDER BY n",
-                                         fetch_size=f)
-            cursor.next()   # first pull triggers the one-batch prefetch
-            constructed = db.io_report()["operator_rows:MoleculeConstruct"]
-            assert constructed <= 2 * f
-            cursor.close()
+        db.reset_accounting()
+        cursor = conn.cursor("SELECT ALL FROM item ORDER BY n", fetch_size=f)
+        cursor.next()   # first pull triggers the one-batch prefetch
+        constructed = db.io_report()["operator_rows:MoleculeConstruct"]
+        assert constructed <= 2 * f
+        cursor.close()
 
-    def test_close_while_pending_truncates_over_the_wire(self, db, manager):
-        with manager.open() as session:
-            db.reset_accounting()
-            result = session.query("SELECT ALL FROM item", fetch_size=16)
-            assert result.fetch_next() is not None
-            result.close()
-            assert result.truncated
-            with pytest.raises(CursorStateError):
-                result.reopen()
-            # ... and the server side actually released the pipeline.
-            assert db.io_report()["serve_pipelines_released"] == 1
+    def test_close_while_pending_truncates_over_the_wire(self, db, conn):
+        db.reset_accounting()
+        result = conn.query("SELECT ALL FROM item", fetch_size=16)
+        assert result.fetch_next() is not None
+        result.close()
+        assert result.truncated
+        with pytest.raises(CursorStateError):
+            result.reopen()
+        # ... and the server side actually released the pipeline.
+        assert db.io_report()["serve_pipelines_released"] == 1
 
-    def test_close_decides_truncation_without_a_fetch(self, db, manager):
+    def test_close_decides_truncation_without_a_fetch(self, db, manager,
+                                                      conn):
         # The truncation probe consults the cursor's buffered state
         # (has_pending) — abandoning a stream costs only the CLOSE pair,
         # never another FETCH round trip or prefetched batch.
-        with manager.open() as session:
-            result = session.query("SELECT ALL FROM item", fetch_size=16)
-            result.fetch_next()
-            before = manager.stats.messages
-            construct_before = \
-                db.io_report()["operator_rows:MoleculeConstruct"]
-            result.close()
-            assert manager.stats.messages == before + 2   # CLOSE + ack
-            # Only the server's own bounded truncation probe constructs
-            # (at most one molecule) — no client FETCH, no prefetch batch.
-            assert db.io_report()["operator_rows:MoleculeConstruct"] <= \
-                construct_before + 1
-            assert result.truncated
+        result = conn.query("SELECT ALL FROM item", fetch_size=16)
+        result.fetch_next()
+        before = manager.stats.messages
+        construct_before = db.io_report()["operator_rows:MoleculeConstruct"]
+        result.close()
+        assert manager.stats.messages == before + 2   # CLOSE + ack
+        # Only the server's own bounded truncation probe constructs
+        # (at most one molecule) — no client FETCH, no prefetch batch.
+        assert db.io_report()["operator_rows:MoleculeConstruct"] <= \
+            construct_before + 1
+        assert result.truncated
 
-    def test_reopen_restreams_over_the_wire(self, db, manager):
-        with manager.open() as session:
-            result = session.query("SELECT ALL FROM item WHERE grp = 3",
-                                   fetch_size=4)
-            first = [m.atom["n"] for m in result]
-            result.reopen()
-            assert [m.atom["n"] for m in result] == first
+    def test_reopen_restreams_over_the_wire(self, conn):
+        result = conn.query("SELECT ALL FROM item WHERE grp = 3",
+                            fetch_size=4)
+        first = [m.atom["n"] for m in result]
+        result.reopen()
+        assert [m.atom["n"] for m in result] == first
 
-    def test_close_after_exhaustion_keeps_reopen_legal(self, db, manager):
-        with manager.open() as session:
-            result = session.query("SELECT ALL FROM item WHERE grp = 3",
-                                   fetch_size=4)
-            first = [m.atom["n"] for m in result]
-            result.close()
-            assert not result.truncated
-            result.reopen()   # complete cache, no wire interaction
-            assert [m.atom["n"] for m in result] == first
+    def test_close_after_exhaustion_keeps_reopen_legal(self, conn):
+        result = conn.query("SELECT ALL FROM item WHERE grp = 3",
+                            fetch_size=4)
+        first = [m.atom["n"] for m in result]
+        result.close()
+        assert not result.truncated
+        result.reopen()   # complete cache, no wire interaction
+        assert [m.atom["n"] for m in result] == first
 
-    def test_on_arrival_sees_every_molecule(self, db, manager):
+    def test_on_arrival_sees_every_molecule(self, conn):
         arrived = []
-        with manager.open() as session:
-            cursor = session.open_cursor(
-                "SELECT ALL FROM item WHERE grp = 5", fetch_size=4,
-                on_arrival=lambda m: arrived.append(m.atom["n"]))
-            delivered = [m.atom["n"] for m in cursor]
+        cursor = conn.cursor(
+            "SELECT ALL FROM item WHERE grp = 5", fetch_size=4,
+            on_arrival=lambda m: arrived.append(m.atom["n"]))
+        delivered = [m.atom["n"] for m in cursor]
         assert arrived == delivered
 
     def test_unknown_cursor_rejected(self, manager):
-        with manager.open() as session:
+        with repro.connect(manager) as conn:
             with pytest.raises(SessionStateError):
-                session.handle(protocol.Fetch(cursor_id=99, count=4))
+                conn.session.handle(protocol.Fetch(cursor_id=99, count=4))
 
     def test_session_close_releases_open_cursors(self, db, manager):
-        session = manager.open()
-        session.open_cursor("SELECT ALL FROM item", fetch_size=8)
-        assert session.open_cursors == 1
-        session.close()
+        conn = repro.connect(manager)
+        conn.cursor("SELECT ALL FROM item", fetch_size=8)
+        assert conn.session.open_cursors == 1
+        conn.close()
         assert db.io_report()["serve_pipelines_released"] >= 1
 
 
@@ -247,8 +257,8 @@ class TestLockScope:
         # Snapshot reads take no type-level locks: a peer's INSERT no
         # longer conflicts with an open cursor — and the cursor, pinned
         # to its open-time epoch, never sees the concurrent commit.
-        reader = manager.open()
-        writer = manager.open()
+        reader = repro.connect(manager)
+        writer = repro.connect(manager)
         cursor = reader.query("SELECT ALL FROM item", fetch_size=4)
         assert writer.execute("INSERT item (n = 910)").affected == 1
         rows = [m.atom["n"] for m in cursor]
@@ -258,23 +268,22 @@ class TestLockScope:
         reader.close()
         writer.close()
 
-    def test_session_can_write_what_it_read(self, manager):
+    def test_session_can_write_what_it_read(self, conn):
         # The DML subtransaction is a child of the session transaction,
         # so the session's own cursor locks never conflict with it.
-        with manager.open() as session:
-            session.query("SELECT ALL FROM item WHERE grp = 1")
-            assert session.execute("INSERT item (n = 920)").affected == 1
+        conn.query("SELECT ALL FROM item WHERE grp = 1")
+        assert conn.execute("INSERT item (n = 920)").affected == 1
 
     def test_write_lock_retained_until_session_close(self, manager):
         # The writer retains type-level X until session close (Moss
         # inheritance) — but snapshot readers take no locks, so peer
         # reads proceed and see the committed write immediately.
-        writer = manager.open()
+        writer = repro.connect(manager)
         writer.execute("INSERT item (n = 930)")
-        reader = manager.open()
+        reader = repro.connect(manager)
         assert len(reader.query("SELECT ALL FROM item WHERE n = 930")) == 1
         # The retained X is real: a peer *writer* still conflicts.
-        peer = manager.open()
+        peer = repro.connect(manager)
         with pytest.raises(LockConflictError):
             peer.execute("INSERT item (n = 931)")
         writer.close()   # inherited X released with the session
@@ -284,10 +293,10 @@ class TestLockScope:
 
     def test_failed_write_releases_its_lock(self, manager):
         from repro.errors import PrimaError
-        writer = manager.open()
+        writer = repro.connect(manager)
         with pytest.raises(PrimaError):
             writer.execute("INSERT item (n = 0)")   # duplicate key
-        peer = manager.open()
+        peer = repro.connect(manager)
         peer.query("SELECT ALL FROM item WHERE grp = 0")   # no conflict
         peer.close()
         writer.close()
@@ -299,10 +308,10 @@ class TestLockScope:
         server = PrimaServer(db)
         server.query("SELECT ALL FROM item WHERE grp = 0").materialize()
         assert server.sessions.active_sessions == 1
-        with server.sessions.open() as session:
-            assert session.execute("INSERT item (n = 940)").affected == 1
+        with repro.connect(server.sessions) as conn:
+            assert conn.execute("INSERT item (n = 940)").affected == 1
             server.disconnect()   # frees the service slot
-            assert server.sessions.active_sessions == 1   # only `session`
+            assert server.sessions.active_sessions == 1   # only `conn`
         assert server.sessions.active_sessions == 0
 
     def test_checkins_do_not_conflict_with_cursors(self):
@@ -321,57 +330,56 @@ class TestLockScope:
         assert handles.db.access.get(edge)["length"] == 2.0
 
 
-class TestServeLoop:
+class TestConcurrentClients:
     def test_concurrent_sessions_no_lost_or_duplicated(self, db):
-        manager = db.serve(max_sessions=GROUPS)
+        manager = SessionManager(db, max_sessions=GROUPS)
         expected = [[n for n in range(N_ITEMS) if n % GROUPS == g]
                     for g in range(GROUPS)]
 
         def job(group):
-            def run(session):
-                result = session.query(
+            def run(conn):
+                result = conn.query(
                     f"SELECT ALL FROM item WHERE grp = {group}",
                     fetch_size=4)
                 return [m.atom["n"] for m in result]
             return run
 
-        loop = ServeLoop(manager)
-        results = loop.run([job(g) for g in range(GROUPS)])
+        results = run_clients(manager, [job(g) for g in range(GROUPS)])
         assert results == expected          # nothing lost, nothing doubled
         # deterministic: a second round delivers the same per-session sets
-        assert loop.run([job(g) for g in range(GROUPS)]) == expected
+        assert run_clients(manager,
+                           [job(g) for g in range(GROUPS)]) == expected
         assert manager.active_sessions == 0
 
-    def test_loop_respects_admission_queue(self, db):
-        manager = db.serve(max_sessions=2, admission="queue")
-        loop = ServeLoop(manager)
+    def test_clients_respect_admission_queue(self, db):
+        manager = SessionManager(db, max_sessions=2, admission="queue")
 
-        def job(session):
-            return len(session.query("SELECT ALL FROM item WHERE grp = 1",
-                                     fetch_size=8))
+        def job(conn):
+            return len(conn.query("SELECT ALL FROM item WHERE grp = 1",
+                                  fetch_size=8))
 
-        results = loop.run([job] * 6)
+        results = run_clients(manager, [job] * 6)
         assert results == [N_ITEMS // GROUPS] * 6
 
-    def test_loop_propagates_failures_and_closes_sessions(self, db):
-        manager = db.serve(max_sessions=2)
+    def test_crashing_client_frees_its_slot(self, db):
+        manager = SessionManager(db, max_sessions=2)
 
-        def bad(_session):
+        def bad(_conn):
             raise RuntimeError("client crashed")
 
         with pytest.raises(RuntimeError):
-            ServeLoop(manager).run([bad])
+            run_clients(manager, [bad])
         assert manager.active_sessions == 0
 
-    def test_named_jobs_surface_in_io_report(self, db):
-        manager = db.serve(max_sessions=2)
+    def test_named_clients_surface_in_io_report(self, db):
+        manager = SessionManager(db, max_sessions=2)
 
-        def job(session):
-            session.query("SELECT ALL FROM item WHERE grp = 2",
-                          fetch_size=4).materialize()
-            return session.name
+        def job(conn):
+            conn.query("SELECT ALL FROM item WHERE grp = 2",
+                       fetch_size=4).materialize()
+            return conn.name
 
-        names = ServeLoop(manager).run([job, job], names=["red", "blue"])
+        names = run_clients(manager, [job, job], names=["red", "blue"])
         assert names == ["red", "blue"]
         report = manager.io_report()
         assert report["session:red:cursors_opened"] == 1
@@ -380,10 +388,10 @@ class TestServeLoop:
 
 class TestServingCounters:
     def test_network_counters_in_io_report(self, db, manager):
-        with manager.open() as session:
-            session.query("SELECT ALL FROM item WHERE grp = 0",
-                          fetch_size=None).materialize()
-        report = db.io_report()
+        with repro.connect(manager) as conn:
+            conn.query("SELECT ALL FROM item WHERE grp = 0",
+                       fetch_size=None).materialize()
+            report = db.io_report()   # before GOODBYE, a billed pair
         assert report["net_messages"] == 2
         assert report["net_bytes"] > 0
         assert report["net_comm_time_ms"] > 0
@@ -391,9 +399,9 @@ class TestServingCounters:
         assert report["serve_cursors_opened"] == 1
 
     def test_manager_report_merges_per_session_counters(self, db, manager):
-        with manager.open(name="ws-a") as session:
-            session.query("SELECT ALL FROM item WHERE grp = 0",
-                          fetch_size=4).materialize()
+        with repro.connect(manager, name="ws-a") as conn:
+            conn.query("SELECT ALL FROM item WHERE grp = 0",
+                       fetch_size=4).materialize()
         report = manager.io_report()
         assert report["session:ws-a:cursors_opened"] == 1
         assert report["session:ws-a:rows_streamed"] == N_ITEMS // GROUPS
@@ -401,8 +409,8 @@ class TestServingCounters:
         assert report["net_messages"] == manager.stats.messages
 
     def test_parallel_query_inside_session(self, db, manager):
-        with manager.open() as session:
-            outcome = session.parallel_query(
+        with repro.connect(manager) as conn:
+            outcome = conn.session.parallel_query(
                 "SELECT ALL FROM item WHERE grp = 6", processors=3)
             rows = sorted(m.atom["n"] for m in outcome.result)
         assert rows == [n for n in range(N_ITEMS) if n % GROUPS == 6]

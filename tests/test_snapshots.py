@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+import repro
 from repro import Prima
 from repro.errors import (
     AtomNotFoundError,
@@ -21,6 +22,7 @@ from repro.errors import (
     DecompositionError,
     SessionStateError,
 )
+from repro.serve import SessionManager
 
 N_ITEMS = 96
 GROUPS = 6
@@ -38,7 +40,7 @@ def db():
 
 @pytest.fixture
 def manager(db):
-    return db.serve(max_sessions=4)
+    return SessionManager(db, max_sessions=4)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +158,8 @@ class TestSnapshotView:
 
 class TestServingIsolation:
     def test_pinned_cursor_never_sees_concurrent_checkin(self, db, manager):
-        reader = manager.open()
-        writer = manager.open()
+        reader = repro.connect(manager)
+        writer = repro.connect(manager)
         target = db.access.atoms.find_by_key("item", (7,))
         cursor = reader.query("SELECT ALL FROM item WHERE grp = 1",
                               fetch_size=4)
@@ -174,8 +176,8 @@ class TestServingIsolation:
         writer.close()
 
     def test_writer_commit_during_open_cursor(self, db, manager):
-        reader = manager.open()
-        writer = manager.open()
+        reader = repro.connect(manager)
+        writer = repro.connect(manager)
         cursor = reader.query("SELECT ALL FROM item", fetch_size=8)
         head = cursor.fetch_many(3)
         assert writer.execute("INSERT item (n = 9300)").affected == 1
@@ -189,10 +191,10 @@ class TestServingIsolation:
         writer.close()
 
     def test_reopen_keeps_the_pinned_epoch(self, db, manager):
-        reader = manager.open()
-        writer = manager.open()
-        cursor = reader.open_cursor("SELECT ALL FROM item WHERE grp = 2",
-                                    fetch_size=4)
+        reader = repro.connect(manager)
+        writer = repro.connect(manager)
+        cursor = reader.cursor("SELECT ALL FROM item WHERE grp = 2",
+                               fetch_size=4)
         before = [m.atom["n"] for m in cursor]
         writer.execute("INSERT item (n = 9400, grp = 2)")
         cursor.rewind()
@@ -205,8 +207,8 @@ class TestServingIsolation:
         writer.close()
 
     def test_reopen_after_truncation_still_raises(self, db, manager):
-        with manager.open() as session:
-            result = session.query("SELECT ALL FROM item", fetch_size=4)
+        with repro.connect(manager) as conn:
+            result = conn.query("SELECT ALL FROM item", fetch_size=4)
             result.fetch_many(4)
             result.close()   # molecules pending -> truncated
             with pytest.raises((CursorStateError, SessionStateError)):
@@ -214,27 +216,26 @@ class TestServingIsolation:
 
     def test_snapshot_pin_released_on_close(self, db, manager):
         store = db.access.atoms.version_store()
-        with manager.open() as session:
-            cursor = session.open_cursor("SELECT ALL FROM item",
-                                         fetch_size=8)
+        with repro.connect(manager) as conn:
+            cursor = conn.cursor("SELECT ALL FROM item", fetch_size=8)
             assert store.pinned
             cursor.close()
             assert not store.pinned
 
     def test_reads_acquire_zero_type_level_s_locks(self, db, manager):
-        with manager.open() as session:
+        with repro.connect(manager) as conn:
             before = dict(manager.txns.locks.grants)
-            session.query("SELECT ALL FROM item", fetch_size=8).materialize()
-            session.query("SELECT ALL FROM item WHERE grp = 3").materialize()
+            conn.query("SELECT ALL FROM item", fetch_size=8).materialize()
+            conn.query("SELECT ALL FROM item WHERE grp = 3").materialize()
             grants = manager.txns.locks.grants
             assert grants["S"] - before["S"] == 0
         report = db.io_report()
         assert report["serve_snapshot_reads"] == 2
 
     def test_reader_progresses_while_peer_retains_x(self, db, manager):
-        writer = manager.open()
+        writer = repro.connect(manager)
         writer.execute("INSERT item (n = 9500)")   # session retains X
-        reader = manager.open()
+        reader = repro.connect(manager)
         rows = reader.query("SELECT ALL FROM item WHERE n = 9500")
         assert len(rows) == 1
         reader.close()
@@ -265,15 +266,15 @@ class TestServingIsolation:
 
         def stream(group: int) -> None:
             try:
-                session = manager.open()
+                conn = repro.connect(manager)
                 rows = [m.atom["n"] for m in
-                        session.query(f"SELECT ALL FROM item "
-                                      f"WHERE grp = {group}",
-                                      fetch_size=4)]
+                        conn.query(f"SELECT ALL FROM item "
+                                   f"WHERE grp = {group}",
+                                   fetch_size=4)]
                 expected = [n for n in range(N_ITEMS)
                             if n % GROUPS == group]
                 assert [n for n in rows if n < N_ITEMS] == expected
-                session.close()
+                conn.close()
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -292,27 +293,27 @@ class TestServingIsolation:
 
 class TestRemoteExplain:
     def test_session_explain_returns_the_plan(self, db, manager):
-        with manager.open() as session:
-            text = session.explain("SELECT ALL FROM item WHERE grp = 1")
+        with repro.connect(manager) as conn:
+            text = conn.explain("SELECT ALL FROM item WHERE grp = 1")
             assert "MOLECULE TYPE SCAN item" in text
             assert "pipeline:" in text
         assert db.io_report()["serve_explains"] == 1
 
     def test_explain_is_billed_as_a_message_pair(self, db, manager):
-        before = manager.stats.snapshot()["messages"]
-        with manager.open() as session:
-            session.explain("SELECT ALL FROM item")
-        assert manager.stats.snapshot()["messages"] == before + 2
+        with repro.connect(manager) as conn:
+            before = manager.stats.snapshot()["messages"]
+            conn.explain("SELECT ALL FROM item")
+            assert manager.stats.snapshot()["messages"] == before + 2
 
     def test_explain_rejects_dml(self, manager):
-        with manager.open() as session:
+        with repro.connect(manager) as conn:
             with pytest.raises(SessionStateError):
-                session.explain("INSERT item (n = 9600)")
+                conn.explain("INSERT item (n = 9600)")
 
     def test_remote_cursor_ships_plan_text(self, manager):
-        with manager.open() as session:
-            cursor = session.open_cursor("SELECT ALL FROM item WHERE grp = 2",
-                                         fetch_size=4)
+        with repro.connect(manager) as conn:
+            cursor = conn.cursor("SELECT ALL FROM item WHERE grp = 2",
+                                 fetch_size=4)
             assert "MOLECULE TYPE SCAN item" in cursor.explain()
             cursor.close()
 
@@ -356,15 +357,14 @@ class TestProcessParallel:
             db.parallel_select(self.QUERY, mode="fibers")
 
     def test_parallel_query_inside_session_process_mode(self, db):
-        manager = db.serve(max_sessions=2, parallel_mode="processes")
-        with manager.open() as session:
-            outcome = session.parallel_query(self.QUERY, processors=3)
+        with repro.connect(db, parallel_mode="processes") as conn:
+            outcome = conn.session.parallel_query(self.QUERY, processors=3)
             rows = [m.atom["n"] for m in outcome.result]
         assert rows == [n for n in range(N_ITEMS) if n % GROUPS == 1]
 
     def test_serve_knob_validation(self, db):
         with pytest.raises(ValueError):
-            db.serve(parallel_mode="fibers")
+            SessionManager(db, parallel_mode="fibers")
 
     @pytest.mark.skipif(not _fork_available(),
                         reason="fork start method unavailable")
