@@ -14,8 +14,9 @@ and a coordinator that executes MQL across them:
 * DDL fans out, so the per-shard catalogs (and plan caches) move in
   lockstep.
 
-The cluster duck-types the ``Prima`` surface, so ``repro.connect``, the
-serving layer, and the daemon all work over it unchanged.
+The cluster inherits the same ``Engine`` facade as ``Prima``, so
+``repro.connect``, the serving layer, and the daemon all work over it
+unchanged.
 
 Run:  python examples/sharded_cluster.py
 """

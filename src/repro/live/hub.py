@@ -26,16 +26,14 @@ from repro.live.notifier import Notifier
 from repro.live.registry import Subscription, SubscriptionRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine import Engine
     from repro.serve.session import Session, SessionManager
 
 
-def _version_stores(db: Any) -> list[Any]:
+def _version_stores(db: "Engine") -> list[Any]:
     """Every epoch clock feeding this hub — one per shard engine for a
     cluster, the single engine's otherwise."""
-    engines = getattr(db, "engines", None)
-    if engines:
-        return [engine.access.atoms.version_store() for engine in engines]
-    return [db.access.atoms.version_store()]
+    return [engine.access.atoms.version_store() for engine in db.engines]
 
 
 class LiveQueryHub:

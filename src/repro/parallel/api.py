@@ -68,7 +68,7 @@ def parallel_select(db: Prima, query: "str | PreparedStatement",
     an embedding subsystem (the serving layer) substitute the reader
     side of its engine read/write lock for the per-run one.
     """
-    if getattr(db, "is_cluster", False):
+    if not isinstance(db, Prima):
         raise DecompositionError(
             "parallel_select targets one engine; a sharded cluster "
             "already scatter-gathers across its shards — execute "

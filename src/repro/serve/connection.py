@@ -49,6 +49,7 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.data.result import ResultSet
+from repro.engine import Engine
 from repro.errors import ProtocolError, SessionError, SessionStateError
 from repro.mad.molecule import Molecule
 from repro.mad.types import Surrogate
@@ -583,7 +584,7 @@ def _session_connection(session: Session, *,
     return Connection(LocalTransport(session), session.name,
                       manager.default_fetch_size, session=session,
                       manager=manager, owned_db=owned_db,
-                      shards=getattr(manager.db, "shard_count", 1))
+                      shards=manager.db.shard_count)
 
 
 def connect(target: Any = None, *, name: str | None = None,
@@ -630,10 +631,9 @@ def connect(target: Any = None, *, name: str | None = None,
         manager = SessionManager(db, **options)
         return _session_connection(manager.open(name=name, timeout=timeout),
                                    manager=manager, owned_db=db)
-    if isinstance(target, Prima) or getattr(target, "is_cluster", False):
-        managers = getattr(target, "_session_managers", [])
-        if not options and managers:
-            manager = managers[-1]
+    if isinstance(target, Engine):
+        if not options and target.session_managers:
+            manager = target.session_managers[-1]
         else:
             manager = SessionManager(target, **options)
         return _session_connection(manager.open(name=name, timeout=timeout),

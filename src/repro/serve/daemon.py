@@ -263,7 +263,7 @@ class PrimaDaemon:
             return None
         await queue.put(stamped(protocol.Welcome(
             session.name, self.manager.default_fetch_size,
-            shards=getattr(self.manager.db, "shard_count", 1))))
+            shards=self.manager.db.shard_count)))
         return session
 
     async def _admit(self, client: str | None) -> "Session":

@@ -101,7 +101,7 @@ from repro.util.rwlock import ReadWriteLock
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.coupling.network import NetworkModel
     from repro.data.result import ResultSet
-    from repro.db import Prima
+    from repro.engine import Engine
 
 #: Requests whose handling time is a *query* latency (they bind and run
 #: a statement), observed into ``query_latency_ms`` next to the generic
@@ -196,7 +196,7 @@ class Session:
         self.manager.db.access.counters.bump(f"serve_{name}", amount)
 
     @property
-    def _db(self) -> "Prima":
+    def _db(self) -> "Engine":
         return self.manager.db
 
     def _cursor_of(self, cursor_id: int) -> ServerCursor:
@@ -863,9 +863,10 @@ class Session:
 
 
 class SessionManager:
-    """Session lifecycle + admission control over one Prima instance."""
+    """Session lifecycle + admission control over one engine (a
+    :class:`~repro.engine.Engine`: ``Prima`` or ``ShardedCluster``)."""
 
-    def __init__(self, db: "Prima", model: "NetworkModel | None" = None,
+    def __init__(self, db: "Engine", model: "NetworkModel | None" = None,
                  max_sessions: int = 8, admission: str = "reject",
                  queue_timeout: float | None = None,
                  default_fetch_size: int | str | None = None,
@@ -959,12 +960,7 @@ class SessionManager:
         #: labels reserved so far (uniqueness under concurrency).
         self._sessions: list[Session] = []
         self._names: set[str] = set()
-        attach = getattr(db, "attach_network", None)
-        if attach is not None:
-            attach(self.stats)
-        attach_sessions = getattr(db, "attach_sessions", None)
-        if attach_sessions is not None:
-            attach_sessions(self)
+        db.attach_sessions(self)
 
     def _now(self) -> float:
         return self._clock()
@@ -1101,7 +1097,7 @@ class SessionManager:
         """Zero this manager's accounting: network stats, the
         per-session counters of every session ever opened, and the
         concurrency peak — so benchmark phases start from zero.
-        (``Prima.reset_accounting`` calls this for attached managers.)"""
+        (``Engine.reset_accounting`` calls this for attached managers.)"""
         self.stats.reset()
         self.metrics.reset()
         with self._slots:

@@ -5,11 +5,11 @@ instead of one engine owning all atoms, N :class:`~repro.db.Prima`
 instances each own a *partition* of every atom type — each with its own
 buffer, locks, catalog, plan cache, statistics, and snapshot store — and
 a :class:`~repro.shard.coordinator.Coordinator` executes MQL across
-them.  The cluster object duck-types the ``Prima`` surface (``prepare``
-/ ``execute`` / ``explain`` / ``io_report`` / ``commit`` / ``close`` /
-direct atom access), so examples, benchmarks, and the whole serving
-layer (``SessionManager``, the daemon, ``repro.connect``) run over a
-cluster unchanged.
+them.  The cluster is an :class:`~repro.engine.Engine` like ``Prima``
+— the facade is inherited, not re-typed — so examples, benchmarks, and
+the whole serving layer (``SessionManager``, the daemon,
+``repro.connect``) run over a cluster unchanged; this module holds only
+what a cluster adds (placement, service channels, shard admission).
 
 Sharding invariants:
 
@@ -33,20 +33,16 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.coupling.network import NetworkModel, NetworkStats
-from repro.data.result import ResultSet
 from repro.db import Prima
+from repro.engine import Engine
 from repro.errors import PrimaError
 from repro.mad.types import Surrogate
-from repro.mql.parser import parse_script
-from repro.shard.coordinator import ClusterPrepared, Coordinator
+from repro.shard.coordinator import Coordinator
 from repro.shard.router import ShardRouter
 from repro.util.stats import Counters
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve import SessionManager
 
 
 class ClusterAtoms:
@@ -125,16 +121,8 @@ class ClusterAccess:
 
     def insert(self, type_name: str,
                values: dict[str, Any] | None = None) -> Surrogate:
-        cluster = self._cluster
-        root_type = self.schema.atom_type(type_name)
-        shard = cluster.router.shard_for_insert(root_type.keys, type_name,
-                                                values or {})
-        if shard is None:
-            shard = cluster.next_unrouted_shard()
-            self.counters.bump("unrouted_inserts")
-        else:
-            self.counters.bump("routed_inserts")
-        return cluster.engines[shard].access.insert(type_name, values)
+        shard = self._cluster.place_insert(type_name, values or {})
+        return self._cluster.engines[shard].access.insert(type_name, values)
 
     def get(self, surrogate: Surrogate,
             attrs: list[str] | None = None) -> dict[str, Any]:
@@ -152,7 +140,7 @@ class ClusterAccess:
                    for engine in self._cluster.engines)
 
 
-class ShardedCluster:
+class ShardedCluster(Engine):
     """N partitioned PRIMA engines behind one coordinator.
 
     ``shard_sessions`` bounds concurrent pipeline-opens *per shard* (the
@@ -162,16 +150,13 @@ class ShardedCluster:
     ``model`` prices the per-shard service channels.
     """
 
-    #: Lets layer-agnostic code (``parallel_select``, ``connect``)
-    #: detect a cluster without importing this module.
-    is_cluster = True
-
     def __init__(self, shards: int = 4, *,
                  ranges: dict[str, Any] | None = None,
                  router: ShardRouter | None = None,
                  shard_sessions: int | None = None,
                  model: NetworkModel | None = None,
                  buffer_capacity: int = 256 * 8192) -> None:
+        super().__init__()
         self.router = router or ShardRouter(shards, ranges=ranges)
         if self.router.shards != shards:
             raise PrimaError(
@@ -199,8 +184,6 @@ class ShardedCluster:
             if shard_sessions else None
         self._unrouted = 0
         self._lock = threading.Lock()
-        self._network_stats: list[Any] = []
-        self._session_managers: list["SessionManager"] = []
 
     # -- cluster plumbing ----------------------------------------------------
 
@@ -216,8 +199,16 @@ class ShardedCluster:
     def catalog(self):
         return self.engines[0].catalog
 
-    def next_unrouted_shard(self) -> int:
-        """Round-robin placement for atoms without a routable key."""
+    def place_insert(self, type_name: str, values: dict[str, Any]) -> int:
+        """The one placement decision, for direct-atom and MQL inserts
+        alike: the router places by key, atoms without a routable key
+        go round-robin."""
+        keys = self.schema.atom_type(type_name).keys
+        shard = self.router.shard_for_insert(keys, type_name, values)
+        if shard is not None:
+            self.access.counters.bump("routed_inserts")
+            return shard
+        self.access.counters.bump("unrouted_inserts")
         with self._lock:
             shard = self._unrouted % self.shard_count
             self._unrouted += 1
@@ -264,52 +255,7 @@ class ShardedCluster:
             "makespan_ms": round(makespan, 3),
         }
 
-    # -- the Prima-shaped MQL surface ----------------------------------------
-
-    def prepare(self, mql: str) -> ClusterPrepared:
-        """Plan one statement on every shard, once; see
-        :meth:`repro.db.Prima.prepare` for the contract."""
-        return self.data.prepare(mql)
-
-    def execute(self, mql: str, *args: Any, use_cache: bool = True,
-                **params: Any) -> ResultSet:
-        """Execute one MQL statement across the cluster.
-
-        Routed single-key SELECTs touch exactly one shard; other
-        SELECTs scatter-gather; DDL fans out; INSERT routes by key."""
-        return self.data.execute_text(mql, args, params,
-                                      use_cache=use_cache)
-
-    query = execute
-    stream = execute
-
-    def execute_script(self, mql: str) -> list[ResultSet]:
-        """Parse and execute a ';'-separated MQL script cluster-wide."""
-        results = []
-        statements = parse_script(mql)
-        self.access.counters.bump("statements_parsed", len(statements))
-        for statement in statements:
-            result = self.data.execute(statement)
-            result.materialize()
-            results.append(result)
-        return results
-
-    def explain(self, mql: str, *args: Any, analyze: bool = False,
-                **params: Any) -> str:
-        """The processing plan including its shard-routing line."""
-        prepared = self.data.prepare(mql)
-        if prepared.kind != "select":
-            raise PrimaError("EXPLAIN supports SELECT statements only")
-        return prepared.explain(analyze=analyze, args=args, params=params)
-
-    def trace(self, mql: str, *args: Any, **params: Any):
-        """Execute a SELECT cluster-wide under a forced trace; returns
-        the root :class:`~repro.obs.trace.Span` with one child span per
-        touched shard (see :meth:`repro.db.Prima.trace`)."""
-        prepared = self.data.prepare(mql)
-        if prepared.kind != "select":
-            raise PrimaError("TRACE supports SELECT statements only")
-        return prepared.trace(args, params)
+    # -- fan-out: LDL and optimizer meta-data -------------------------------
 
     def execute_ldl(self, ldl: str) -> list[str]:
         """Execute an LDL script on every shard (catalog lockstep)."""
@@ -317,39 +263,6 @@ class ShardedCluster:
             output = engine.execute_ldl(ldl)
         self.access.counters.bump("ddl_fanouts")
         return output
-
-    # -- direct atom access ---------------------------------------------------
-
-    def insert_atom(self, type_name: str,
-                    values: dict[str, Any] | None = None) -> Surrogate:
-        surrogate = self.access.insert(type_name, values)
-        self.data.publish_data_version()
-        return surrogate
-
-    def get_atom(self, surrogate: Surrogate,
-                 attrs: list[str] | None = None) -> dict[str, Any]:
-        return self.access.get(surrogate, attrs)
-
-    def modify_atom(self, surrogate: Surrogate,
-                    values: dict[str, Any]) -> None:
-        self.access.modify(surrogate, values)
-        self.data.publish_data_version()
-
-    def delete_atom(self, surrogate: Surrogate) -> None:
-        self.access.delete(surrogate)
-        self.data.publish_data_version()
-
-    # -- serving -------------------------------------------------------------
-
-    def attach_network(self, stats) -> None:
-        if stats not in self._network_stats:
-            self._network_stats.append(stats)
-
-    def attach_sessions(self, manager: "SessionManager") -> None:
-        if manager not in self._session_managers:
-            self._session_managers.append(manager)
-
-    # -- optimizer meta-data --------------------------------------------------
 
     def analyze(self, type_name: str | None = None) -> int:
         """Collect optimizer statistics on every shard (each sees only
@@ -411,9 +324,8 @@ class ShardedCluster:
 
     # -- accounting -----------------------------------------------------------
 
-    def io_report(self) -> dict[str, Any]:
-        """Cluster-wide accounting: per-shard reports summed, plus the
-        coordinator's routing counters and the service channels."""
+    def _layer_report(self) -> dict[str, Any]:
+        """Per-shard reports summed, plus the service channels."""
         report: dict[str, Any] = {}
         for engine in self.engines:
             for key, value in engine.io_report().items():
@@ -421,86 +333,24 @@ class ShardedCluster:
                         not isinstance(value, (int, float)):
                     continue
                 report[key] = report.get(key, 0) + value
-        report.update(self.access.counters.snapshot())
         service = self.service_report()
         report["shards"] = service["shards"]
         report["shard_service_ms"] = [entry["comm_time_ms"]
                                       for entry in service["per_shard"]]
         report["shard_makespan_ms"] = service["makespan_ms"]
-        if self._network_stats:
-            messages = nbytes = 0
-            comm_ms = 0.0
-            for stats in self._network_stats:
-                snapshot = stats.snapshot()
-                messages += snapshot["messages"]
-                nbytes += snapshot["bytes_sent"]
-                comm_ms += snapshot["comm_time_ms"]
-            report["net_messages"] = messages
-            report["net_bytes"] = nbytes
-            report["net_comm_time_ms"] = round(comm_ms, 3)
         return report
 
-    @property
-    def obs(self):
-        """The coordinator's observability bundle (cluster-level
-        tracer, metrics, and slow log)."""
-        return self.data.obs
-
-    def metrics_report(self) -> dict[str, Any]:
-        """One cluster-wide metrics view: the coordinator's registry
-        merged with every shard engine's and every serving session's
-        (counters/buckets sum, gauges last-writer-wins), plus the
-        summed counter report.  Histogram schemas agree by construction
-        (:data:`repro.obs.metrics.DEFAULT_BUCKETS`)."""
-        registries = [self.data.obs.metrics]
-        registries.extend(engine.data.obs.metrics
-                          for engine in self.engines)
-        for manager in self._session_managers:
-            registries.extend(manager.metric_registries())
-        counters = self.io_report()
-        fixes = counters.get("fixes", 0)
-        if fixes:
-            ratio = round(counters.get("hits", 0) / fixes, 4)
-            self.data.obs.metrics.gauge("buffer_hit_ratio", ratio)
-            self.data.obs.metrics.observe("buffer_hit_ratio", ratio)
-        merged = registries[0].merge(*registries[1:])
-        return {
-            "counters": counters,
-            "gauges": merged.gauges(),
-            "histograms": merged.histograms(),
-        }
-
-    def reset_accounting(self) -> None:
+    def _reset_layers(self) -> None:
         for engine in self.engines:
             engine.reset_accounting()
-        self.access.counters.reset()
-        self.data.obs.reset()
         for stats in self.channels:
             stats.reset()
-        for stats in self._network_stats:
-            stats.reset()
-        for manager in self._session_managers:
-            manager.reset_accounting()
 
     # -- maintenance ----------------------------------------------------------
 
     def commit(self) -> None:
         for engine in self.engines:
             engine.commit()
-
-    def close(self) -> None:
-        for manager in self._session_managers:
-            manager.close_all()
-        for engine in self.engines:
-            engine.close()
-        self._session_managers.clear()
-        self._network_stats.clear()
-
-    def __enter__(self) -> "ShardedCluster":
-        return self
-
-    def __exit__(self, _exc_type, _exc, _tb) -> None:
-        self.close()
 
     def verify_integrity(self) -> list:
         violations = []

@@ -1,10 +1,11 @@
 """The cluster coordinator: one MQL surface over N shard engines.
 
-The :class:`Coordinator` presents the :class:`~repro.data.executor
-.DataSystem` query surface (``prepare`` / ``execute`` / ``open_result`` /
-``catalog_version`` / ``publish_data_version``) so the serving layer —
-sessions, the daemon, ``repro.connect`` — runs over a cluster exactly as
-over one engine.  Behind that surface it routes:
+The :class:`Coordinator` is the ``data`` member of a
+:class:`~repro.shard.cluster.ShardedCluster` — what the
+:class:`~repro.engine.Engine` facade and the serving layer call where a
+single engine has its :class:`~repro.data.executor.DataSystem`
+(``prepare`` / ``execute`` / ``open_result`` / ``catalog_version`` /
+``publish_data_version``).  Behind those calls it routes:
 
 * **routed** — a SELECT whose root access is an exact KEYS_ARE lookup
   with concrete (bound) key values executes on exactly the shard that
@@ -32,9 +33,7 @@ cluster version moves (``cluster_plans_invalidated``).
 from __future__ import annotations
 
 import pickle
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
@@ -153,7 +152,7 @@ class _ShardPipe:
 class _ScatterGather:
     """Cross-shard gather source: ordered k-way merge over shard pipes.
 
-    Three gather modes, chosen from the (bound) global plan:
+    Two gather modes, chosen from the (bound) global plan:
 
     * ``windowed`` — ORDER BY + LIMIT.  Shards drain in shard order
       into a bounded candidate set (each shard's own TopK already caps
@@ -162,10 +161,11 @@ class _ScatterGather:
       into every *remaining* shard's root scan before it drains
       (``shard_bounds_pushed``) — the cross-shard twin of TopK's
       tightening heap bound.
-    * ``stream`` — ORDER BY without LIMIT: a lazy k-way merge over the
-      per-shard ordered streams, at most one molecule ahead per shard.
-    * ``concat`` — no ORDER BY: shard streams concatenate in shard
-      order under the global OFFSET/LIMIT window.
+    * ``stream`` — everything else: a lazy k-way merge over the
+      per-shard ordered streams, at most one molecule ahead per shard,
+      under the global OFFSET/LIMIT window.  Without ORDER BY every
+      rank is equal, so the tie rule below makes the merge a
+      concatenation in shard order.
 
     Ties across shards resolve to the lower shard index (then arrival
     order), so gathers are deterministic for any shard count.
@@ -181,16 +181,10 @@ class _ScatterGather:
         self._started = False
         self._exhausted = False
         self._projected: set[int] = set()
-        if plan.order_by and plan.limit is not None:
-            self._mode = "windowed"
-        elif plan.order_by:
-            self._mode = "stream"
-        else:
-            self._mode = "concat"
+        self._windowed = bool(plan.order_by) and plan.limit is not None
         self._selected: list[tuple[Any, int]] | None = None
         self._position = 0
         self._merge = None
-        self._concat_index = 0
         self._skipped = 0
         self._emitted = 0
 
@@ -200,12 +194,10 @@ class _ScatterGather:
         self._started = True
         if self._closed:
             return None
-        if self._mode == "windowed":
+        if self._windowed:
             molecule = self._next_windowed()
-        elif self._mode == "stream":
-            molecule = self._next_stream()
         else:
-            molecule = self._next_concat()
+            molecule = self._next_stream()
         if molecule is None:
             self._exhausted = True
         return molecule
@@ -255,38 +247,27 @@ class _ScatterGather:
         self._selected = selected
 
     def _next_stream(self) -> Any:
-        if self._merge is None:
-            self._merge = merge_ordered(self._pipes, self._plan.order_by,
-                                        _mol_value)
-        for molecule, index in self._merge:
-            if self._skipped < self._plan.offset:
-                self._skipped += 1
-                continue
-            self._project(molecule, index)
-            return molecule
-        return None
-
-    def _next_concat(self) -> Any:
         plan = self._plan
         if plan.limit is not None and self._emitted >= plan.limit:
             return None
-        while self._concat_index < len(self._pipes):
-            molecule = self._pipes[self._concat_index].next()
-            if molecule is None:
-                self._concat_index += 1
-                continue
+        if self._merge is None:
+            self._merge = merge_ordered(self._pipes, plan.order_by,
+                                        _mol_value)
+        for molecule, index in self._merge:
             if self._skipped < plan.offset:
                 self._skipped += 1
                 continue
             self._emitted += 1
+            self._project(molecule, index)
             return molecule
         return None
 
     def _project(self, molecule: Any, index: int) -> None:
-        """Apply the query's projection at delivery (shard pipelines ran
-        projection-free so ORDER BY values survived to the merge)."""
+        """Apply the query's projection at delivery (under ORDER BY shard
+        pipelines run projection-free so ranked values reach the merge)."""
         plan = self._plan
-        if plan.projection.select_all or id(molecule) in self._projected:
+        if not plan.order_by or plan.projection.select_all \
+                or id(molecule) in self._projected:
             return
         self._projected.add(id(molecule))
         self._pipes[index].data.apply_projection(molecule, plan.projection,
@@ -301,13 +282,12 @@ class _ScatterGather:
         if self._closed:
             return
         self._exhausted = False
-        if self._mode == "windowed" and self._selected is not None:
+        if self._windowed and self._selected is not None:
             self._position = 0
             return
         for pipe in self._pipes:
             pipe.rewind()
         self._merge = None
-        self._concat_index = 0
         self._skipped = 0
         self._emitted = 0
 
@@ -428,27 +408,18 @@ class ClusterPrepared:
 
 
 class Coordinator:
-    """DataSystem-shaped execution surface of a :class:`ShardedCluster`."""
+    """The routing query executor (``data``) of a :class:`ShardedCluster`."""
 
     def __init__(self, cluster: "ShardedCluster") -> None:
         self.cluster = cluster
-        self._prepared: "OrderedDict[str, ClusterPrepared]" = OrderedDict()
-        self._lock = threading.Lock()
+        self._prepared = PlanCache(128)
         self.obs = Observability()
 
     # -- the DataSystem surface the serving layer speaks ---------------------
 
     @property
-    def schema(self):
-        return self.cluster.engines[0].schema
-
-    @property
     def validator(self):
         return self.cluster.engines[0].data.validator
-
-    @property
-    def evaluator(self):
-        return self.cluster.engines[0].data.evaluator
 
     @property
     def counters(self):
@@ -459,15 +430,6 @@ class Coordinator:
         """Summed per-shard versions: any shard's DDL moves the total."""
         return sum(engine.data.catalog_version
                    for engine in self.cluster.engines)
-
-    @property
-    def auto_parameterize(self) -> bool:
-        return self.cluster.engines[0].data.auto_parameterize
-
-    @auto_parameterize.setter
-    def auto_parameterize(self, value: bool) -> None:
-        for engine in self.cluster.engines:
-            engine.data.auto_parameterize = value
 
     def publish_data_version(self) -> int:
         """Advance every shard's atom-version epoch (a commit boundary
@@ -484,18 +446,13 @@ class Coordinator:
         """
         key = PlanCache.normalize(mql)
         if use_cache:
-            with self._lock:
-                hit = self._prepared.get(key)
-                if hit is not None:
-                    self._prepared.move_to_end(key)
-                    self.counters.bump("cluster_prepared_hits")
-                    return hit
+            hit = self._prepared.get(key)
+            if hit is not None:
+                self.counters.bump("cluster_prepared_hits")
+                return hit
         prepared = ClusterPrepared(self, mql)
         if use_cache:
-            with self._lock:
-                self._prepared[key] = prepared
-                while len(self._prepared) > 128:
-                    self._prepared.popitem(last=False)
+            self._prepared.put(key, prepared)
         return prepared
 
     def execute_text(self, mql: str, args: tuple = (),
@@ -512,7 +469,7 @@ class Coordinator:
         plan — the planner's shard-awareness lives here."""
         cluster = self.cluster
         if plan.root_access.kind == "key_lookup":
-            root_type = self.schema.atom_type(plan.root_access.atom_type)
+            root_type = cluster.schema.atom_type(plan.root_access.atom_type)
             routing: dict[str, Any] = {
                 "mode": "routed",
                 "shards": cluster.shard_count,
@@ -561,41 +518,49 @@ class Coordinator:
 
     def _open(self, plans: list[QueryPlan], target: int | None,
               text: str = "") -> ResultSet:
-        if target is not None:
-            plan = plans[target]
-            annotated = self.annotate(plan, shard=target)
-            pipe = self._open_pipe(target, replace(plan, routing=None))
-            self.counters.bump("routed_queries")
-            self._watch(text, pipe, [pipe])
-            result = ResultSet(source=pipe, plan_text=annotated.explain())
-            result.shard = target
-            return result
-        annotated = self.annotate(plans[0])
-        pipes: list[_ShardPipe] = []
-        try:
-            for index, plan in enumerate(plans):
-                pipes.append(self._open_pipe(index, self._shard_plan(plan)))
-        except BaseException:
-            for pipe in pipes:
-                pipe.close()
-            raise
-        self.counters.bump("scatter_queries")
-        source = _ScatterGather(self, plans[0], pipes)
-        self._watch(text, source, pipes)
-        result = ResultSet(source=source, plan_text=annotated.explain())
-        result.shard = None
+        annotated = self.annotate(plans[target or 0], shard=target)
+        result = ResultSet(source=self._gather(plans, target, text),
+                           plan_text=annotated.explain())
+        result.shard = target
         return result
 
-    def _watch(self, text: str, source: Any,
-               pipes: list[_ShardPipe]) -> None:
+    def _gather(self, plans: list[QueryPlan], target: int | None,
+                text: str, span: Span | None = None) -> Any:
+        """Open the one routed pipe or the scatter-gather over all of
+        them — the only place shard pipes are opened for a SELECT.
+        ``span`` forces a trace (see :meth:`_watch`)."""
+        if target is not None:
+            pipes = [self._open_pipe(
+                target, replace(plans[target], routing=None))]
+            source: Any = pipes[0]
+            self.counters.bump("routed_queries")
+        else:
+            pipes = []
+            try:
+                for index, plan in enumerate(plans):
+                    pipes.append(
+                        self._open_pipe(index, self._shard_plan(plan)))
+            except BaseException:
+                for pipe in pipes:
+                    pipe.close()
+                raise
+            source = _ScatterGather(self, plans[0], pipes)
+            self.counters.bump("scatter_queries")
+        self._watch(text, source, pipes, span)
+        return source
+
+    def _watch(self, text: str, source: Any, pipes: list[_ShardPipe],
+               span: Span | None = None) -> None:
         """Arm per-query accounting on a gather source: when the result
         set closes, the coordinator's latency histogram and slow log see
         the query — with a span tree (root + one child per shard) when
-        the tracer sampled it."""
+        the tracer sampled it, or always when the caller forces one by
+        passing its own live ``span``."""
         obs = self.obs
-        span = obs.tracer.start("query", mql=text,
-                                shards=len(pipes))
-        started = time.perf_counter()
+        if span is None:
+            span = obs.tracer.start("query", mql=text,
+                                    shards=len(pipes))
+        started = span.started if span is not None else time.perf_counter()
 
         def _finish(_source: Any) -> None:
             duration = time.perf_counter() - started
@@ -607,8 +572,8 @@ class Coordinator:
 
         source.add_close_hook(_finish)
 
-    def trace(self, prepared: ClusterPrepared, args: tuple = (),
-              params: dict[str, Any] | None = None) -> Span:
+    def trace(self, prepared: ClusterPrepared, args: tuple,
+              params: dict[str, Any]) -> Span:
         """Run a prepared SELECT to exhaustion under a forced trace.
 
         Unlike the sampled close-hook path this always builds the span
@@ -616,42 +581,22 @@ class Coordinator:
         contributes one child span carrying its pipeline's operator
         spans (their summed self-times bound by the root duration).
         """
-        params = params or {}
         prepared._refresh()
         plans = [stmt.bind(args, params) for stmt in prepared._stmts]
         target = self.routed_target(plans[0])
-        span = Span("query", attrs={"mql": prepared.text})
-        if target is not None:
-            pipes = [self._open_pipe(
-                target, replace(plans[target], routing=None))]
-            self.counters.bump("routed_queries")
-            source: Any = pipes[0]
-            span.attrs["mode"] = "routed"
-        else:
-            pipes = []
-            try:
-                for index, plan in enumerate(plans):
-                    pipes.append(
-                        self._open_pipe(index, self._shard_plan(plan)))
-            except BaseException:
-                for pipe in pipes:
-                    pipe.close()
-                raise
-            self.counters.bump("scatter_queries")
-            source = _ScatterGather(self, plans[0], pipes)
-            span.attrs["mode"] = "scatter"
-        span.attrs["shards"] = len(pipes)
+        span = Span("query", attrs={
+            "mql": prepared.text,
+            "mode": "scatter" if target is None else "routed",
+            "shards": len(plans) if target is None else 1,
+        })
+        source = self._gather(plans, target, prepared.text, span)
         rows = 0
         try:
             while source.next() is not None:
                 rows += 1
+            span.attrs["rows"] = rows
         finally:
             source.close()
-        span.finish()
-        span.attrs["rows"] = rows
-        for pipe in pipes:
-            _shard_span(pipe, span)
-        self.obs.observe_query(prepared.text, span.duration, span)
         return span
 
     def _shard_plan(self, plan: QueryPlan) -> QueryPlan:
@@ -714,15 +659,8 @@ class Coordinator:
         )
 
     def _execute_insert(self, statement: InsertStatement) -> ResultSet:
-        root_type = self.schema.atom_type(statement.type_name)
         values = {attr: expr.value
                   for attr, expr in statement.assignments
                   if isinstance(expr, Literal)}
-        shard = self.cluster.router.shard_for_insert(
-            root_type.keys, statement.type_name, values)
-        if shard is None:
-            shard = self.cluster.next_unrouted_shard()
-            self.counters.bump("unrouted_inserts")
-        else:
-            self.counters.bump("routed_inserts")
+        shard = self.cluster.place_insert(statement.type_name, values)
         return self.cluster.engines[shard].data.execute(statement)

@@ -1,0 +1,97 @@
+"""Surface guard: one engine facade — ``Prima`` and ``ShardedCluster``
+inherit it from ``Engine``; a hand-written mirror or a duck-type probe
+must not grow back unnoticed."""
+
+import pickle
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro import Prima, ShardedCluster
+from repro.engine import Engine
+from repro.mql.parser import parse_script
+
+SRC = Path(repro.__file__).resolve().parent
+
+#: The facade both configurations share — defined on ``Engine`` only.
+FACADE = {
+    "prepare", "execute", "query", "stream", "execute_script", "explain",
+    "trace", "insert_atom", "get_atom", "modify_atom", "delete_atom",
+    "attach_sessions", "dump_ddl", "io_report", "obs", "metrics_report",
+    "reset_accounting", "close", "__enter__", "__exit__",
+}
+
+#: What is allowed to differ between the two public surfaces.
+PRIMA_ONLY = {"storage", "ldl", "parallel_select", "save", "load"}
+CLUSTER_ONLY = {"router", "channels", "service_model", "shard_sessions",
+                "place_insert", "shard_slot", "bill_shard",
+                "service_report", "advise_ranges"}
+
+DDL = ("CREATE ATOM_TYPE city (city_id: IDENTIFIER, name: CHAR_VAR, "
+       "pop: INTEGER, grp: INTEGER) KEYS_ARE (name)")
+
+#: The ``TestScatterParity`` query set of ``tests/test_sharding.py``.
+PARITY_QUERIES = (
+    "SELECT ALL FROM city",
+    "SELECT ALL FROM city ORDER BY pop DESC LIMIT 10",
+    "SELECT ALL FROM city ORDER BY pop DESC LIMIT 8 OFFSET 5",
+    "SELECT ALL FROM city ORDER BY pop",
+    "SELECT ALL FROM city WHERE pop > 1100 AND grp = 2 ORDER BY pop",
+    "SELECT (name) FROM city ORDER BY pop DESC LIMIT 5",
+)
+
+
+def public(obj) -> set[str]:
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_facade_methods_live_only_on_engine():
+    assert issubclass(Prima, Engine) and issubclass(ShardedCluster, Engine)
+    assert FACADE <= set(vars(Engine))
+    for cls in (Prima, ShardedCluster):
+        assert not FACADE & set(vars(cls)), cls
+
+
+def test_public_surfaces_differ_only_by_the_allow_list():
+    with Prima() as db, ShardedCluster(shards=2) as cluster:
+        assert public(db) - public(cluster) == PRIMA_ONLY
+        assert public(cluster) - public(db) == CLUSTER_ONLY
+        assert (db.shard_count, db.engines) == (1, [db])
+        assert cluster.shard_count == len(cluster.engines) == 2
+
+
+def test_no_duck_type_probe_is_left_under_src():
+    probe = re.compile(
+        r'is_cluster|getattr\([^)]*"(shard_count|attach_network|'
+        r'attach_sessions|engines|_session_managers)"')
+    hits = [f"{path.relative_to(SRC)}:{number}"
+            for path in sorted(SRC.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if probe.search(line)]
+    assert not hits
+
+
+def test_cluster_dump_ddl_matches_the_oracle_and_round_trips():
+    with Prima() as oracle, ShardedCluster(shards=3) as cluster:
+        for db in (oracle, cluster):
+            db.execute(DDL)
+            db.execute("DEFINE MOLECULE_TYPE town FROM city")
+        text = cluster.dump_ddl()
+        assert text == oracle.dump_ddl()
+        assert len(parse_script(text)) == 2
+
+
+@pytest.mark.parametrize("mql", PARITY_QUERIES)
+def test_one_shard_cluster_is_byte_identical_to_prima(mql):
+    answers = []
+    for db in (Prima(), ShardedCluster(shards=1)):
+        with repro.connect(db) as conn:
+            conn.execute(DDL)
+            for i in range(40):
+                conn.execute("INSERT city (name = ?, pop = ?, grp = ?)",
+                             f"c{i}", 1000 + i * 7, i % 6)
+            answers.append(pickle.dumps(conn.query(mql).to_dicts()))
+        db.close()
+    assert answers[0] == answers[1]
