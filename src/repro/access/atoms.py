@@ -11,6 +11,19 @@ The atom manager also drives the registered tuning structures (access
 paths, sort orders, partitions, atom clusters): inserts and deletes update
 them immediately; modifies rewrite only the base record and defer the rest
 (deferred update).
+
+Whole-atom records are decoded **once per stored image**: MAD molecules
+share subobjects (a BREP's faces share edges, its edges share points), so
+one retrieval reaches the same record many times.  :meth:`AtomManager.decode`
+keys a memo by the record's exact bytes.  Decoding is a pure function of
+those bytes, so the memo needs no invalidation: an insert, modify,
+back-reference update, delete/restore or relocation writes other bytes (or
+leaves nothing to read), and snapshots stay correct.  Every read still
+fixes its page and counts as ``atoms_read``; only misses count as
+``atom_decodes``.  Each caller gets its own copy (fresh lists and dicts,
+shared immutable leaves).  The memo holds at most the buffer's
+``capacity_bytes`` of record bytes, is cleared wholesale when a miss would
+exceed that, and is never pickled.
 """
 
 from __future__ import annotations
@@ -47,6 +60,26 @@ from repro.mad.types import (
 from repro.storage.system import StorageSystem
 from repro.util.stats import Counters
 
+_NESTED = (list, dict)
+
+
+def _thaw(value: Any) -> Any:
+    """A structural copy of a decoded value: fresh lists and dicts,
+    shared leaves (scalars, ``bytes`` and Surrogates are immutable)."""
+    if type(value) is list:
+        return [_thaw(item) for item in value]
+    if type(value) is dict:
+        return {key: _thaw(item) for key, item in value.items()}
+    return value
+
+
+def _copier(value: list | dict):
+    """The cheapest copy that gives a caller its own ``value``."""
+    items = value.values() if type(value) is dict else value
+    if any(type(item) in _NESTED for item in items):
+        return _thaw
+    return type(value).copy
+
 
 class AtomManager:
     """Insert, read, modify and delete atoms; maintain all their records."""
@@ -60,6 +93,12 @@ class AtomManager:
     #: Copy-on-write version store (class-level default keeps old
     #: checkpoints loadable; see :meth:`version_store`).
     versions: AtomVersionStore | None = None
+
+    #: Decoded-record memo: record bytes -> (values, per-attribute copiers
+    #: of its nested values), and the record bytes it holds.  Created on
+    #: first use and never pickled (see :meth:`decode`).
+    _decoded: dict[bytes, tuple] | None = None
+    _decoded_bytes = 0
 
     def __init__(self, storage: StorageSystem, schema: Schema,
                  counters: Counters | None = None) -> None:
@@ -76,6 +115,14 @@ class AtomManager:
         self._structures_by_type: dict[str, list[StorageStructure]] = {}
         self.structures_version = 0
         self.versions = AtomVersionStore()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The memo caches what the stored bytes already say: checkpoints
+        # leave it out and it refills on the first reads after a load.
+        state = dict(self.__dict__)
+        state.pop("_decoded", None)
+        state.pop("_decoded_bytes", None)
+        return state
 
     # ----------------------------------------------------------- snapshots --
 
@@ -298,7 +345,7 @@ class AtomManager:
         atom_type = self.schema.atom_type(type_name)
         container = self._container(type_name)
         for _record_id, payload in container.scan():
-            values = decode_atom(payload)
+            values = self.decode(payload)
             yield values[atom_type.identifier_attr], values
 
     def count(self, type_name: str) -> int:
@@ -560,7 +607,34 @@ class AtomManager:
         if placement is None:
             raise AtomNotFoundError(f"no atom with logical address {surrogate}")
         payload = self._container(surrogate.atom_type).read(placement.record)
-        return decode_atom(payload)
+        return self.decode(payload)
+
+    def decode(self, payload: bytes) -> dict[str, Any]:
+        """Decode a whole-atom record, once per stored image; the caller
+        gets its own copy.  Only a miss decodes and counts
+        ``atom_decodes``; a miss that would push the memo past the
+        buffer's capacity clears it first."""
+        memo = self._decoded
+        if memo is None:
+            memo = self._decoded = {}
+        entry = memo.get(payload)
+        if entry is None:
+            values = decode_atom(payload)
+            entry = (values, tuple((name, _copier(value))
+                                   for name, value in values.items()
+                                   if type(value) in _NESTED))
+            held = self._decoded_bytes + len(payload)
+            if held > self.storage.buffer.capacity_bytes:
+                memo.clear()
+                held = len(payload)
+            memo[payload] = entry
+            self._decoded_bytes = held
+            self.counters.bump("atom_decodes")
+        values, copiers = entry
+        out = values.copy()
+        for name, copy in copiers:
+            out[name] = copy(values[name])
+        return out
 
     def _write_base(self, surrogate: Surrogate,
                     values: dict[str, Any]) -> None:

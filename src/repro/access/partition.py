@@ -12,9 +12,9 @@ copy; the partition record is refreshed later (or lazily on read).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.access.address import AddressTable, RecordId
+from repro.access.address import RecordId
 from repro.access.container import RecordContainer
 from repro.access.encoding import decode_atom, encode_atom
 from repro.access.structure import StorageStructure
@@ -23,15 +23,20 @@ from repro.mad.schema import AtomType
 from repro.mad.types import Surrogate
 from repro.storage.system import StorageSystem
 
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.access.atoms import AtomManager
+
 
 class Partition(StorageStructure):
     """Vertical partition of one atom type over a fixed attribute subset."""
 
     kind = "partition"
     deferred = True
+    #: Class-level default keeps checkpoints from before the memo loadable.
+    _decode = staticmethod(decode_atom)
 
     def __init__(self, name: str, atom_type: AtomType, attrs: list[str],
-                 storage: StorageSystem, addresses: AddressTable,
+                 storage: StorageSystem, atoms: AtomManager,
                  page_size: int = 2048) -> None:
         super().__init__(name, atom_type.name)
         for attr in attrs:
@@ -42,7 +47,8 @@ class Partition(StorageStructure):
             )
         self.attrs = tuple(attrs)
         self._identifier_attr = atom_type.identifier_attr
-        self._addresses = addresses
+        self._addresses = atoms.addresses
+        self._decode = atoms.decode
         self._container = RecordContainer(
             storage, f"pt_{name}", page_size=page_size
         )
@@ -102,7 +108,7 @@ class Partition(StorageStructure):
         placement = self._addresses.placement(surrogate, self.structure_id)
         if placement is None or not placement.fresh:
             return None
-        return decode_atom(self._container.read(placement.record))
+        return self._decode(self._container.read(placement.record))
 
     def drop(self) -> None:
         self._container.clear()

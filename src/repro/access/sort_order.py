@@ -14,9 +14,9 @@ restrictions (start/stop conditions) are cheap.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.access.address import AddressTable, RecordId
+from repro.access.address import RecordId
 from repro.access.btree import BStarTree
 from repro.access.container import RecordContainer
 from repro.access.encoding import decode_atom, encode_atom
@@ -25,22 +25,28 @@ from repro.mad.schema import AtomType
 from repro.mad.types import Surrogate
 from repro.storage.system import StorageSystem
 
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.access.atoms import AtomManager
+
 
 class SortOrder(StorageStructure):
     """Redundant copy of one atom type, sorted by a key attribute list."""
 
     kind = "sort_order"
     deferred = True
+    #: Class-level default keeps checkpoints from before the memo loadable.
+    _decode = staticmethod(decode_atom)
 
     def __init__(self, name: str, atom_type: AtomType, sort_attrs: list[str],
-                 storage: StorageSystem, addresses: AddressTable,
+                 storage: StorageSystem, atoms: AtomManager,
                  page_size: int = 8192) -> None:
         super().__init__(name, atom_type.name)
         for attr in sort_attrs:
             atom_type.attr(attr)    # raises on unknown attributes
         self.sort_attrs = tuple(sort_attrs)
         self._identifier_attr = atom_type.identifier_attr
-        self._addresses = addresses
+        self._addresses = atoms.addresses
+        self._decode = atoms.decode
         self._container = RecordContainer(
             storage, f"so_{name}", page_size=page_size
         )
@@ -129,7 +135,7 @@ class SortOrder(StorageStructure):
         placement = self._addresses.placement(surrogate, self.structure_id)
         if placement is None or not placement.fresh:
             return None
-        return decode_atom(self._container.read(placement.record))
+        return self._decode(self._container.read(placement.record))
 
     def drop(self) -> None:
         self._container.clear()

@@ -62,7 +62,7 @@ class AccessSystem:
         """CREATE SORT ORDER — redundant sorted record list."""
         atom_type = self.schema.atom_type(type_name)
         order = SortOrder(name, atom_type, sort_attrs,
-                          self.storage, self.atoms.addresses)
+                          self.storage, self.atoms)
         self.atoms.add_structure(order)
         return order
 
@@ -71,7 +71,7 @@ class AccessSystem:
         """CREATE PARTITION — separate storage of an attribute combination."""
         atom_type = self.schema.atom_type(type_name)
         partition = Partition(name, atom_type, attrs,
-                              self.storage, self.atoms.addresses)
+                              self.storage, self.atoms)
         self.atoms.add_structure(partition)
         return partition
 
