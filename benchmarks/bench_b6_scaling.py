@@ -1,12 +1,9 @@
-"""B6 — snapshot reads + process-parallel construction: lock-free scaling.
+"""B6 — snapshot reads: lock-free reader scaling.
 
 PR 6 retired the session-wide ``engine_lock``: read pipelines pin a
 copy-on-write snapshot epoch (:mod:`repro.access.snapshots`) instead of
 taking type-level S locks, and the serving layer serialises only writers
-behind the narrow :class:`~repro.util.rwlock.ReadWriteLock`.  The
-construction fabric gained a ``fork``-based process pool
-(:mod:`repro.parallel`) whose children build molecules against their
-copy-on-write engine images.
+behind the narrow :class:`~repro.util.rwlock.ReadWriteLock`.
 
 On a single-core CI box wall-clock scaling is noise, so the gates are
 **structural** (hard assertions + regression markers) and the timings
@@ -19,9 +16,7 @@ ride along as data:
   semantics every such read deadlocked or raised);
 * the engine lock's reader side genuinely overlaps
   (``max_concurrent_readers`` across a session fan-out);
-* a cursor pinned before a write never sees it (isolation under churn);
-* the process pool produces results identical to threads and serial,
-  on **distinct worker PIDs**.
+* a cursor pinned before a write never sees it (isolation under churn).
 
 Comparative misses land in the JSON ``regressions`` list, which CI's
 bench-smoke job fails on (``benchmarks/check_regressions.py``).
@@ -29,7 +24,6 @@ bench-smoke job fails on (``benchmarks/check_regressions.py``).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -187,44 +181,9 @@ def isolation_under_churn(db: Prima,
             "fresh_cursor_rows": fresh}
 
 
-def process_pool(db: Prima, regressions: list[str]) -> dict[str, object]:
-    """Thread/process parity on identical molecule sets, distinct PIDs."""
-    query = "SELECT ALL FROM item WHERE grp = 3 ORDER BY n"
-    serial = [m.atom["n"] for m in db.query(query)]
-
-    started = time.perf_counter()
-    threaded = db.parallel_select(query, processors=4, mode="threads")
-    thread_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    forked = db.parallel_select(query, processors=4, mode="processes")
-    fork_s = time.perf_counter() - started
-
-    rows_t = [m.atom["n"] for m in threaded.result]
-    rows_p = [m.atom["n"] for m in forked.result]
-    if rows_t != serial or rows_p != serial:
-        regressions.append("parallel modes disagree with the serial set")
-    assert rows_t == rows_p == serial, "mode parity broken"
-    child_pids = sorted(forked.worker_pids - {os.getpid()})
-    import multiprocessing
-    fork_available = "fork" in multiprocessing.get_all_start_methods()
-    if fork_available and not child_pids:
-        regressions.append(
-            "process mode never left the parent PID (pool did not fork)"
-        )
-    return {
-        "rows": len(serial),
-        "threads_s": round(thread_s, 4),
-        "processes_s": round(fork_s, 4),
-        "fork_available": fork_available,
-        "worker_pids": len(child_pids),
-        "thread_pids": sorted(threaded.worker_pids),
-    }
-
-
 def main() -> None:
     print_header(
-        "B6 — snapshot reads + process-parallel construction",
+        "B6 — snapshot reads / reader scaling",
         f"{N_ITEMS} molecules; sessions sweep {SESSION_SWEEP}; "
         f"fetch_size={FETCH_SIZE}",
     )
@@ -235,7 +194,6 @@ def main() -> None:
     overlap = reader_overlap(db, regressions)
     retained = reads_under_retained_x(db, regressions)
     isolation = isolation_under_churn(db, regressions)
-    pool = process_pool(db, regressions)
 
     print_table(
         ["sessions", "rows/s", "elapsed s", "S grants", "peak readers"],
@@ -249,9 +207,6 @@ def main() -> None:
     print(f"isolation: {isolation['epoch_rows']} epoch rows across "
           f"{isolation['commits_during_stream']} concurrent commits "
           f"(fresh cursor: {isolation['fresh_cursor_rows']})")
-    print(f"pool parity: {pool['rows']} rows; threads {pool['threads_s']}s "
-          f"vs processes {pool['processes_s']}s on "
-          f"{pool['worker_pids']} forked worker(s)")
     emit_bench("bench_b6_scaling", {
         "n_items": N_ITEMS,
         "session_sweep": list(SESSION_SWEEP),
@@ -260,7 +215,6 @@ def main() -> None:
         "reader_overlap": overlap,
         "reads_under_retained_x": retained,
         "isolation_under_churn": isolation,
-        "process_pool": pool,
     }, db=db, regressions=regressions)
 
 

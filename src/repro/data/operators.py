@@ -14,8 +14,8 @@ RootScan             produces root surrogates: key lookup, access-path scan,
                      sort scan (forward or reverse), or atom-type scan with
                      a search argument; ordered scans stream their B*-tree
                      walk lazily and accept a dynamic stop key (``bound()``)
-RootPartition        replays a pre-partitioned slice of a RootScan stream
-                     (the parallel subsystem's construction workers)
+RootPartition        replays an already-derived list of RootScan roots
+                     (the parallel subsystem's decomposed units)
 MoleculeConstruct    root surrogate -> molecule, by association traversal
                      or from a materialised atom cluster
 ResidualFilter       evaluates the residual qualification per molecule
@@ -323,27 +323,24 @@ class RootScan(Operator):
 
 
 class RootPartition(Operator):
-    """Replay one partition of an already-derived root stream.
+    """Replay an already-derived list of root surrogates.
 
-    The parallel subsystem partitions the RootScan output and hands each
-    partition to a molecule-construction worker; this source operator is
-    what those workers pull from.
+    The parallel subsystem derives the RootScan output up front (one
+    decomposed unit per root) and constructs the units' molecules from
+    this source operator.
     """
 
     name = "RootPartition"
 
-    def __init__(self, roots: list[Surrogate], index: int = 0,
-                 of: int = 1) -> None:
+    def __init__(self, roots: list[Surrogate]) -> None:
         super().__init__()
         self._roots = list(roots)
-        self.index = index
-        self.of = of
 
     def _produce(self) -> Iterator[Surrogate]:
         yield from self._roots
 
     def detail(self) -> str:
-        return f"{len(self._roots)} root(s), partition {self.index + 1}/{self.of}"
+        return f"{len(self._roots)} root(s)"
 
 
 class MoleculeConstruct(Operator):
@@ -762,15 +759,12 @@ def top_k_stable(items: Iterator[Any], order_by: list[tuple[str, bool]],
 
 
 def build_pipeline(data: "DataSystem", plan: "QueryPlan",
-                   source: Operator | None = None,
                    use_topk: bool = True,
                    push_bound: bool = True,
                    snapshot: Any = None) -> Operator:
     """Compile a processing plan into its physical operator tree.
 
-    ``source`` replaces the RootScan when the caller already partitioned
-    the root stream (the parallel subsystem's workers).  The canonical
-    shape, bottom to top::
+    The canonical shape, bottom to top::
 
         RootScan -> MoleculeConstruct -> [ResidualFilter]
                  -> [Sort | TopK] -> [Offset] -> [Limit] -> Project
@@ -788,18 +782,16 @@ def build_pipeline(data: "DataSystem", plan: "QueryPlan",
     construction — to one atom-version epoch; the pipeline then needs
     no read locks at all.
     """
-    root: Operator = source if source is not None \
-        else RootScan(data, plan.root_access, snapshot=snapshot)
-    operator: Operator = root
-    operator = MoleculeConstruct(operator, data, plan.structure,
-                                 plan.cluster_name, snapshot=snapshot)
+    root = RootScan(data, plan.root_access, snapshot=snapshot)
+    operator: Operator = MoleculeConstruct(root, data, plan.structure,
+                                           plan.cluster_name,
+                                           snapshot=snapshot)
     if plan.residual_where is not None:
         operator = ResidualFilter(operator, data, plan.residual_where)
     windowed = False
     if plan.order_by and not plan.order_served_by_access:
         if use_topk and plan.limit is not None:
-            bound_target = root if push_bound and hasattr(root, "bound") \
-                else None
+            bound_target = root if push_bound else None
             operator = TopK(operator, plan.order_by, plan.limit,
                             plan.offset,
                             ordered_prefix=plan.order_prefix_served,

@@ -95,7 +95,6 @@ class QueryPlan:
             and self.limit is not None
 
     def compile(self, data: "DataSystem",
-                source: "Operator | None" = None,
                 use_topk: bool = True,
                 push_bound: bool = True,
                 snapshot: "Any | None" = None) -> "Operator":
@@ -120,7 +119,7 @@ class QueryPlan:
                 f"through a prepared statement with bindings"
             )
         from repro.data.operators import build_pipeline
-        return build_pipeline(data, self, source=source, use_topk=use_topk,
+        return build_pipeline(data, self, use_topk=use_topk,
                               push_bound=push_bound, snapshot=snapshot)
 
     def operator_descriptions(self) -> list[tuple[str, str]]:

@@ -86,23 +86,15 @@ class Prima(Engine):
         return self.ldl.execute_script(ldl)
 
     def parallel_select(self, mql: str, processors: int = 4,
-                        partitions: int | None = None,
-                        max_workers: int | None = None,
-                        mode: str = "threads", args: tuple = (),
+                        args: tuple = (),
                         params: dict[str, Any] | None = None):
         """Run one SELECT with semantic parallelism (see
-        :func:`repro.parallel.parallel_select`).
-
-        ``mode='threads'`` overlaps construction latency under the GIL;
-        ``mode='processes'`` runs a ``fork``-based worker pool — each
-        child constructs molecules against its inherited copy-on-write
-        image of the engine (a natural snapshot), for real CPU
-        parallelism on multi-core hosts.
+        :func:`repro.parallel.parallel_select`): the decomposed units
+        run serially here, and their measured costs are scheduled onto
+        ``processors`` simulated processors.
         """
         from repro.parallel import parallel_select
         return parallel_select(self, mql, processors=processors,
-                               partitions=partitions,
-                               max_workers=max_workers, mode=mode,
                                args=args, params=params)
 
     # -- optimizer meta-data -----------------------------------------------------------

@@ -15,7 +15,7 @@ counter bag with
 
 Registries :meth:`merge` associatively, so per-session and per-shard
 registries aggregate into one cluster view, and they pickle without
-their locks (fork workers, checkpoint restore) exactly like
+their locks (checkpoint restore) exactly like
 ``Counters``.
 """
 

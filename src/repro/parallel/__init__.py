@@ -1,20 +1,14 @@
 """Semantic parallelism: decomposition, conflicts, simulated scheduling
 (paper, section 4; [HHM86]).
 
-One user operation decomposes into per-molecule units of work that run
-on real workers: threads overlapping latency under a narrow construction
-lock, or — with ``mode="processes"`` — forked worker processes, each
-constructing against a copy-on-write image of the engine taken at fork
-time (true CPU parallelism, no shared mutable engine state).  The
-simulated multiprocessor schedule replays the measured per-unit costs
-either way."""
+One user operation decomposes into per-molecule units of work (DUs).
+The DUs run one after another on the caller's thread, each measuring
+its cost (atom reads) and read/write sets; the multiprocessor PRIMA of
+section 4 is simulated by :mod:`repro.parallel.scheduler`, which
+list-schedules those measured costs onto P processors under the
+decomposition-level conflict edges."""
 
-from repro.parallel.decompose import (
-    ConstructionWorker,
-    SemanticDecomposer,
-    UnitOfWork,
-    partition_units,
-)
+from repro.parallel.decompose import SemanticDecomposer, UnitOfWork
 from repro.parallel.scheduler import (
     ScheduleReport,
     ScheduledUnit,
@@ -24,7 +18,6 @@ from repro.parallel.scheduler import (
 from repro.parallel.api import ParallelQueryResult, parallel_select
 
 __all__ = [
-    "ConstructionWorker",
     "ParallelQueryResult",
     "ScheduleReport",
     "ScheduledUnit",
@@ -32,6 +25,5 @@ __all__ = [
     "UnitOfWork",
     "build_conflict_edges",
     "parallel_select",
-    "partition_units",
     "simulate",
 ]

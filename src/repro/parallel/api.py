@@ -1,10 +1,9 @@
 """Convenience entry point: run one MQL SELECT with semantic parallelism.
 
 ``parallel_select(db, query, processors)`` decomposes the query into DUs,
-partitions the root-scan stream round-robin (one molecule-construction
-worker per partition, riding the physical operator layer), executes the
-units (measuring per-DU cost), and reports the simulated multi-processor
-schedule.
+executes the units one after another on the caller's thread (measuring
+per-DU cost), and reports the simulated ``processors``-way schedule of
+those measured costs.
 
 ``query`` is either MQL text — prepared through the shared plan cache,
 so repeated text skips parse+plan — or an already-prepared
@@ -31,9 +30,6 @@ class ParallelQueryResult:
 
     result: ResultSet
     report: ScheduleReport
-    #: OS process ids that constructed molecules — a singleton set for
-    #: threaded runs, one pid per forked child for ``mode="processes"``.
-    worker_pids: frozenset[int] = frozenset()
 
     def __repr__(self) -> str:
         return f"ParallelQueryResult({len(self.result)} molecules, " \
@@ -41,11 +37,7 @@ class ParallelQueryResult:
 
 
 def parallel_select(db: Prima, query: "str | PreparedStatement",
-                    processors: int = 4,
-                    partitions: int | None = None,
-                    max_workers: int | None = None,
-                    engine_lock=None, mode: str = "threads",
-                    args: tuple = (),
+                    processors: int = 4, args: tuple = (),
                     params: dict[str, Any] | None = None
                     ) -> ParallelQueryResult:
     """Execute a molecule query with semantic parallelism on a simulated
@@ -55,18 +47,9 @@ def parallel_select(db: Prima, query: "str | PreparedStatement",
     :class:`~repro.data.prepared.PreparedStatement` — a prepared query
     re-executed here performs zero parse/plan work, exactly like the
     serial ``stmt.execute()`` path; ``args``/``params`` bind its
-    placeholders.  ``partitions`` controls how the root stream is carved
-    across the construction workers; it defaults to one partition per
-    processor.  Each worker runs on its own thread, feeding the merge
-    stage through a bounded queue; ``max_workers`` caps the number of
-    threads (``max_workers=1`` forces the serial loop).
-    ``mode="processes"`` forks the workers into child processes instead —
-    each child constructs against a copy-on-write image of the engine
-    taken at fork time (true CPU parallelism, no GIL); it falls back to
-    threads where the ``fork`` start method is unavailable.  The
-    molecule order is deterministic in every mode.  ``engine_lock`` lets
-    an embedding subsystem (the serving layer) substitute the reader
-    side of its engine read/write lock for the per-run one.
+    placeholders.  The DUs run serially on the calling thread and take
+    no lock: beside serving sessions, hold the engine's reader side
+    across the call (``with manager.engine.reader(): ...``).
     """
     if not isinstance(db, Prima):
         raise DecompositionError(
@@ -85,17 +68,9 @@ def parallel_select(db: Prima, query: "str | PreparedStatement",
     else:
         plan, units = decomposer.decompose_select(query, args=args,
                                                   params=params)
-    result = decomposer.run_all(
-        plan, units,
-        partitions=max(1, partitions if partitions is not None
-                       else processors),
-        max_workers=max_workers,
-        engine_lock=engine_lock,
-        mode=mode,
-    )
+    result = decomposer.run_all(plan, units)
     report = simulate(units, processors)
     metrics = db.data.obs.metrics
     metrics.gauge("parallel_speedup", round(report.speedup, 4))
     metrics.observe("parallel_units", len(units))
-    return ParallelQueryResult(result=result, report=report,
-                               worker_pids=frozenset(decomposer.worker_pids))
+    return ParallelQueryResult(result=result, report=report)

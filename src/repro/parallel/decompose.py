@@ -17,43 +17,26 @@ but serialises DML units.
 Each DU records its read and write sets and its *measured cost* (atom
 reads performed), which the scheduler uses as service time.
 
-Since the streaming refactor the decomposer rides on the physical
-operator layer: the root atoms come from a :class:`~repro.data.operators
-.RootScan` operator, the stream is partitioned round-robin, and one
-:class:`ConstructionWorker` per partition drives a ``MoleculeConstruct``
-operator over its :class:`~repro.data.operators.RootPartition` slice.
+The decomposer rides on the physical operator layer: the root atoms come
+from a :class:`~repro.data.operators.RootScan` operator, and one
+``MoleculeConstruct`` operator over a
+:class:`~repro.data.operators.RootPartition` replay of those roots builds
+the DUs' molecules.
 
-**Execution model.**  ``run_all`` offers two carvings:
-
-* ``mode="threads"`` (default) runs one real :class:`threading.Thread`
-  per construction worker (capped by ``max_workers``); each completed DU
-  is pushed into a bounded queue that the merge/shaping stage drains
-  while the workers are still producing.  A per-run construction lock
-  serialises the storage engine at molecule granularity — under
-  CPython's GIL the threads provide latency overlap, not CPU
-  parallelism.
-* ``mode="processes"`` forks one worker *process* per partition slice.
-  Each child inherits a copy-on-write image of the engine taken at fork
-  time — a process-level snapshot, the multiprocessor analogue of the
-  epoch snapshots the serving layer pins for its read cursors — and
-  constructs its molecules without any lock at all, streaming completed
-  units back to the parent over a queue.  This is true CPU parallelism:
-  no GIL, no shared mutable engine state.
-
-Either way the merge stage sorts the completed units by DU index, so
-the molecule order is deterministic for any partitioning, interleaving,
-or execution mode — thread and process runs of the same query produce
-byte-identical results.
+**Execution model.**  ``run_all`` runs the DUs one after another on the
+caller's thread, in DU order, measuring each unit's cost and read set as
+it goes.  The multiprocessor PRIMA of section 4 is not executed but
+simulated: :mod:`repro.parallel.scheduler` list-schedules the measured
+per-unit costs onto P processors.  (Real worker pools — threads under
+one engine lock, or forked processes — never beat this serial loop in
+wall-clock on one shared engine, so there are none.)  Callers that run
+the loop beside concurrent writers hold the engine lock themselves, e.g.
+``with manager.engine.reader(): parallel_select(db, query)``.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import os
-import queue
-import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -90,7 +73,7 @@ from repro.mql.ast import (
 # Gather/shaping machinery, shared with the cluster coordinator
 # ---------------------------------------------------------------------------
 #
-# The merge stage above the construction workers and the cross-shard
+# The shaping stage above the decomposed units and the cross-shard
 # gather of :mod:`repro.shard` are the same operation: take ordered (or
 # orderable) item streams whose ORDER BY values are known *before*
 # projection, and shape them exactly like the serial pipeline's
@@ -190,7 +173,7 @@ class UnitOfWork:
     index: int
     root: Surrogate
     #: Pre-projection values of the plan's ORDER BY attributes (the final
-    #: sort runs after the workers, when projection may have pruned them).
+    #: sort runs after the units, when projection may have pruned them).
     order_values: dict[str, Any] = field(default_factory=dict)
     #: Atoms this DU reads (filled during execution).
     read_set: set[Surrogate] = field(default_factory=set)
@@ -212,73 +195,12 @@ class UnitOfWork:
             return True
         return False
 
-
-def partition_units(units: list[UnitOfWork],
-                    partitions: int) -> list[list[UnitOfWork]]:
-    """Round-robin the DU stream into ``partitions`` non-empty slices."""
-    if partitions < 1:
-        raise DecompositionError("need at least one partition")
-    slices = [units[p::partitions] for p in range(partitions)]
-    return [part for part in slices if part]
-
-
-class ConstructionWorker:
-    """One molecule-construction worker over one partition of the roots.
-
-    The worker owns a ``MoleculeConstruct`` operator fed by the
-    ``RootPartition`` slice assigned to it; pulling a DU's molecule
-    through the operator measures the unit's cost (atom reads), fills its
-    read set, evaluates the residual qualification and projects — exactly
-    what the serial pipeline does above the root scan.
-
-    When run on a thread, ``lock`` serialises the storage engine at DU
-    granularity (cost measurement stays exact because the whole counted
-    region is inside the lock) and every completed unit is pushed into
-    ``sink`` for the merge stage to drain.
-    """
-
-    def __init__(self, data: DataSystem, plan: QueryPlan,
-                 units: list[UnitOfWork], index: int = 0,
-                 of: int = 1, lock: threading.Lock | None = None,
-                 sink: "queue.Queue[UnitOfWork] | None" = None) -> None:
-        self._data = data
-        self._plan = plan
-        self.units = units
-        self._lock = lock
-        self._sink = sink
-        source = RootPartition([unit.root for unit in units],
-                               index=index, of=of)
-        self.construct = MoleculeConstruct(source, data, plan.structure,
-                                           plan.cluster_name)
-        self.construct.bind_counters(data.access.counters)
-
-    def run(self) -> None:
-        for unit in self.units:
-            self._run_unit(unit)
-            if self._sink is not None:
-                self._sink.put(unit)
-
-    def _run_unit(self, unit: UnitOfWork) -> None:
-        data = self._data
-        plan = self._plan
-        counters = data.access.counters
-        guard = self._lock if self._lock is not None else nullcontext()
-        with guard:
-            before = counters.get("atoms_read")
-            molecule = self.construct.next()
-            assert molecule is not None  # one molecule per root in the slice
-            for _label, atom in molecule.atoms():
-                for value in atom.values():
-                    if isinstance(value, Surrogate):
-                        unit.read_set.add(value)
-            if plan.residual_where is None or \
-                    data.evaluator.matches(plan.residual_where, molecule):
-                unit.order_values = {attr: molecule.atom.get(attr)
-                                     for attr, _desc in plan.order_by}
-                data.apply_projection(molecule, plan.projection,
-                                      plan.structure)
-                unit.result = molecule
-            unit.cost = max(counters.get("atoms_read") - before, 1)
+    def note_reads(self, molecule: Molecule) -> None:
+        """Add every atom the molecule references to the read set."""
+        for _label, atom in molecule.atoms():
+            for value in atom.values():
+                if isinstance(value, Surrogate):
+                    self.read_set.add(value)
 
 
 class SemanticDecomposer:
@@ -286,10 +208,6 @@ class SemanticDecomposer:
 
     def __init__(self, data: DataSystem) -> None:
         self._data = data
-        #: OS process ids that executed units in the most recent
-        #: ``run_all`` — a singleton set for serial/threaded runs, one
-        #: pid per forked child for ``mode="processes"``.
-        self.worker_pids: set[int] = set()
 
     def decompose_select(self, mql: str, args: tuple = (),
                          params: dict | None = None
@@ -314,12 +232,13 @@ class SemanticDecomposer:
         The roots are drawn from the same ``RootScan`` operator the
         serial pipeline uses — the sequential prologue of the paper's
         decomposition.  The prologue applies the same direction + bound
-        shaping as the serial pipeline: an ORDER BY fully served by the
-        (possibly reverse) root scan with a LIMIT derives only the
-        ``limit + offset`` leading roots, and a prefix-served ORDER BY
-        pushes the window anchor's prefix key into the scan as the
-        dynamic stop bound — no worker is ever spawned for a root that
-        cannot reach the result window.
+        shaping as the serial pipeline: with a LIMIT, a scan whose order
+        is the result order (no ORDER BY, or one fully served by the
+        possibly reverse root scan) derives only the ``limit + offset``
+        leading roots, and a prefix-served ORDER BY pushes the window
+        anchor's prefix key into the scan as the dynamic stop bound — no
+        DU is ever created for a root that cannot reach the result
+        window.
         """
         roots = self._derive_roots(plan)
         units = [UnitOfWork(index=i, root=root)
@@ -339,6 +258,8 @@ class SemanticDecomposer:
         always a true result candidate — so prefix-served DESC windows
         keep their shaping instead of bailing to the full derive + Sort.
         """
+        if plan.limit == 0:
+            return []   # an empty window: no root can reach the result
         scan = RootScan(self._data, plan.root_access)
         window = plan.limit + plan.offset if plan.limit is not None else None
         root_filter = None
@@ -355,7 +276,8 @@ class SemanticDecomposer:
                         residual, Molecule(plan.structure, atom))
             else:
                 window = None
-        if window is None or not (plan.order_served_by_access
+        in_result_order = plan.order_served_by_access or not plan.order_by
+        if window is None or not (in_result_order
                                   or plan.order_prefix_served):
             return list(scan)
         roots: list[Surrogate] = []
@@ -368,7 +290,7 @@ class SemanticDecomposer:
                 if not root_filter(anchor):
                     continue   # never reaches the window — no DU for it
             roots.append(root)
-            if plan.order_served_by_access:
+            if in_result_order:
                 if len(roots) >= window:
                     break   # the scan order IS the result order
             elif len(roots) == window:
@@ -382,211 +304,45 @@ class SemanticDecomposer:
                                  for attr in prefix_attrs))
         return roots
 
-    def execute_unit(self, plan: QueryPlan, unit: UnitOfWork) -> None:
-        """Run one DU: construct, qualify, project; measure its cost.
+    def run_all(self, plan: QueryPlan,
+                units: list[UnitOfWork]) -> ResultSet:
+        """Execute every DU, one after another in DU order, and shape the
+        molecule set.
 
-        Cost is the number of atom reads the unit performed — the dominant
-        quantity of molecule construction and a deterministic, hardware-
-        independent service time for the scheduler.
+        One ``MoleculeConstruct`` operator replays the units' roots.
+        Pulling a unit's molecule through it measures the unit's cost —
+        the number of atom reads it performed, a deterministic,
+        hardware-independent service time for the scheduler — and its
+        read set; then the residual qualification and the projection run,
+        exactly as the serial pipeline does above the root scan.
         """
-        ConstructionWorker(self._data, plan, [unit]).run()
-
-    def run_all(self, plan: QueryPlan, units: list[UnitOfWork],
-                partitions: int = 1,
-                max_workers: int | None = None,
-                engine_lock=None, mode: str = "threads") -> ResultSet:
-        """Execute every DU and assemble the molecule set in DU order.
-
-        The DU stream is partitioned round-robin; one construction worker
-        per partition drives its slice through the operator layer.  With
-        ``mode="threads"`` each worker runs on its own
-        :class:`threading.Thread` (capped by ``max_workers``;
-        ``max_workers=1`` forces the serial loop) and the completed units
-        flow through a bounded queue into the merge/shaping stage.  With
-        ``mode="processes"`` the workers fork into child processes, each
-        constructing against its copy-on-write engine image and streaming
-        completed units back to the parent (falls back to threads where
-        the ``fork`` start method is unavailable).  Either way the merge
-        sorts by DU index — the result order is deterministic for any
-        partition count, interleaving, or mode.
-
-        ``engine_lock`` substitutes the per-run storage-engine lock with
-        a caller-owned one: the serving layer passes the *reader side* of
-        its engine read/write lock here, so a parallel query's
-        construction (and the fork points of a process run) never overlap
-        a peer session's writer (see
-        :meth:`repro.serve.Session.parallel_query`).
-        """
-        if max_workers is not None and max_workers < 1:
-            raise DecompositionError("need at least one worker thread")
-        if mode not in ("threads", "processes"):
-            raise DecompositionError(
-                f"unknown parallel mode {mode!r}; "
-                "expected 'threads' or 'processes'"
-            )
-        parts = partition_units(units, partitions)
-        fanout = len(parts) > 1 and (max_workers is None
-                                     or max_workers > 1)
-        self.worker_pids = {os.getpid()}
-        if not fanout:
-            workers = [
-                ConstructionWorker(self._data, plan, part, index=i,
-                                   of=len(parts), lock=engine_lock)
-                for i, part in enumerate(parts)
-            ]
-            for worker in workers:
-                worker.run()
-        elif mode == "processes":
-            self._run_processes(plan, parts, max_workers,
-                                engine_lock=engine_lock)
-        else:
-            self._run_threaded(plan, parts, max_workers,
-                               engine_lock=engine_lock)
-        qualified = [u for u in sorted(units, key=lambda u: u.index)
-                     if u.result is not None]
-        # Result shaping mirrors the serial pipeline above the workers:
+        data = self._data
+        counters = data.access.counters
+        construct = MoleculeConstruct(
+            RootPartition([unit.root for unit in units]), data,
+            plan.structure, plan.cluster_name)
+        construct.bind_counters(counters)
+        for unit in units:
+            before = counters.get("atoms_read")
+            molecule = construct.next()
+            assert molecule is not None  # one molecule per root
+            unit.note_reads(molecule)
+            if plan.residual_where is None or \
+                    data.evaluator.matches(plan.residual_where, molecule):
+                unit.order_values = {attr: molecule.atom.get(attr)
+                                     for attr, _desc in plan.order_by}
+                data.apply_projection(molecule, plan.projection,
+                                      plan.structure)
+                unit.result = molecule
+            unit.cost = max(counters.get("atoms_read") - before, 1)
+        qualified = [u for u in units if u.result is not None]
+        # Result shaping mirrors the serial pipeline above the units:
         # bounded-heap top-k under ORDER BY + LIMIT, otherwise the
         # explicit final sort followed by the OFFSET/LIMIT window.
         value_of = lambda unit, attr: unit.order_values.get(attr)  # noqa: E731
         selected = shape_window(qualified, plan, value_of)
         return ResultSet([u.result for u in selected],
                          plan_text=plan.explain())
-
-    def _run_threaded(self, plan: QueryPlan,
-                      parts: list[list[UnitOfWork]],
-                      max_workers: int | None,
-                      engine_lock=None) -> None:
-        """One thread per construction worker, merge draining the queue.
-
-        The queue is bounded, so workers never run unboundedly ahead of
-        the merge stage; a per-run lock (or the caller's ``engine_lock``)
-        serialises the single-user storage engine at DU granularity (see
-        the module docstring).
-        """
-        sink: queue.Queue = queue.Queue(maxsize=max(2, 2 * len(parts)))
-        lock = engine_lock if engine_lock is not None else threading.Lock()
-        workers = [
-            ConstructionWorker(self._data, plan, part, index=i,
-                               of=len(parts), lock=lock, sink=sink)
-            for i, part in enumerate(parts)
-        ]
-        thread_count = len(workers) if max_workers is None \
-            else min(max_workers, len(workers))
-        failures: list[BaseException] = []
-        done = object()
-
-        def drive(assigned: list[ConstructionWorker]) -> None:
-            try:
-                for worker in assigned:
-                    worker.run()
-            except BaseException as exc:  # noqa: BLE001 - reraised below
-                failures.append(exc)
-            finally:
-                sink.put(done)
-
-        threads = [
-            threading.Thread(target=drive,
-                             args=(workers[t::thread_count],),
-                             name=f"construction-worker-{t}", daemon=True)
-            for t in range(thread_count)
-        ]
-        for thread in threads:
-            thread.start()
-        finished = 0
-        drained = 0
-        while finished < len(threads):
-            item = sink.get()
-            if item is done:
-                finished += 1
-            else:
-                drained += 1
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        assert drained == sum(len(w.units) for w in workers)
-
-    def _run_processes(self, plan: QueryPlan,
-                       parts: list[list[UnitOfWork]],
-                       max_workers: int | None,
-                       engine_lock=None) -> None:
-        """One forked process per worker pool slot, results over a queue.
-
-        The ``fork`` start method is required: a forked child inherits
-        the parent's engine image copy-on-write, so the workers (already
-        holding live ``DataSystem`` references) run unchanged and
-        unpickled in the child.  The fork itself happens under
-        ``engine_lock`` — with the serving layer's reader side held, no
-        peer writer can be mid-mutation at fork time, so every child's
-        image is a consistent snapshot.  Children send each completed
-        unit's payload (index, molecule, order values, read set, cost)
-        back over the queue; the parent fills its own units by index,
-        keeping the merge stage identical to the threaded path.
-        """
-        if "fork" not in multiprocessing.get_all_start_methods():
-            self._run_threaded(plan, parts, max_workers,
-                               engine_lock=engine_lock)
-            return
-        ctx = multiprocessing.get_context("fork")
-        sink = ctx.Queue()
-        workers = [
-            ConstructionWorker(self._data, plan, part, index=i,
-                               of=len(parts))
-            for i, part in enumerate(parts)
-        ]
-        proc_count = len(workers) if max_workers is None \
-            else min(max_workers, len(workers))
-
-        def drive(assigned: list[ConstructionWorker]) -> None:
-            pid = os.getpid()
-            try:
-                for worker in assigned:
-                    for unit in worker.units:
-                        worker._run_unit(unit)  # noqa: SLF001
-                        sink.put(("unit", pid, unit.index, unit.result,
-                                  unit.order_values, unit.read_set,
-                                  unit.cost))
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                sink.put(("error", pid, repr(exc)))
-            else:
-                sink.put(("done", pid))
-
-        processes = [
-            ctx.Process(target=drive, args=(workers[p::proc_count],),
-                        name=f"construction-proc-{p}")
-            for p in range(proc_count)
-        ]
-        guard = engine_lock if engine_lock is not None else nullcontext()
-        with guard:   # no writer mid-flight while the children fork
-            for process in processes:
-                process.start()
-        by_index = {unit.index: unit
-                    for part in parts for unit in part}
-        errors: list[str] = []
-        finished = 0
-        while finished < len(processes):
-            message = sink.get()
-            if message[0] == "unit":
-                _tag, pid, index, result, order_values, read_set, cost \
-                    = message
-                unit = by_index[index]
-                unit.result = result
-                unit.order_values = order_values
-                unit.read_set = read_set
-                unit.cost = cost
-                self.worker_pids.add(pid)
-            elif message[0] == "error":
-                errors.append(f"worker pid {message[1]}: {message[2]}")
-                finished += 1
-            else:
-                finished += 1
-        for process in processes:
-            process.join()
-        sink.close()
-        if errors:
-            raise DecompositionError(
-                "process-parallel construction failed: " + "; ".join(errors)
-            )
 
     # -- DML decomposition ----------------------------------------------------------
 
@@ -632,10 +388,7 @@ class SemanticDecomposer:
         counters = data.access.counters
         before = counters.get("atoms_read")
         molecule = data.construct_molecule(plan.structure, unit.root, None)
-        for _label, atom in molecule.atoms():
-            for value in atom.values():
-                if isinstance(value, Surrogate):
-                    unit.read_set.add(value)
+        unit.note_reads(molecule)
         qualified = plan.residual_where is None or \
             data.evaluator.matches(plan.residual_where, molecule)
         if qualified:

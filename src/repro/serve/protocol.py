@@ -23,10 +23,9 @@ Two independent byte notions live here:
   (:func:`pack_frame`, the sync :func:`send_message` /
   :func:`recv_message` and the async helpers in
   :mod:`repro.serve.aio`) — the **physical** representation on a real
-  socket.  Messages are pickled (the same mechanism the fork-based
-  parallel pool uses to ship molecules between processes), framed by a
-  4-byte big-endian length.  The daemon binds to loopback by default;
-  like any pickle endpoint it must not be exposed to untrusted peers.
+  socket.  Messages are pickled, framed by a 4-byte big-endian length.
+  The daemon binds to loopback by default; like any pickle endpoint it
+  must not be exposed to untrusted peers.
 
 Errors cross the wire as :class:`WireError` carrying the exception class
 name from :mod:`repro.errors`; :func:`raise_wire_error` re-raises the

@@ -688,33 +688,6 @@ class Session:
             return structure.atom_type
         return None
 
-    def parallel_query(self, mql: str, processors: int = 4,
-                       partitions: int | None = None,
-                       max_workers: int | None = None,
-                       mode: str | None = None):
-        """Run one SELECT with semantic parallelism *inside* this session.
-
-        The construction workers take the **shared reader side** of the
-        manager's engine lock per DU — they run concurrently with every
-        other session's cursors and with each other, excluding only
-        writers.  ``mode`` selects the worker fabric: ``'threads'``
-        (latency overlap under the GIL) or ``'processes'`` (a
-        ``fork``-based pool, real CPU parallelism — each child reads its
-        inherited copy-on-write image of the engine, a natural
-        snapshot).  ``mode``/``max_workers`` default to the manager's
-        ``parallel_mode``/``parallel_workers`` knobs.
-        """
-        self._require_open()
-        from repro.parallel import parallel_select
-        return parallel_select(self._db, mql, processors=processors,
-                               partitions=partitions,
-                               max_workers=(max_workers
-                                            if max_workers is not None
-                                            else self.manager.parallel_workers),
-                               mode=mode if mode is not None
-                               else self.manager.parallel_mode,
-                               engine_lock=self.manager.engine.reader())
-
     def _apply_checkin(self, modifications, deletions,
                        creations) -> dict[Surrogate, Surrogate]:
         db = self._db
@@ -870,8 +843,6 @@ class SessionManager:
                  max_sessions: int = 8, admission: str = "reject",
                  queue_timeout: float | None = None,
                  default_fetch_size: int | str | None = None,
-                 parallel_mode: str = "threads",
-                 parallel_workers: int | None = None,
                  idle_cursor_timeout: float | None = None,
                  idle_statement_timeout: float | None = None,
                  session_lease: float | None = None,
@@ -886,11 +857,6 @@ class SessionManager:
         if admission not in ("reject", "queue"):
             raise ValueError(
                 f"admission must be 'reject' or 'queue', got {admission!r}"
-            )
-        if parallel_mode not in ("threads", "processes"):
-            raise ValueError(
-                f"parallel_mode must be 'threads' or 'processes', got "
-                f"{parallel_mode!r}"
             )
         if isinstance(default_fetch_size, str) and \
                 default_fetch_size != protocol.AUTO_FETCH_SIZE:
@@ -921,11 +887,6 @@ class SessionManager:
         #: None: whole set in the open response; int: streaming batches;
         #: ``"auto"``: the server tunes per cursor from the network model.
         self.default_fetch_size = default_fetch_size
-        #: Worker fabric of :meth:`Session.parallel_query`: 'threads'
-        #: or 'processes' (fork-based pool); per-call ``mode`` overrides.
-        self.parallel_mode = parallel_mode
-        #: Default worker cap of :meth:`Session.parallel_query`.
-        self.parallel_workers = parallel_workers
         #: Resource-hygiene knobs (seconds; None disables) — enforced by
         #: :meth:`reap`, which the daemon calls periodically.
         self.idle_cursor_timeout = idle_cursor_timeout

@@ -7,7 +7,7 @@ supported per atom type:
 * **hash** (the default): the root-key value hashes into ``0..N-1`` with
   a *stable* hash (CRC32 over the rendered value — never Python's
   randomised ``hash()``, which would scatter differently per process
-  and break fork workers and persisted clusters alike);
+  and break persisted clusters);
 * **range**: explicit split points partition an ordered key domain,
   shard ``i`` holding keys below the ``i``-th split point (the classic
   Wisconsin-style range declustering).

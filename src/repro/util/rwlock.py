@@ -117,33 +117,21 @@ class ReadWriteLock:
 
 
 class _Side:
-    """One side of the lock as a reusable, lock-like context manager.
-
-    Duck-types ``threading.Lock`` far enough (``acquire``/``release``/
-    ``with``) that code written against a plain mutex — the parallel
-    subsystem's construction workers — takes the shared side unchanged.
-    """
+    """One side of the lock as a reusable context manager."""
 
     def __init__(self, lock: ReadWriteLock, shared: bool) -> None:
         self._lock = lock
         self._shared = shared
 
-    def acquire(self) -> bool:
+    def __enter__(self) -> "_Side":
         if self._shared:
             self._lock.acquire_read()
         else:
             self._lock.acquire_write()
-        return True
+        return self
 
-    def release(self) -> None:
+    def __exit__(self, _exc_type, _exc, _tb) -> None:
         if self._shared:
             self._lock.release_read()
         else:
             self._lock.release_write()
-
-    def __enter__(self) -> "_Side":
-        self.acquire()
-        return self
-
-    def __exit__(self, _exc_type, _exc, _tb) -> None:
-        self.release()

@@ -24,7 +24,7 @@ def test_session_is_server_side_only():
     assert public(Session) == {
         "handle", "close", "abort", "expire", "reap_idle",
         "set_notify_sink", "deliver_notification", "pop_notifications",
-        "parallel_query", "open_cursors", "open_statements",
+        "open_cursors", "open_statements",
     }
     assert {"__enter__", "__exit__"} <= set(vars(Session))
 

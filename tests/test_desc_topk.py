@@ -258,7 +258,7 @@ class TestParallelShaping:
             "SELECT ALL FROM part ORDER BY n DESC LIMIT 5")
         assert plan.order_served_by_access
         assert len(units) == 5          # one DU per window member only
-        result = decomposer.run_all(plan, units, partitions=3)
+        result = decomposer.run_all(plan, units)
         assert [m.atom["n"] for m in result] == [59, 58, 57, 56, 55]
 
     def test_prefix_bound_prunes_the_prologue(self):
@@ -269,7 +269,7 @@ class TestParallelShaping:
         assert plan.order_prefix_served == 1
         # grp 3 holds 15 parts; no DU beyond that group is created.
         assert len(units) == 15
-        result = decomposer.run_all(plan, units, partitions=4)
+        result = decomposer.run_all(plan, units)
         assert [m.atom["n"] for m in result] == [3, 7, 11, 15, 19, 23]
 
     def test_root_only_residual_keeps_prefix_shaping(self):
@@ -287,7 +287,7 @@ class TestParallelShaping:
         assert plan.order_served_by_access
         assert plan.residual_where is not None
         assert len(units) == 8          # window of qualified roots only
-        result = decomposer.run_all(plan, units, partitions=3)
+        result = decomposer.run_all(plan, units)
         assert [m.atom["n"] for m in result] == \
             [59, 58, 57, 56, 55, 3, 2, 1]
 

@@ -113,6 +113,49 @@ class TestEndToEnd:
         assert build_conflict_edges(units) == []
         assert all(unit.cost >= 1 for unit in units)
         assert all(unit.read_set for unit in units)
+        assert all(unit.result is not None for unit in units)
+
+    def test_order_and_window_equal_serial(self, handles):
+        db = handles.db
+        query = ("SELECT ALL FROM brep ORDER BY brep_no DESC "
+                 "LIMIT 3 OFFSET 1")
+        outcome = parallel_select(db, query, processors=4)
+        assert [m.to_dict() for m in outcome.result] == \
+            [m.to_dict() for m in db.query(query)]
+
+    def test_unordered_limit_derives_only_the_window(self, handles):
+        """Without ORDER BY the scan order is the result order: LIMIT 2
+        creates two DUs and reads exactly the atoms the serial pipeline
+        reads."""
+        db = handles.db
+        query = "SELECT ALL FROM brep-face-edge-point LIMIT 2"
+        db.reset_accounting()
+        serial = db.query(query).materialize()
+        serial_reads = db.io_report()["atoms_read"]
+        db.reset_accounting()
+        outcome = parallel_select(db, query, processors=4)
+        assert outcome.report.unit_count == 2
+        assert db.io_report()["atoms_read"] == serial_reads
+        assert [m.to_dict() for m in outcome.result] == \
+            [m.to_dict() for m in serial]
+
+    def test_unordered_limit_with_root_only_residual(self, handles):
+        db = handles.db
+        query = ("SELECT ALL FROM brep-face WHERE brep_no > 1713 "
+                 "OR brep_no < 0 LIMIT 2 OFFSET 1")
+        outcome = parallel_select(db, query, processors=2)
+        assert outcome.report.unit_count == 3
+        assert [m.to_dict() for m in outcome.result] == \
+            [m.to_dict() for m in db.query(query)]
+
+    def test_limit_zero_derives_no_unit(self, handles):
+        db = handles.db
+        db.reset_accounting()
+        outcome = parallel_select(
+            db, "SELECT ALL FROM brep-face-edge-point LIMIT 0")
+        assert outcome.report.unit_count == 0
+        assert len(outcome.result) == 0
+        assert db.io_report().get("atoms_read", 0) == 0
 
     def test_speedup_grows_with_processors(self, handles):
         db = handles.db
@@ -148,62 +191,6 @@ class TestEndToEnd:
         decomposer = SemanticDecomposer(handles.db.data)
         with pytest.raises(DecompositionError):
             decomposer.decompose_select("INSERT solid (solid_no = 1)")
-
-
-class TestThreadedWorkers:
-    """run_all drives one real thread per construction worker, feeding a
-    bounded queue the merge stage drains; results stay deterministic."""
-
-    @pytest.fixture(scope="class")
-    def handles(self):
-        return brep.generate(Prima(), n_solids=6)
-
-    def test_determinism_across_partition_counts(self, handles):
-        db = handles.db
-        query = "SELECT ALL FROM brep-face-edge-point"
-        serial = [m.to_dict() for m in db.query(query)]
-        for partitions in (1, 2, 3, 4, 6, 8):
-            outcome = parallel_select(db, query, processors=4,
-                                      partitions=partitions)
-            assert [m.to_dict() for m in outcome.result] == serial, \
-                f"partitions={partitions}"
-
-    def test_determinism_with_order_and_window(self, handles):
-        db = handles.db
-        query = ("SELECT ALL FROM brep ORDER BY brep_no DESC "
-                 "LIMIT 3 OFFSET 1")
-        serial = [m.to_dict() for m in db.query(query)]
-        for partitions in (2, 3, 5):
-            outcome = parallel_select(db, query, processors=4,
-                                      partitions=partitions)
-            assert [m.to_dict() for m in outcome.result] == serial
-
-    def test_max_workers_caps_threads_same_result(self, handles):
-        db = handles.db
-        query = "SELECT ALL FROM brep-face"
-        serial = [m.to_dict() for m in db.query(query)]
-        for max_workers in (1, 2, 4):
-            outcome = parallel_select(db, query, processors=4,
-                                      partitions=4,
-                                      max_workers=max_workers)
-            assert [m.to_dict() for m in outcome.result] == serial
-
-    def test_unit_costs_exact_under_threads(self, handles):
-        """The construction lock keeps the counted region exclusive, so
-        per-DU cost measurement stays exact with real threads."""
-        decomposer = SemanticDecomposer(handles.db.data)
-        plan, units = decomposer.decompose_select(
-            "SELECT ALL FROM brep-face-edge-point")
-        decomposer.run_all(plan, units, partitions=4)
-        assert all(unit.cost >= 1 for unit in units)
-        assert all(unit.read_set for unit in units)
-        assert all(unit.result is not None for unit in units)
-
-    def test_invalid_max_workers_rejected(self, handles):
-        decomposer = SemanticDecomposer(handles.db.data)
-        plan, units = decomposer.decompose_select("SELECT ALL FROM brep")
-        with pytest.raises(DecompositionError):
-            decomposer.run_all(plan, units, partitions=2, max_workers=0)
 
 
 class TestDmlDecomposition:

@@ -409,11 +409,39 @@ class TestServingCounters:
         assert report["net_messages"] == manager.stats.messages
 
     def test_parallel_query_inside_session(self, db, manager):
-        with repro.connect(manager) as conn:
-            outcome = conn.session.parallel_query(
-                "SELECT ALL FROM item WHERE grp = 6", processors=3)
-            rows = sorted(m.atom["n"] for m in outcome.result)
-        assert rows == [n for n in range(N_ITEMS) if n % GROUPS == 6]
+        """Beside serving sessions a parallel SELECT holds the engine's
+        reader side across the whole statement: while a writer holds the
+        exclusive side, its root scan does not even start."""
+        query = "SELECT ALL FROM item WHERE grp = 6"
+        held, release = threading.Event(), threading.Event()
+        outcome = {}
+
+        def write() -> None:
+            with manager.engine.writer():
+                held.set()
+                release.wait(timeout=10)
+
+        def parallel_read() -> None:
+            with manager.engine.reader():
+                outcome["molecules"] = db.parallel_select(
+                    query, processors=3).result
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        assert held.wait(timeout=10)
+        scans = db.io_report().get("scans_opened", 0)
+        reader = threading.Thread(target=parallel_read, daemon=True)
+        reader.start()
+        reader.join(timeout=0.2)
+        assert reader.is_alive()
+        assert db.io_report().get("scans_opened", 0) == scans
+        release.set()
+        writer.join(timeout=10)
+        reader.join(timeout=10)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert [m.to_dict() for m in outcome["molecules"]] == \
+            [m.to_dict() for m in db.query(query)]
+        assert len(outcome["molecules"]) == N_ITEMS // GROUPS
 
 
 class TestWorkstationStreaming:

@@ -3,8 +3,8 @@
 Covers the Volcano-style execution path end to end — early termination
 via LIMIT/OFFSET (verified through ``access.counters``), first-molecule
 delivery before the root scan is exhausted, operator-tree explain output
-for every root-access kind, partitioned construction workers in the
-parallel subsystem — plus the tightest-bound regression of ``_range_for``.
+for every root-access kind, the parallel subsystem's construction on
+the operator layer — plus the tightest-bound regression of ``_range_for``.
 """
 
 import pytest
@@ -21,9 +21,8 @@ from repro.data.operators import (
 )
 from repro.errors import ValidationError
 from repro.mql.parser import parse
-from repro.parallel import parallel_select, partition_units
-from repro.parallel.decompose import SemanticDecomposer, UnitOfWork
-from repro.mad.types import Surrogate
+from repro.parallel import parallel_select
+from repro.parallel.decompose import SemanticDecomposer
 
 
 N_PARTS = 40
@@ -328,34 +327,23 @@ class TestRowCounters:
 
 
 # ---------------------------------------------------------------------------
-# partitioned construction workers (repro.parallel on the operator layer)
+# decomposed construction (repro.parallel on the operator layer)
 # ---------------------------------------------------------------------------
 
 class TestPartitionedConstruction:
-    def test_partition_units_round_robin(self):
-        units = [UnitOfWork(index=i, root=Surrogate("t", i))
-                 for i in range(7)]
-        parts = partition_units(units, 3)
-        assert [len(p) for p in parts] == [3, 2, 2]
-        assert sorted(u.index for p in parts for u in p) == list(range(7))
-
-    def test_partition_count_clamped_to_nonempty(self):
-        units = [UnitOfWork(index=0, root=Surrogate("t", 0))]
-        assert len(partition_units(units, 4)) == 1
-
     def test_partitioned_result_equals_serial(self, db):
         serial = db.query("SELECT ALL FROM part WHERE grp = 1")
         outcome = parallel_select(db, "SELECT ALL FROM part WHERE grp = 1",
-                                  processors=4, partitions=3)
+                                  processors=4)
         assert [m.to_dict() for m in outcome.result] == \
             [m.to_dict() for m in serial]
 
     def test_order_and_window_equal_serial(self, db):
         """The parallel path applies Sort/Offset/Limit like the serial
-        pipeline above the construction workers."""
+        pipeline above the decomposed units."""
         mql = "SELECT ALL FROM part ORDER BY n DESC LIMIT 4 OFFSET 2"
         serial = db.query(mql)
-        outcome = parallel_select(db, mql, processors=4, partitions=3)
+        outcome = parallel_select(db, mql, processors=4)
         assert [m.to_dict() for m in outcome.result] == \
             [m.to_dict() for m in serial]
         assert len(outcome.result) == 4
