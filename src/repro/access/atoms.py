@@ -24,6 +24,14 @@ fixes its page and counts as ``atoms_read``; only misses count as
 shared immutable leaves).  The memo holds at most the buffer's
 ``capacity_bytes`` of record bytes, is cleared wholesale when a miss would
 exceed that, and is never pickled.
+
+A miss also **interns** the record's surrogates into a pool owned by the
+memo (:func:`~repro.access.encoding.decode_atom` with a pool): the edge a
+face's ``border`` lists and that edge's own ``edge_id`` are then one
+object, and so is every copy handed out.  A molecule set thus carries one
+``Surrogate`` per logical address — equality checks short-cut on
+identity, and pickling a wire reply writes each surrogate once per frame.
+The pool is cleared with the memo and, like it, never pickled.
 """
 
 from __future__ import annotations
@@ -95,10 +103,12 @@ class AtomManager:
     versions: AtomVersionStore | None = None
 
     #: Decoded-record memo: record bytes -> (values, per-attribute copiers
-    #: of its nested values), and the record bytes it holds.  Created on
-    #: first use and never pickled (see :meth:`decode`).
+    #: of its nested values), the record bytes it holds, and the surrogate
+    #: pool its decodes intern into.  Created on first use and never
+    #: pickled (see :meth:`decode`).
     _decoded: dict[bytes, tuple] | None = None
     _decoded_bytes = 0
+    _interned: dict[bytes, Surrogate] | None = None
 
     def __init__(self, storage: StorageSystem, schema: Schema,
                  counters: Counters | None = None) -> None:
@@ -122,6 +132,7 @@ class AtomManager:
         state = dict(self.__dict__)
         state.pop("_decoded", None)
         state.pop("_decoded_bytes", None)
+        state.pop("_interned", None)
         return state
 
     # ----------------------------------------------------------- snapshots --
@@ -612,21 +623,24 @@ class AtomManager:
     def decode(self, payload: bytes) -> dict[str, Any]:
         """Decode a whole-atom record, once per stored image; the caller
         gets its own copy.  Only a miss decodes and counts
-        ``atom_decodes``; a miss that would push the memo past the
-        buffer's capacity clears it first."""
+        ``atom_decodes``, interning its surrogates into the memo's pool;
+        a miss that would push the memo past the buffer's capacity clears
+        the memo and the pool first."""
         memo = self._decoded
         if memo is None:
             memo = self._decoded = {}
+            self._interned = {}
         entry = memo.get(payload)
         if entry is None:
-            values = decode_atom(payload)
-            entry = (values, tuple((name, _copier(value))
-                                   for name, value in values.items()
-                                   if type(value) in _NESTED))
             held = self._decoded_bytes + len(payload)
             if held > self.storage.buffer.capacity_bytes:
                 memo.clear()
+                self._interned = {}
                 held = len(payload)
+            values = decode_atom(payload, self._interned)
+            entry = (values, tuple((name, _copier(value))
+                                   for name, value in values.items()
+                                   if type(value) in _NESTED))
             memo[payload] = entry
             self._decoded_bytes = held
             self.counters.bump("atom_decodes")

@@ -11,6 +11,14 @@ dictionary image::
     per attribute: name (STR), value (tagged)
 
 All integers little-endian; strings UTF-8 with u32 length prefixes.
+INTEGERs are signed 64-bit: a wider value raises :class:`AccessError`
+(``IntegerType.validate`` rejects it before it gets here).
+
+:func:`encoded_size` is the length of :func:`encode_atom`'s output,
+computed by walking the value without building any bytes — billing a
+wire reply sizes every atom it ships, so it must not encode them.
+:func:`decode_atom` optionally *interns* surrogates: given a pool, every
+occurrence of one logical address decodes to the same object.
 """
 
 from __future__ import annotations
@@ -38,6 +46,52 @@ _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
+_U16_MAX = 0xFFFF
+
+
+# Out-of-range values raise AccessError, never struct.error.  The write
+# path finds them by catching the packing error (a ``try`` costs nothing
+# until it fires; a check per value would cost a fifth of an encode);
+# ``encoded_size`` finds the same ones by checking.
+
+def _not_i64(what: str, number: Any) -> AccessError:
+    return AccessError(f"{what} {number!r} is not a signed 64-bit integer")
+
+
+def _not_utf8(text: str) -> AccessError:
+    return AccessError(f"string {text!r} is not encodable as UTF-8")
+
+
+def _too_many_attributes(values: dict[str, Any]) -> AccessError:
+    return AccessError(f"an atom holds at most {_U16_MAX} attributes, "
+                       f"got {len(values)}")
+
+
+def _utf8(text: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _not_utf8(text) from None
+
+
+def _surrogate_name(value: Surrogate) -> bytes:
+    """The UTF-8 type name of a surrogate, after checking that the
+    surrogate fits its encoding (u16 name length, i64 number)."""
+    name = value.atom_type
+    if not isinstance(name, str):
+        raise AccessError(f"surrogate type name {name!r} is not a string")
+    raw = _utf8(name)
+    if len(raw) > _U16_MAX:
+        raise AccessError(f"surrogate type name of {len(raw)} bytes is "
+                          f"longer than {_U16_MAX}")
+    try:
+        _I64.pack(value.number)
+    except struct.error:
+        raise _not_i64("surrogate number", value.number) from None
+    return raw
+
 
 def _encode_value(value: Any, out: bytearray) -> None:
     if value is None:
@@ -45,13 +99,20 @@ def _encode_value(value: Any, out: bytearray) -> None:
     elif isinstance(value, bool):
         out.append(_TAG_BOOL_TRUE if value else _TAG_BOOL_FALSE)
     elif isinstance(value, int):
+        try:
+            packed = _I64.pack(value)
+        except struct.error:
+            raise _not_i64("INTEGER value", value) from None
         out.append(_TAG_INT)
-        out += _I64.pack(value)
+        out += packed
     elif isinstance(value, float):
         out.append(_TAG_FLOAT)
         out += _F64.pack(value)
     elif isinstance(value, str):
-        raw = value.encode("utf-8")
+        try:
+            raw = value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _not_utf8(value) from None
         out.append(_TAG_STR)
         out += _U32.pack(len(raw))
         out += raw
@@ -60,7 +121,7 @@ def _encode_value(value: Any, out: bytearray) -> None:
         out += _U32.pack(len(value))
         out += bytes(value)
     elif isinstance(value, Surrogate):
-        raw = value.atom_type.encode("utf-8")
+        raw = _surrogate_name(value)
         out.append(_TAG_SURROGATE)
         out += _U16.pack(len(raw))
         out += raw
@@ -83,7 +144,47 @@ def _encode_value(value: Any, out: bytearray) -> None:
                           f"is not encodable")
 
 
-def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
+def _value_size(value: Any) -> int:
+    """``_encode_value``'s output length, branch for branch, raising
+    where it raises."""
+    if type(value) is Surrogate:
+        # The common leaf first (reference sets are lists of these).
+        name, number = value.atom_type, value.number
+        if (type(name) is str and name.isascii() and len(name) <= _U16_MAX
+                and type(number) is int and _I64_MIN <= number <= _I64_MAX):
+            return 11 + len(name)
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        if not _I64_MIN <= value <= _I64_MAX:
+            raise _not_i64("INTEGER value", value)
+        return 9
+    if isinstance(value, float):
+        return 9
+    if isinstance(value, str):
+        return 5 + (len(value) if value.isascii() else len(_utf8(value)))
+    if isinstance(value, (bytes, bytearray)):
+        return 5 + len(value)
+    if isinstance(value, Surrogate):
+        return 11 + len(_surrogate_name(value))
+    if isinstance(value, (list, tuple)):
+        size = 5
+        for item in value:
+            size += _value_size(item)
+        return size
+    if isinstance(value, dict):
+        size = 5
+        for key in value:
+            if not isinstance(key, str):
+                raise AccessError(f"record field name must be str, got {key!r}")
+            size += _value_size(key) + _value_size(value[key])
+        return size
+    raise AccessError(f"value {value!r} of type {type(value).__name__} "
+                      f"is not encodable")
+
+
+def _decode_value(data: bytes, pos: int,
+                  pool: dict[bytes, Surrogate]) -> tuple[Any, int]:
     tag = data[pos]
     pos += 1
     if tag == _TAG_NULL:
@@ -105,18 +206,22 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
         pos += 4
         return bytes(data[pos:pos + length]), pos + length
     if tag == _TAG_SURROGATE:
-        name_len = _U16.unpack_from(data, pos)[0]
-        pos += 2
-        atom_type = data[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        number = _I64.unpack_from(data, pos)[0]
-        return Surrogate(atom_type, number), pos + 8
+        # The encoded surrogate (name length, name, number) is the
+        # pool's key: a hit skips decoding the name and the dataclass.
+        end = pos + 10 + _U16.unpack_from(data, pos)[0]
+        key = data[pos:end]
+        surrogate = pool.get(key)
+        if surrogate is None:
+            surrogate = pool[key] = Surrogate(
+                data[pos + 2:end - 8].decode("utf-8"),
+                _I64.unpack_from(data, end - 8)[0])
+        return surrogate, end
     if tag == _TAG_LIST:
         count = _U32.unpack_from(data, pos)[0]
         pos += 4
         items = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos)
+            item, pos = _decode_value(data, pos, pool)
             items.append(item)
         return items, pos
     if tag == _TAG_DICT:
@@ -124,8 +229,8 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
         pos += 4
         record: dict[str, Any] = {}
         for _ in range(count):
-            key, pos = _decode_value(data, pos)
-            value, pos = _decode_value(data, pos)
+            key, pos = _decode_value(data, pos, pool)
+            value, pos = _decode_value(data, pos, pool)
             record[key] = value
         return record, pos
     raise AccessError(f"corrupt record: unknown value tag {tag} at byte {pos - 1}")
@@ -133,25 +238,36 @@ def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
 
 def encode_atom(values: dict[str, Any]) -> bytes:
     """Encode an attribute-value dict into a physical-record byte string."""
+    try:
+        count = _U16.pack(len(values))
+    except struct.error:
+        raise _too_many_attributes(values) from None
     out = bytearray()
     out.append(_TAG_ATOM)
-    out += _U16.pack(len(values))
+    out += count
     for name, value in values.items():
         _encode_value(name, out)
         _encode_value(value, out)
     return bytes(out)
 
 
-def decode_atom(data: bytes) -> dict[str, Any]:
-    """Decode a physical record back into an attribute-value dict."""
+def decode_atom(data: bytes,
+                pool: dict[bytes, Surrogate] | None = None) -> dict[str, Any]:
+    """Decode a physical record back into an attribute-value dict.
+
+    Equal surrogates decode to one object: within the record, and across
+    every record decoded with the same ``pool`` (a caller-owned dict the
+    decoder fills)."""
     if not data or data[0] != _TAG_ATOM:
         raise AccessError("corrupt record: missing atom tag")
+    if pool is None:
+        pool = {}
     count = _U16.unpack_from(data, 1)[0]
     pos = 3
     values: dict[str, Any] = {}
     for _ in range(count):
-        name, pos = _decode_value(data, pos)
-        value, pos = _decode_value(data, pos)
+        name, pos = _decode_value(data, pos, pool)
+        value, pos = _decode_value(data, pos, pool)
         values[name] = value
     if pos != len(data):
         raise AccessError(
@@ -161,5 +277,11 @@ def decode_atom(data: bytes) -> dict[str, Any]:
 
 
 def encoded_size(values: dict[str, Any]) -> int:
-    """Size in bytes of the encoded form of ``values``."""
-    return len(encode_atom(values))
+    """``len(encode_atom(values))``, computed without encoding; raises
+    :class:`AccessError` exactly where :func:`encode_atom` does."""
+    if len(values) > _U16_MAX:
+        raise _too_many_attributes(values)
+    size = 3
+    for name, value in values.items():
+        size += _value_size(name) + _value_size(value)
+    return size

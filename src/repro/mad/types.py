@@ -125,6 +125,9 @@ class ReferenceType(AttrType):
 
 
 class IntegerType(AttrType):
+    """INTEGER: a signed 64-bit integer (the width of its record
+    encoding)."""
+
     name = "INTEGER"
 
     def validate(self, value: Any, context: str = "") -> Any:
@@ -132,6 +135,8 @@ class IntegerType(AttrType):
             return None
         if isinstance(value, bool) or not isinstance(value, int):
             _fail(context, "INTEGER", value)
+        if not -(1 << 63) <= value < (1 << 63):
+            _fail(context, "INTEGER (signed 64-bit)", value)
         return value
 
 

@@ -18,7 +18,11 @@ Two independent byte notions live here:
   This is what ``io_report``'s ``net_messages`` / ``net_bytes`` /
   ``net_comm_time_ms`` bill, and because the model sits in the codec it
   bills **identically on every transport** — an in-process OPEN and a
-  daemon-socket OPEN account the same bytes.
+  daemon-socket OPEN account the same bytes.  A molecule batch bills
+  the record encoding of every atom *occurrence* (shared subobjects
+  count each time they ship), but :func:`batch_bytes` computes it per
+  *distinct* atom and never encodes anything:
+  :func:`~repro.access.encoding.encoded_size` is arithmetic.
 * :func:`encode` / :func:`decode` + the length-prefixed framing
   (:func:`pack_frame`, the sync :func:`send_message` /
   :func:`recv_message` and the async helpers in
@@ -47,7 +51,7 @@ from repro.mad.molecule import Molecule
 from repro.mad.types import Surrogate
 
 import repro.errors as _errors
-from repro.errors import ProtocolError, SessionError
+from repro.errors import ProtocolError, SchemaError, SessionError
 
 # ---------------------------------------------------------------------------
 # Modelled message sizes (bytes) — the cost-model constants of the
@@ -80,11 +84,36 @@ _LENGTH = struct.Struct(">I")
 
 
 def batch_bytes(batch: list[Molecule]) -> int:
-    """Modelled wire size of one response batch: encoded atoms + header."""
+    """Modelled wire size of one response batch: header plus the encoded
+    size of every atom *occurrence* — an atom shared by several molecules
+    (or reached over several paths) is billed each time it ships.
+
+    Each distinct atom is sized once: occurrences are keyed by their
+    surrogate, and a size is reused only for a dict ``==`` to the one
+    that was sized (a qualified projection can give one surrogate
+    different dicts in one batch).  The surrogate fixes the atom type,
+    hence every attribute's type, so ``==`` dicts encode alike.  Atoms
+    without a surrogate are sized afresh.  Nothing is encoded."""
     total = BATCH_HEADER_BYTES
-    for molecule in batch:
-        for _label, atom in molecule.atoms():
-            total += encoded_size(atom)
+    sized: dict[Surrogate, tuple[dict[str, Any], int]] = {}
+    pending = list(batch)
+    while pending:
+        molecule = pending.pop()
+        atom = molecule.atom
+        try:
+            key = molecule.surrogate
+        except SchemaError:          # a hand-built atom without identifier
+            key = None
+        known = sized.get(key)
+        if known is not None and (known[0] is atom or known[0] == atom):
+            total += known[1]
+        else:
+            size = encoded_size(atom)
+            if key is not None and known is None:
+                sized[key] = (atom, size)
+            total += size
+        for components in molecule.components.values():
+            pending.extend(components)
     return total
 
 

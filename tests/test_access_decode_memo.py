@@ -19,7 +19,9 @@ from repro import Prima
 from repro.access.address import BASE_STRUCTURE
 from repro.access.encoding import decode_atom, encode_atom
 from repro.errors import AtomNotFoundError
+from repro.mad.types import Surrogate
 from repro.persistence import load, save
+from repro.serve import PrimaDaemon, SessionManager
 from repro.workloads import brep
 
 BREP_SCAN = "SELECT ALL FROM brep-face-edge-point"
@@ -284,6 +286,50 @@ class TestAtomDecodes:
         assert order.read(edge)["boundary"] == db.get_atom(edge)["boundary"]
 
 
+def surrogates_of(molecules) -> list[Surrogate]:
+    """Every surrogate occurrence in a result's atoms, references
+    included."""
+    found = []
+    for molecule in molecules:
+        for _label, atom in molecule.atoms():
+            for value in atom.values():
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, Surrogate):
+                        found.append(item)
+    return found
+
+
+class TestInternedSurrogates:
+    def test_one_object_per_logical_address_in_a_result(self):
+        db, _handles = brep_db(n_solids=3)
+        found = surrogates_of(db.query(BREP_SCAN).materialize())
+        assert len(found) > len(set(found))         # atoms share addresses
+        assert len({id(s) for s in found}) == len(set(found))
+
+    def test_a_daemon_round_trip_keeps_them_shared(self):
+        db, _handles = brep_db(n_solids=3)
+        with PrimaDaemon(SessionManager(db)) as daemon, \
+                daemon.connect() as conn:
+            molecules = conn.query(BREP_SCAN, fetch_size=None).materialize()
+        found = surrogates_of(molecules)
+        assert len(found) > len(set(found))
+        assert len({id(s) for s in found}) == len(set(found))
+
+    def test_a_memo_overflow_clears_the_pool(self):
+        db = Prima(buffer_capacity=8192)
+        db.execute(NODE_DDL)
+        atoms = db.access.atoms
+        nodes = [atoms.insert("node", {"label": f"{i:0100d}"})
+                 for i in range(200)]
+        early = atoms.get(nodes[0])["node_id"]
+        assert dict(atoms.atoms_of_type("node")).keys() == set(nodes)
+        # The scan overflowed the 8 KiB budget: the pool holds only what
+        # the records decoded since the last clear hold.
+        assert len(atoms._interned) <= len(atoms._decoded) < len(nodes)
+        again = atoms.get(nodes[0])["node_id"]
+        assert again == early and again is not early
+
+
 class TestCheckpointsNeverCarryTheMemo:
     def _db(self) -> Prima:
         db = Prima()
@@ -306,6 +352,24 @@ class TestCheckpointsNeverCarryTheMemo:
         assert (tmp_path / "warm.prima").read_bytes() == \
             (tmp_path / "cold.prima").read_bytes()
         assert b"_decoded" not in pickle.dumps(db.access.atoms)
+        assert b"_interned" not in pickle.dumps(db.access.atoms)
+
+    def test_a_warmed_brep_saves_the_same_bytes(self, tmp_path):
+        """Reads intern the surrogates of records that reference each
+        other; none of that reaches a checkpoint.  (Reads also move the
+        buffer's replacement order, so the cold image is the same engine
+        with its memo and pool dropped.)"""
+        db, _handles = brep_db()
+        db.query(BREP_SCAN).materialize()
+        atoms = db.access.atoms
+        assert atoms._interned
+        db.reset_accounting()
+        save(db, tmp_path / "warm.prima")
+        for name in ("_decoded", "_decoded_bytes", "_interned"):
+            vars(atoms).pop(name)
+        save(db, tmp_path / "cold.prima")
+        assert (tmp_path / "warm.prima").read_bytes() == \
+            (tmp_path / "cold.prima").read_bytes()
 
     def test_a_round_trip_reads_correctly(self, tmp_path):
         db = self._db()

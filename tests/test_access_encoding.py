@@ -1,6 +1,7 @@
 """Unit tests: binary record encoding."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.access.encoding import decode_atom, encode_atom, encoded_size
 from repro.errors import AccessError
@@ -79,3 +80,73 @@ class TestSize:
         full = {"a": 1, "big": "x" * 500, "more": list(range(50))}
         part = {"a": 1}
         assert encoded_size(part) < encoded_size(full) / 10
+
+    def test_edge_integers_fit(self):
+        for number in (2 ** 63 - 1, -(2 ** 63)):
+            values = {"n": number, "ref": Surrogate("t", number)}
+            assert decode_atom(encode_atom(values)) == values
+            assert encoded_size(values) == len(encode_atom(values))
+
+    @pytest.mark.parametrize("values", [
+        {"n": 2 ** 63}, {"n": -(2 ** 63) - 1}, {"n": [1, 2 ** 64]},
+        {"ref": Surrogate("t", 2 ** 63)}, {"ref": Surrogate("t", 1.5)},
+        {"ref": Surrogate("t" * 65536, 1)}, {"s": "\ud800"},
+    ], ids=["int", "negative", "nested", "surrogate", "non-int",
+            "long-name", "lone-surrogate"])
+    def test_out_of_range_raises_access_error_in_both(self, values):
+        with pytest.raises(AccessError):
+            encode_atom(values)
+        with pytest.raises(AccessError):
+            encoded_size(values)
+
+
+_I64_EDGES = [2 ** 63 - 1, -(2 ** 63), 2 ** 63, -(2 ** 63) - 1, 2 ** 64]
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 64), max_value=2 ** 64),
+    st.sampled_from(_I64_EDGES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.sampled_from(["héllo", "Ω", "線", "\U0001f600", "\ud800"]),
+    st.binary(max_size=16),
+    st.binary(max_size=16).map(bytearray),
+    st.builds(Surrogate, st.one_of(st.text(max_size=6),
+                                   st.sampled_from(["pöint", "面", "\ud800"])),
+              st.one_of(st.integers(min_value=-(2 ** 64),
+                                    max_value=2 ** 64),
+                        st.sampled_from(_I64_EDGES), st.floats())),
+    st.builds(object),
+    st.frozensets(st.integers(), max_size=2),
+    st.complex_numbers(allow_nan=False),
+)
+_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(),
+                                  st.none()),
+                        children, max_size=3),
+    ),
+    max_leaves=16,
+)
+# encode_atom itself accepts any encodable name at the top level.
+_atoms = st.dictionaries(st.one_of(st.text(max_size=8), st.integers()),
+                         _values, max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_atoms)
+def test_encoded_size_is_the_encoded_length(values):
+    """``encoded_size`` agrees with ``len(encode_atom(...))`` on every
+    atom, or both raise AccessError (never ``struct.error``)."""
+    try:
+        expected = len(encode_atom(values))
+    except AccessError:
+        with pytest.raises(AccessError):
+            encoded_size(values)
+    else:
+        assert encoded_size(values) == expected

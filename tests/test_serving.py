@@ -2,18 +2,22 @@
 
 import contextlib
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import repro
 from repro import Prima
+from repro.access.encoding import encode_atom
 from repro.coupling import PrimaServer, Workstation
 from repro.errors import (
+    AccessError,
     CursorStateError,
     LockConflictError,
     SessionLimitError,
     SessionStateError,
+    TypeMismatchError,
 )
 from repro.serve import PrimaDaemon, SessionManager, protocol
 from repro.workloads import brep
@@ -499,3 +503,98 @@ class TestWorkstationStreaming:
         # next interaction reconnects transparently
         station.checkout("SELECT ALL FROM solid WHERE sub = EMPTY")
         assert server.sessions.active_sessions == 1
+
+
+BREP_FULL = "SELECT ALL FROM brep-face-edge-point"
+#: The root edge comes back whole and, under each of its points, again
+#: as ``edge_2`` projected to two attributes: one surrogate, two dicts.
+BREP_PROJECTED = ("SELECT (edge, point, edge_2 := SELECT edge_id, length "
+                  "FROM edge_2) FROM edge-point-edge")
+
+
+def occurrence_bytes(molecules) -> int:
+    """Every atom occurrence of a result, encoded and counted."""
+    return sum(len(encode_atom(atom)) for molecule in molecules
+               for _label, atom in molecule.atoms())
+
+
+def drain_notifications(connection, timeout: float = 5.0) -> list:
+    deadline = time.monotonic() + timeout
+    frames: list = []
+    while not frames and time.monotonic() < deadline:
+        frames.extend(connection.notifications(timeout=0.1))
+    return frames
+
+
+class TestBillingParity:
+    """``net_bytes`` bills one encoded atom per occurrence, shared atoms
+    included, on every transport."""
+
+    @pytest.fixture(params=["local", "daemon"])
+    def brep_conn(self, request):
+        database = Prima()
+        handles = brep.generate(database, n_solids=3)
+        with contextlib.ExitStack() as stack:
+            target = database if request.param == "local" else \
+                stack.enter_context(PrimaDaemon(SessionManager(database)))
+            yield handles, stack.enter_context(repro.connect(target))
+
+    @pytest.mark.parametrize("mql", [BREP_FULL, BREP_PROJECTED],
+                             ids=["full", "projected"])
+    def test_open_bills_every_occurrence(self, brep_conn, mql):
+        handles, conn = brep_conn
+        before = handles.db.io_report()["net_bytes"]
+        molecules = conn.query(mql, fetch_size=None).materialize()
+        billed = handles.db.io_report()["net_bytes"] - before
+        assert billed == (len(mql.encode("utf-8"))
+                          + protocol.BATCH_HEADER_BYTES
+                          + occurrence_bytes(molecules))
+
+    def test_projection_gives_one_surrogate_two_dicts(self, brep_conn):
+        _handles, conn = brep_conn
+        shapes: dict = {}
+        for molecule in conn.query(BREP_PROJECTED,
+                                   fetch_size=None).materialize():
+            for _label, atom in molecule.atoms():
+                if "edge_id" in atom:
+                    shapes.setdefault(atom["edge_id"], set()) \
+                        .add(frozenset(atom))
+        assert any(len(kinds) == 2 for kinds in shapes.values())
+
+    def test_requery_notify_bills_every_occurrence(self, brep_conn):
+        handles, conn = brep_conn
+        conn.subscribe(BREP_FULL, deliver="requery")
+        before = handles.db.io_report()["net_bytes"]
+        point = handles.points[0]
+        placement = handles.db.get_atom(point)["placement"]
+        placement["x_coord"] += 1.0
+        handles.db.modify_atom(point, {"placement": placement})
+        frames = drain_notifications(conn)
+        assert frames and all(frame.molecules for frame in frames)
+        billed = handles.db.io_report()["net_bytes"] - before
+        assert billed == sum(2 * protocol.BATCH_HEADER_BYTES
+                             + occurrence_bytes(frame.molecules)
+                             for frame in frames)
+
+
+class TestOutOfRangeInteger:
+    """An INTEGER outside signed 64-bit is a typed error on every path,
+    never a raw ``struct.error``."""
+
+    INSERT = "INSERT item (n = 99999999999999999999, grp = 0)"
+
+    def test_embedded(self, db):
+        with pytest.raises(TypeMismatchError):
+            db.insert_atom("item", {"n": 2 ** 64, "grp": 0})
+        with pytest.raises(TypeMismatchError):
+            db.execute(self.INSERT)
+
+    def test_connection(self, conn):
+        with pytest.raises(TypeMismatchError):
+            conn.execute(self.INSERT)
+        # The binding cannot even be billed: the wire encodes INTEGERs
+        # in 64 bits.
+        lookup = conn.prepare("SELECT ALL FROM item WHERE n = ?")
+        with pytest.raises(AccessError):
+            lookup.execute(2 ** 64)
+        assert len(lookup.execute(3).materialize()) == 1
