@@ -1,8 +1,8 @@
 """Shared plumbing of the B-series benches.
 
-Every ``bench_b*`` used to hand-roll the same three steps: the
-reset-run-snapshot counter dance, the ``REGRESSIONS:`` trailer, and the
-``emit_json`` call.  This module owns them once — and
+Every ``bench_b*`` used to hand-roll the same steps: the client
+threads, the ``REGRESSIONS:`` trailer, and the ``emit_json`` call.
+This module owns them once — and
 :func:`emit_bench` additionally embeds a ``metrics_report()`` snapshot
 (counters + gauges + histograms, see :mod:`repro.obs`) in every bench
 JSON, so the CI artifacts carry the latency/batch-size distributions of
@@ -30,15 +30,6 @@ def run_clients(manager: Any, jobs: Sequence[Callable[[Any], Any]],
 
     with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(client, jobs, names or [None] * len(jobs)))
-
-
-def counter_snapshot(db: Any, fn: Callable[[], Any]) -> tuple[Any, dict]:
-    """Run ``fn`` against freshly-zeroed accounting; returns
-    ``(fn's result, io_report())`` — the counters describe exactly that
-    one run."""
-    db.reset_accounting()
-    result = fn()
-    return result, db.io_report()
 
 
 def print_regressions(regressions: Iterable[str]) -> None:

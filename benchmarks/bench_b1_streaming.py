@@ -16,13 +16,8 @@ from __future__ import annotations
 
 import time
 
-from _util import counter_snapshot, emit_bench
-from common import (
-    brep_database,
-    operator_timings,
-    print_header,
-    print_table,
-)
+from _util import emit_bench
+from common import brep_database, print_header, print_table
 
 QUERY = "SELECT ALL FROM brep-face-edge-point"
 
@@ -90,11 +85,7 @@ def report(n_solids: int = 24) -> None:
     counter_rows = limit_counters(n_solids)
     print_table(["query", "atoms read", "molecules built", "roots pulled"],
                 counter_rows)
-    # A dedicated drain for the per-operator times, so the emitted
-    # timings describe exactly one known run of QUERY.
     db = brep_database(n_solids).db
-    _, drained_report = counter_snapshot(
-        db, lambda: db.query(QUERY).materialize())
     emit_bench("bench_b1_streaming", {
         "bench": "b1_streaming",
         "query": QUERY,
@@ -108,7 +99,6 @@ def report(n_solids: int = 24) -> None:
              "molecules_built": row[2], "roots_pulled": row[3]}
             for row in counter_rows
         ],
-        "operator_time_ms_full_result": operator_timings(drained_report),
     }, db=db)
 
 

@@ -13,8 +13,8 @@ short after ~k roots.  This bench measures both effects over a flat
   plan compiled with ``use_topk=False``), unordered input;
 * the same comparison with a prefix-matching sort order, where TopK's
   sargable early exit stops construction itself;
-* heap high-water mark and per-operator times, straight from the
-  operator probes and the ``operator_time:*`` counters.
+* heap high-water mark and molecules constructed, straight from the
+  operator probes and the ``operator_rows:*`` counters.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 
 from _util import emit_bench
-from common import operator_timings, print_header, print_table
+from common import print_header, print_table
 
 from repro import Prima
 from repro.data.operators import TopK
@@ -92,7 +92,6 @@ def run_pipeline(db: Prima, mql: str, use_topk: bool,
         # constructed (bounds_pushed).
         "cut_short": topk.cut_short if topk is not None else False,
         "bounds_pushed": topk.bounds_pushed if topk is not None else 0,
-        "operator_time_ms": operator_timings(report),
     }
 
 

@@ -16,8 +16,8 @@ flat 10k-molecule atom type:
 * ``ORDER BY grp DESC, n LIMIT k`` prefix-served by a reverse (grp)
   scan with the dynamic bound pushdown, vs. the same plan with the
   bound disconnected (``push_bound=False``) and vs. the full sort;
-* index entries walked, molecules constructed, heap high-water mark and
-  per-operator times, straight from the operator probes and counters.
+* index entries walked, molecules constructed and heap high-water mark,
+  straight from the operator probes and counters.
 
 Structural properties (construction/walk counts) are asserted hard —
 they are deterministic.  Wall-time comparisons are emitted as
@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 
 from _util import emit_bench
-from common import operator_timings, print_header, print_table
+from common import print_header, print_table
 
 from repro import Prima
 from repro.data.operators import TopK
@@ -98,7 +98,6 @@ def run_pipeline(db: Prima, mql: str, label: str, use_topk: bool = True,
         "entries_walked": report.get("sort_scan_entries_walked", 0),
         "heap_max": topk.max_heap_size if topk is not None else None,
         "bounds_pushed": topk.bounds_pushed if topk is not None else 0,
-        "operator_time_ms": operator_timings(report),
     }
 
 

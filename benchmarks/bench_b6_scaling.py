@@ -1,21 +1,19 @@
-"""B6 — snapshot reads: lock-free reader scaling.
+"""B6 — snapshot reads: lock-free reads and the multi-session sweep.
 
-PR 6 retired the session-wide ``engine_lock``: read pipelines pin a
-copy-on-write snapshot epoch (:mod:`repro.access.snapshots`) instead of
-taking type-level S locks, and the serving layer serialises only writers
-behind the narrow :class:`~repro.util.rwlock.ReadWriteLock`.
+Read pipelines pin a copy-on-write snapshot epoch
+(:mod:`repro.access.snapshots`) instead of taking type-level S locks;
+each message runs under the serving layer's one engine mutex, so
+sessions interleave message by message.
 
 On a single-core CI box wall-clock scaling is noise, so the gates are
-**structural** (hard assertions + regression markers) and the timings
-ride along as data:
+**structural** (hard assertions + regression markers) and the rows/s of
+the 1/2/4/8-session sweep ride along as data:
 
 * snapshot reads acquire **zero** type-level S locks (the lock table
   counts grants per mode);
 * readers make progress while a peer session *retains* a type-level X
   (Moss inheritance keeps the lock until session close — under PR 5
   semantics every such read deadlocked or raised);
-* the engine lock's reader side genuinely overlaps
-  (``max_concurrent_readers`` across a session fan-out);
 * a cursor pinned before a write never sees it (isolation under churn).
 
 Comparative misses land in the JSON ``regressions`` list, which CI's
@@ -24,7 +22,6 @@ bench-smoke job fails on (``benchmarks/check_regressions.py``).
 
 from __future__ import annotations
 
-import threading
 import time
 
 from _util import emit_bench, run_clients
@@ -90,38 +87,8 @@ def read_scaling(db: Prima, regressions: list[str]) -> dict[str, object]:
             "elapsed_s": round(elapsed, 4),
             "rows_per_s": round(sessions * rows_expected / elapsed, 1),
             "s_lock_grants": s_grants,
-            "peak_concurrent_readers":
-                manager.engine.max_concurrent_readers,
         })
     return {"sweep": sweep}
-
-
-def reader_overlap(db: Prima, regressions: list[str]) -> dict[str, object]:
-    """Structural proof that the reader side is shared: a fan-out of
-    threads meets inside the engine lock (impossible under PR 5's
-    engine RLock, where ``max_concurrent_readers`` could never pass 1).
-    """
-    manager = SessionManager(db, max_sessions=4, admission="queue")
-    fanout = 4
-    barrier = threading.Barrier(fanout, timeout=30)
-
-    def read() -> None:
-        with manager.engine.reader():
-            barrier.wait()
-
-    threads = [threading.Thread(target=read, daemon=True)
-               for _ in range(fanout)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    peak = manager.engine.max_concurrent_readers
-    if peak < 2:
-        regressions.append(
-            f"engine lock reader side never overlapped (peak {peak})"
-        )
-    assert peak >= 2, "readers serialised inside the engine lock"
-    return {"fanout": fanout, "peak_concurrent_readers": peak}
 
 
 def reads_under_retained_x(db: Prima,
@@ -183,7 +150,7 @@ def isolation_under_churn(db: Prima,
 
 def main() -> None:
     print_header(
-        "B6 — snapshot reads / reader scaling",
+        "B6 — snapshot reads / session sweep",
         f"{N_ITEMS} molecules; sessions sweep {SESSION_SWEEP}; "
         f"fetch_size={FETCH_SIZE}",
     )
@@ -191,19 +158,16 @@ def main() -> None:
     db = build_database()
 
     scaling = read_scaling(db, regressions)
-    overlap = reader_overlap(db, regressions)
     retained = reads_under_retained_x(db, regressions)
     isolation = isolation_under_churn(db, regressions)
 
     print_table(
-        ["sessions", "rows/s", "elapsed s", "S grants", "peak readers"],
+        ["sessions", "rows/s", "elapsed s", "S grants"],
         [[row["sessions"], row["rows_per_s"], row["elapsed_s"],
-          row["s_lock_grants"], row["peak_concurrent_readers"]]
+          row["s_lock_grants"]]
          for row in scaling["sweep"]],
     )
-    print(f"\nreader overlap: peak {overlap['peak_concurrent_readers']} "
-          f"concurrent readers (fanout {overlap['fanout']})")
-    print(f"reads under retained X: {retained['rows_per_reader']}")
+    print(f"\nreads under retained X: {retained['rows_per_reader']}")
     print(f"isolation: {isolation['epoch_rows']} epoch rows across "
           f"{isolation['commits_during_stream']} concurrent commits "
           f"(fresh cursor: {isolation['fresh_cursor_rows']})")
@@ -212,7 +176,6 @@ def main() -> None:
         "session_sweep": list(SESSION_SWEEP),
         "fetch_size": FETCH_SIZE,
         "read_scaling": scaling,
-        "reader_overlap": overlap,
         "reads_under_retained_x": retained,
         "isolation_under_churn": isolation,
     }, db=db, regressions=regressions)

@@ -59,15 +59,6 @@ def emit_json(name: str, payload: dict[str, Any]) -> str:
     return path
 
 
-def operator_timings(report: dict[str, Any]) -> dict[str, float]:
-    """The ``operator_time:*`` counters of an ``io_report()``, in ms."""
-    return {
-        name.split(":", 1)[1]: round(value * 1000.0, 3)
-        for name, value in report.items()
-        if name.startswith("operator_time:")
-    }
-
-
 def print_header(title: str, subtitle: str = "") -> None:
     print()
     print("=" * 72)

@@ -68,8 +68,8 @@ class AtomVersionStore:
         #: ``callback(epoch, frozenset(touched_types))`` hooks invoked
         #: after each publish, *outside* the store mutex.  Callbacks run
         #: on the committing thread (which typically still holds the
-        #: engine write lock) and therefore must never acquire engine
-        #: locks themselves — cheap bookkeeping and queue handoffs only.
+        #: engine mutex), so they do cheap bookkeeping and queue
+        #: handoffs only — never engine work.
         self._listeners: list[Any] = []
 
     # The store rides inside the (picklable) AtomManager; only the

@@ -34,14 +34,11 @@ Project              applies (qualified) projections to delivered molecules
 
 Every operator counts the rows it emits (``rows_out`` and the access
 counters ``operator_rows:<Name>``) and the cumulative wall-time of its
-``next()`` calls (``time_total``; the access counters
-``operator_time:<Name>`` carry the *self* time, children's time already
-subtracted), which benchmark reports use as per-operator cost/row/time
-accounting.  The observability layer (:mod:`repro.obs`) subsumes these
-measurements per query: a drained pipeline converts into a span tree
-(:meth:`Operator.span`), which ``explain(analyze=True)``, the TRACE
-wire message, and the slow log all render — same numbers, rooted under
-the query instead of summed into the global counter bag.
+``next()`` calls (``time_total``).  The observability layer
+(:mod:`repro.obs`) reports those times per query: a drained pipeline
+converts into a span tree (:meth:`Operator.span`) whose self-times
+``explain(analyze=True)``, the TRACE wire message, and the slow log
+all render.
 """
 
 from __future__ import annotations
@@ -85,7 +82,6 @@ class Operator:
         self._counters = None
         self._close_hooks: list[Callable[["Operator"], None]] = []
         self._rows_key = f"operator_rows:{self.name}"
-        self._time_key = f"operator_time:{self.name}"
 
     def bind_counters(self, counters) -> None:
         """Attach the access-system counters down the whole tree."""
@@ -103,28 +99,20 @@ class Operator:
         """Deliver the next row (None at end of the stream or after
         ``close()`` — a closed operator never reopens).
 
-        Every call is timed with :func:`time.perf_counter`; the counter
-        ``operator_time:<Name>`` accumulates the call's *self* time (the
-        time the children spent inside this call already subtracted), so
-        the per-operator times of one pipeline add up to its wall-time.
+        Every call is timed with :func:`time.perf_counter` into
+        ``time_total`` (children included; :attr:`self_time` subtracts
+        them).
         """
         if self._closed:
             return None
         started = time.perf_counter()
-        children_before = sum(c.time_total for c in self.children)
         self.open()
         assert self._iterator is not None
         try:
             row = next(self._iterator)
         except StopIteration:
             row = None
-        elapsed = time.perf_counter() - started
-        self.time_total += elapsed
-        if self._counters is not None:
-            children_elapsed = \
-                sum(c.time_total for c in self.children) - children_before
-            self._counters.bump(self._time_key,
-                                max(elapsed - children_elapsed, 0.0))
+        self.time_total += time.perf_counter() - started
         if row is None:
             return None
         self.rows_out += 1
@@ -275,8 +263,8 @@ class RootScan(Operator):
             else self._data.access.atoms
         # Under a snapshot the walk is materialised at open: a lazy
         # B*-tree walk suspended between fetch batches would race with
-        # writers committing structure rebalances mid-cursor (readers
-        # hold the engine's shared side only per batch).
+        # writers committing structure rebalances mid-cursor (a cursor
+        # holds the engine mutex only per FETCH message).
         lazy = self._snapshot is None
         access = self.root_access
         if access.kind == "key_lookup":

@@ -131,9 +131,8 @@ class Engine:
         given.  With ``analyze=True`` the compiled pipeline is executed
         to exhaustion and the rendered operator tree carries each
         operator's measured row count and self wall-time (the same
-        quantities the ``operator_rows:*`` / ``operator_time:*`` counters
-        accumulate in :meth:`io_report`); a parameterized statement then
-        requires its bindings.
+        quantities :meth:`trace` returns as spans); a parameterized
+        statement then requires its bindings.
         """
         return self.data.prepare(mql).explain(analyze=analyze, args=args,
                                               params=params)

@@ -110,7 +110,7 @@ class LiveQueryHub:
 
     def _on_publish(self, epoch: int, touched: frozenset[str]) -> None:
         # Runs on the committing thread, usually inside the engine
-        # write lock: set lookups + queue handoffs only.
+        # mutex: set lookups + queue handoffs only.
         if self._closed or self.index.empty:
             return
         fired, catalog_changed = self.index.invalidate(
@@ -129,8 +129,8 @@ class LiveQueryHub:
 
     def _requery(self, sub: Subscription) -> list:
         """Re-run the subscription's statement against a fresh snapshot
-        (flush-thread context only — takes the engine read lock)."""
-        with self._manager.engine.reader():
+        (flush-thread or pump context — takes the engine mutex)."""
+        with self._manager.engine:
             result = self._db.data.open_result(sub.prepared, sub.args,
                                                sub.params)
             try:

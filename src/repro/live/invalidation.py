@@ -73,7 +73,7 @@ class InvalidationIndex:
         """Resolve one typed epoch delta.
 
         Returns ``(fired, catalog_changed)``.  Runs on the committing
-        thread (typically still inside the engine write lock): set
+        thread (typically still inside the engine mutex): set
         lookups and counter bumps only, nothing that could block.
         """
         with self._mutex:

@@ -2,7 +2,7 @@
 
 The :class:`Notifier` sits between the invalidation hot path (which
 runs on the **committing** thread, usually still inside the engine
-write lock) and the client-facing sinks (the daemon's bounded asyncio
+mutex) and the client-facing sinks (the daemon's bounded asyncio
 send queues, or a session's in-process notification deque).  Its
 contract:
 
@@ -11,9 +11,10 @@ contract:
   frame build plus one queue handoff, no locks beyond the notifier's
   own, so commit-to-frame latency is a few microseconds.
 * Everything else — throttled fires (coalesced into one pending delta
-  per subscription) and every ``deliver="requery"`` fire (needs the
-  engine read lock, which the committer still holds) — is parked and
-  flushed by a background thread, or synchronously via :meth:`pump`.
+  per subscription) and every ``deliver="requery"`` fire (re-runs the
+  statement, which belongs after the commit, not inside it) — is
+  parked and flushed by a background thread, or synchronously via
+  :meth:`pump`.
 * Delivery observes ``notify_latency_ms`` (commit publish → sink
   handoff) on the owning session's registry, opens a ``notify`` span
   when tracing is on, and bills the frame through the session so the
@@ -48,8 +49,8 @@ class Notifier:
         #: (manager-clock units).  ``0``: every fire ships at once.
         self.notify_interval = notify_interval
         #: ``requery(sub) -> molecules`` — runs the statement against a
-        #: fresh snapshot; supplied by the hub (needs the engine lock
-        #: and the data system).  Invoked only from flush contexts,
+        #: fresh snapshot; supplied by the hub (takes the engine mutex
+        #: and reads the data system).  Invoked only from flush contexts,
         #: never from the committing thread.
         self._requery = requery
         self.counters = counters
@@ -65,7 +66,7 @@ class Notifier:
              touched: frozenset[str], catalog_changed: bool) -> None:
         """Queue one invalidation hit.  Committing-thread safe: takes
         only the notifier lock; a due bare notify is delivered inline
-        (no engine locks needed), everything else is parked for the
+        (no engine mutex needed), everything else is parked for the
         flush thread."""
         deliver_now = None
         with self._cond:
@@ -113,7 +114,8 @@ class Notifier:
     def pump(self) -> int:
         """Synchronously deliver every *due* pending delta; returns the
         number delivered.  For deterministic tests and in-process
-        polling — must not be called while holding engine locks."""
+        polling; a requery re-enters the engine mutex if the caller
+        already holds it."""
         return self._flush_due()
 
     def _flush_due(self) -> int:

@@ -6,9 +6,9 @@ time went — one SELECT now crosses planner → snapshot → operators →
 shard coordinator → session → wire.  A :class:`Span` records one timed
 step of that path (name, parent, attrs, duration); a query's spans form
 a tree whose leaf layer is the operator pipeline itself, so the span
-tree subsumes the per-operator ``operator_time:*`` accounting (the same
-``time_total`` / ``self_time`` measurements the operators already take,
-re-rooted under the query instead of summed into a global bag).
+tree is the per-operator time accounting (the ``time_total`` /
+``self_time`` measurements the operators already take, rooted under
+the query).
 
 Tracing is **off by default** and sampled: :meth:`Tracer.start` returns
 ``None`` unless the query is sampled, and the disabled path is one
@@ -115,9 +115,9 @@ def span_from_operator(operator: Any, parent: Span | None = None) -> Span:
 
     Operators already time themselves (``time_total`` per ``next()``
     call, children's share subtracted for ``self_time``); this re-roots
-    those measurements as spans under ``parent`` instead of summing them
-    into the ``operator_time:*`` counter bag — the zero-overhead way to
-    get per-operator spans, because nothing extra runs on the row path.
+    those measurements as spans under ``parent`` — the zero-overhead way
+    to get per-operator spans, because nothing extra runs on the row
+    path.
     """
     span = Span(getattr(operator, "name", type(operator).__name__),
                 parent=parent)

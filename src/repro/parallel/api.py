@@ -48,8 +48,8 @@ def parallel_select(db: Prima, query: "str | PreparedStatement",
     re-executed here performs zero parse/plan work, exactly like the
     serial ``stmt.execute()`` path; ``args``/``params`` bind its
     placeholders.  The DUs run serially on the calling thread and take
-    no lock: beside serving sessions, hold the engine's reader side
-    across the call (``with manager.engine.reader(): ...``).
+    no lock: beside serving sessions, hold the engine mutex across the
+    call (``with manager.engine: db.parallel_select(q)``).
     """
     if not isinstance(db, Prima):
         raise DecompositionError(

@@ -30,8 +30,8 @@ simulated: :mod:`repro.parallel.scheduler` list-schedules the measured
 per-unit costs onto P processors.  (Real worker pools — threads under
 one engine lock, or forked processes — never beat this serial loop in
 wall-clock on one shared engine, so there are none.)  Callers that run
-the loop beside concurrent writers hold the engine lock themselves, e.g.
-``with manager.engine.reader(): parallel_select(db, query)``.
+the loop beside serving sessions hold the engine mutex themselves, e.g.
+``with manager.engine: db.parallel_select(query)``.
 """
 
 from __future__ import annotations

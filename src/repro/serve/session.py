@@ -60,14 +60,15 @@ blocks the opener until a slot frees (optionally bounded by
 server never stalls its event loop.
 
 **Threading model.**  Messages of one session are serialised by a
-per-session lock; the engine-touching part of every message runs under
-the manager's :class:`~repro.util.rwlock.ReadWriteLock`.  Read-only
-messages (OPEN / FETCH / REOPEN / CLOSE / PREPARE / EXPLAIN) take the
-**shared reader side** — any number of sessions fetch batches truly
-concurrently, each against its pinned snapshot epoch — while writes
-(DML subtransactions, checkin application) take the **exclusive writer
-side**, which also covers the copy-on-write preservation of pre-images
-for the pinned snapshots.
+per-session lock; every message is then handled under **the engine
+mutex** (``SessionManager.engine``, one reentrant lock), taken once in
+:meth:`Session.handle` — nothing below the serving layer latches, so
+the buffer, address table and indexes see one message at a time.
+Sessions interleave *between* messages: a cursor spans many FETCHes
+with commits in between, and its pinned snapshot epoch — not the mutex
+— keeps those commits out of it.  Only teardown outside ``handle``
+(``close``, ``abort``, ``reap_idle``) and the live-query requery take
+the mutex themselves.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ from repro.serve.cursor import ServerCursor
 from repro.serve.protocol import batch_bytes, wire_size
 from repro.serve.tuning import AUTO_PROBE_SIZE, tune_fetch_size
 from repro.txn import Transaction, TransactionManager
-from repro.util.rwlock import ReadWriteLock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.coupling.network import NetworkModel
@@ -236,7 +236,7 @@ class Session:
         Bills the request and the response against the network model
         (via the codec's :func:`~repro.serve.protocol.wire_size`),
         refreshes the session lease, and dispatches on the message
-        type.  Raises the usual :class:`~repro.errors.PrimaError`
+        type under the engine mutex.  Raises the usual :class:`~repro.errors.PrimaError`
         subclasses; socket transports convert them to
         :class:`~repro.serve.protocol.WireError` frames.
         """
@@ -260,7 +260,8 @@ class Session:
             span = obs.tracer.start(f"msg:{type(request).__name__}",
                                     session=self.name)
             started = time.perf_counter()
-            response = handler(self, request)
+            with self.manager.engine:
+                response = handler(self, request)
             duration = time.perf_counter() - started
             self.counters.observe("request_latency_ms",
                                   duration * 1000.0)
@@ -292,7 +293,7 @@ class Session:
                        params: dict[str, Any] | None,
                        fetch_size: int | str | None) -> protocol.OpenReply:
         """Bind a prepared SELECT, open its server cursor, fetch the
-        first batch.  The caller holds the engine's reader side.
+        first batch.  The caller holds the engine mutex.
 
         No lock is taken on the root atom type: the pipeline is compiled
         against a pinned snapshot of the atom-version epoch, so it keeps
@@ -349,16 +350,14 @@ class Session:
         through the shared plan cache, so repeated text skips parse+plan
         even over this one-shot message."""
         fetch_size = self._resolve_fetch_size(request.fetch_size)
-        with self.manager.engine.reader():
-            prepared = self._db.data.prepare(request.mql)
-            return self._open_pipeline(prepared, request.args,
-                                       request.params, fetch_size)
+        prepared = self._db.data.prepare(request.mql)
+        return self._open_pipeline(prepared, request.args, request.params,
+                                   fetch_size)
 
     def _handle_fetch(self, request: protocol.Fetch) -> protocol.Batch:
         """FETCH(n): the next batch of an open cursor."""
         cursor = self._cursor_of(request.cursor_id)
-        with self.manager.engine.reader():
-            batch, exhausted = cursor.fetch(request.count)
+        batch, exhausted = cursor.fetch(request.count)
         self._count("fetch_messages")
         self._count("rows_streamed", len(batch))
         self.counters.observe("fetch_batch_rows", len(batch))
@@ -367,13 +366,12 @@ class Session:
     def _handle_reopen(self, request: protocol.Reopen) -> protocol.Batch:
         """REOPEN: restart the stream (truncation raises, as locally)."""
         cursor = self._cursor_of(request.cursor_id)
-        with self.manager.engine.reader():
-            cursor.reopen()
-            if request.fetch_size is None:
-                batch = cursor.fetch_all()
-                exhausted = True
-            else:
-                batch, exhausted = cursor.fetch(request.fetch_size)
+        cursor.reopen()
+        if request.fetch_size is None:
+            batch = cursor.fetch_all()
+            exhausted = True
+        else:
+            batch, exhausted = cursor.fetch(request.fetch_size)
         self._count("fetch_messages")
         self._count("rows_streamed", len(batch))
         self.counters.observe("fetch_batch_rows", len(batch))
@@ -384,8 +382,7 @@ class Session:
         """CLOSE: release the server pipeline for good."""
         cursor = self._cursors.pop(request.cursor_id, None)
         if cursor is not None:
-            with self.manager.engine.reader():
-                cursor.close()
+            cursor.close()
         self._count("cursors_closed")
         return protocol.Ack()
 
@@ -398,8 +395,7 @@ class Session:
         and the bindings — the text is never reshipped, and the server
         never re-plans it (until a catalog-version bump forces a
         transparent re-plan)."""
-        with self.manager.engine.reader():
-            prepared = self._db.data.prepare(request.mql)
+        prepared = self._db.data.prepare(request.mql)
         self._next_statement += 1
         statement_id = self._next_statement
         self._statements[statement_id] = _StatementHolder(
@@ -419,9 +415,8 @@ class Session:
         self._count("prepared_executions")
         if holder.prepared.kind == "select":
             fetch_size = self._resolve_fetch_size(request.fetch_size)
-            with self.manager.engine.reader():
-                return self._open_pipeline(holder.prepared, request.args,
-                                           request.params, fetch_size)
+            return self._open_pipeline(holder.prepared, request.args,
+                                       request.params, fetch_size)
         result = self._execute_locked(holder.prepared, request.args,
                                       request.params)
         self._count("statements")
@@ -442,13 +437,12 @@ class Session:
         """EXECUTE: the server routes — SELECT opens a default-sized
         cursor (the reply is an :class:`~repro.serve.protocol.OpenReply`),
         DML runs in a subtransaction and answers with its outcome."""
-        with self.manager.engine.reader():
-            prepared = self._db.data.prepare(request.mql)
-            if prepared.kind == "select":
-                fetch_size = self._resolve_fetch_size(
-                    protocol.DEFAULT_FETCH_SIZE_WIRE)
-                return self._open_pipeline(prepared, request.args,
-                                           request.params, fetch_size)
+        prepared = self._db.data.prepare(request.mql)
+        if prepared.kind == "select":
+            fetch_size = self._resolve_fetch_size(
+                protocol.DEFAULT_FETCH_SIZE_WIRE)
+            return self._open_pipeline(prepared, request.args,
+                                       request.params, fetch_size)
         result = self._execute_locked(prepared, request.args, request.params)
         self._count("statements")
         return protocol.Executed(result.molecules, result.affected,
@@ -459,15 +453,12 @@ class Session:
         """EXPLAIN: the server renders the processing plan as a
         first-class message pair — request carries the text (+ optional
         bindings), response carries the plan text.  No pipeline opens,
-        no cursor, no locks beyond the shared reader side."""
-        with self.manager.engine.reader():
-            prepared = self._db.data.prepare(request.mql)
-            if prepared.kind != "select":
-                raise SessionStateError(
-                    "EXPLAIN supports SELECT statements only"
-                )
-            text = prepared.explain(args=request.args,
-                                    params=request.params or {})
+        no cursor, no locks beyond the engine mutex."""
+        prepared = self._db.data.prepare(request.mql)
+        if prepared.kind != "select":
+            raise SessionStateError("EXPLAIN supports SELECT statements only")
+        text = prepared.explain(args=request.args,
+                                params=request.params or {})
         self._count("explains")
         return protocol.ExplainReply(text)
 
@@ -494,15 +485,12 @@ class Session:
                       request: protocol.Trace) -> protocol.TraceReply:
         """TRACE: run a SELECT to exhaustion under a forced trace and
         ship its span tree back — rendered text plus the JSON form.  No
-        cursor opens; the engine's shared reader side covers the run
-        exactly like an OPEN."""
-        with self.manager.engine.reader():
-            prepared = self._db.data.prepare(request.mql)
-            if prepared.kind != "select":
-                raise SessionStateError(
-                    "TRACE supports SELECT statements only"
-                )
-            span = prepared.trace(request.args, request.params or {})
+        cursor opens; the engine mutex covers the run exactly like an
+        OPEN."""
+        prepared = self._db.data.prepare(request.mql)
+        if prepared.kind != "select":
+            raise SessionStateError("TRACE supports SELECT statements only")
+        span = prepared.trace(request.args, request.params or {})
         self._count("traces")
         return protocol.TraceReply("\n".join(span.render()),
                                    span.to_dict())
@@ -521,15 +509,13 @@ class Session:
         n:m references among creations work.
 
         The application runs in a short-lived transaction under the
-        engine lock: every touched atom is X-locked (and undo-logged) for
+        engine mutex: every touched atom is X-locked (and undo-logged) for
         the duration, the commit releases the locks — concurrent
         checkins serialise at message granularity and the later one wins
         (the optimistic object-buffer protocol).
         """
-        with self.manager.engine.writer():
-            mapping = self._apply_checkin(request.modifications,
-                                          request.deletions,
-                                          request.creations)
+        mapping = self._apply_checkin(request.modifications,
+                                      request.deletions, request.creations)
         self._count("checkins")
         return protocol.CheckinReply(mapping)
 
@@ -545,15 +531,13 @@ class Session:
         (``manager.max_subscriptions``).  From here on, any commit
         touching a type in the set pushes an unsolicited NOTIFY frame.
         """
-        with self.manager.engine.reader():
-            prepared = self._db.data.prepare(request.mql)
-            if prepared.kind != "select":
-                raise SessionStateError(
-                    "SUBSCRIBE supports SELECT statements only"
-                )
-            sub = self.manager.live.subscribe(
-                self, prepared, request.args, request.params or {},
-                request.deliver)
+        prepared = self._db.data.prepare(request.mql)
+        if prepared.kind != "select":
+            raise SessionStateError(
+                "SUBSCRIBE supports SELECT statements only")
+        sub = self.manager.live.subscribe(
+            self, prepared, request.args, request.params or {},
+            request.deliver)
         self._count("subscriptions_opened")
         return protocol.SubscribeReply(sub.subscription_id,
                                        tuple(sorted(sub.types)),
@@ -660,23 +644,22 @@ class Session:
         wrote until it closes; a failing statement aborts the
         subtransaction and releases it.  Write effects themselves become
         visible immediately, like a checkin — to *new* snapshots; open
-        cursors keep their pinned epoch.  The exclusive writer side of
-        the engine lock covers the statement, its copy-on-write
-        pre-image preservation, and the epoch publish.
+        cursors keep their pinned epoch.  The engine mutex, held by
+        :meth:`handle`, covers the statement, its copy-on-write pre-image
+        preservation, and the epoch publish.
         """
-        with self.manager.engine.writer():
-            writer = self.txn.begin_nested()
-            try:
-                target = self._statement_target(prepared.statement)
-                if target is not None:
-                    self.manager.txns.locks.acquire(
-                        writer, _lock_resource(target), "X")
-                result = prepared.execute(*args, **(params or {}))
-                result.materialize()
-            except BaseException:
-                writer.abort()   # drops the writer's locks
-                raise
-            writer.commit()      # the session inherits the X lock
+        writer = self.txn.begin_nested()
+        try:
+            target = self._statement_target(prepared.statement)
+            if target is not None:
+                self.manager.txns.locks.acquire(
+                    writer, _lock_resource(target), "X")
+            result = prepared.execute(*args, **(params or {}))
+            result.materialize()
+        except BaseException:
+            writer.abort()   # drops the writer's locks
+            raise
+        writer.commit()      # the session inherits the X lock
         return result
 
     def _statement_target(self, statement) -> str | None:
@@ -744,7 +727,7 @@ class Session:
             if timeout is not None:
                 for cursor_id, cursor in list(self._cursors.items()):
                     if now - cursor.last_used >= timeout:
-                        with self.manager.engine.reader():
+                        with self.manager.engine:
                             cursor.close()
                         del self._cursors[cursor_id]
                         self._reaped_cursors.add(cursor_id)
@@ -783,7 +766,7 @@ class Session:
         with self._lock:
             if self.closed:
                 return
-            with self.manager.engine.reader():
+            with self.manager.engine:
                 for cursor in self._cursors.values():
                     cursor.close()
                 self._cursors.clear()
@@ -799,15 +782,13 @@ class Session:
         with self._lock:
             if self.closed:
                 return
-            with self.manager.engine.reader():
+            with self.manager.engine:
                 for cursor in self._cursors.values():
                     cursor.close()
                 self._cursors.clear()
-            self._statements.clear()
-            self.closed = True
-            # Undoing logged effects writes to the engine — exclusive.
-            with self.manager.engine.writer():
-                self.txn.abort()
+                self._statements.clear()
+                self.closed = True
+                self.txn.abort()   # undoing logged effects writes
         self.manager._drop_subscriptions(self)  # noqa: SLF001
         self.manager._release(self)  # noqa: SLF001
 
@@ -906,13 +887,13 @@ class SessionManager:
         #: tically by substituting a fake).
         self._clock = clock if clock is not None else time.monotonic
         self.txns = TransactionManager(db.access)
-        #: The narrow writer/epoch-publish mutex that replaced the old
-        #: session-wide engine RLock: read-only messages share the
-        #: reader side (snapshot-pinned pipelines fetch concurrently),
-        #: writes and their epoch publish take the exclusive writer
-        #: side.  ``engine.max_concurrent_readers`` records the proof
-        #: that reads actually overlap.
-        self.engine = ReadWriteLock()
+        #: The engine mutex: every message runs under it, taken once in
+        #: :meth:`Session.handle` (after the session's own lock).  A
+        #: shared reader side bought no throughput under the GIL and let
+        #: unlatched buffer state race.  Reentrant, because GOODBYE's
+        #: ``close``/``abort`` and a live requery re-enter it on the
+        #: same thread.
+        self.engine = threading.RLock()
         self._slots = threading.Condition()
         self._active = 0
         self._peak = 0

@@ -16,11 +16,11 @@ from typing import Iterator
 class Counters:
     """A named bag of monotonically increasing counters.
 
-    Most counters are integer event counts; the per-operator timing
-    counters (``operator_time:*``) accumulate fractional seconds.  A lock
-    makes ``bump()`` safe under the parallel subsystem's construction
-    threads (a bare ``+=`` on a shared Counter is a read-modify-write that
-    can lose updates between bytecodes).
+    Counters are event and byte counts.  A lock makes ``bump()`` safe
+    under the threads that share one bag — the daemon's event loop, the
+    live-query notifier's flush thread, and in-process connections (a
+    bare ``+=`` on a shared Counter is a read-modify-write that can lose
+    updates between bytecodes).
     """
 
     __slots__ = ("_values", "_lock")
@@ -75,7 +75,7 @@ class Counters:
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
         # Reads take the lock too: a concurrent bump() mutates the dict
-        # mid-iteration otherwise (construction threads, daemon sessions).
+        # mid-iteration otherwise (notifier thread, daemon sessions).
         with self._lock:
             items = sorted(self._values.items())
         return iter(items)

@@ -542,7 +542,7 @@ class TestConcurrentInvalidation:
                 for i in range(25):
                     if stop.is_set():
                         break
-                    with manager.engine.writer():
+                    with manager.engine:
                         db.execute_ldl(
                             f"CREATE SORT ORDER churn_{i} ON item (grp)")
                         db.execute_ldl(f"DROP SORT ORDER churn_{i}")

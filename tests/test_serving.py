@@ -413,20 +413,20 @@ class TestServingCounters:
         assert report["net_messages"] == manager.stats.messages
 
     def test_parallel_query_inside_session(self, db, manager):
-        """Beside serving sessions a parallel SELECT holds the engine's
-        reader side across the whole statement: while a writer holds the
-        exclusive side, its root scan does not even start."""
+        """Beside serving sessions a parallel SELECT holds the engine
+        mutex across the whole statement: while another thread holds it,
+        its root scan does not even start."""
         query = "SELECT ALL FROM item WHERE grp = 6"
         held, release = threading.Event(), threading.Event()
         outcome = {}
 
         def write() -> None:
-            with manager.engine.writer():
+            with manager.engine:
                 held.set()
                 release.wait(timeout=10)
 
         def parallel_read() -> None:
-            with manager.engine.reader():
+            with manager.engine:
                 outcome["molecules"] = db.parallel_select(
                     query, processors=3).result
 

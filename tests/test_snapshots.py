@@ -236,27 +236,10 @@ class TestServingIsolation:
         reader.close()
         writer.close()
 
-    def test_readers_overlap_inside_the_engine_lock(self, db, manager):
-        # Structural proof that the reader side is shared: four threads
-        # inside it at once (impossible under the old engine RLock).
-        barrier = threading.Barrier(4, timeout=10)
-
-        def read() -> None:
-            with manager.engine.reader():
-                barrier.wait()
-
-        threads = [threading.Thread(target=read, daemon=True)
-                   for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert manager.engine.max_concurrent_readers >= 4
-
     def test_concurrent_sessions_fetch_correct_sets(self, db, manager):
         # Many sessions streaming concurrently against one engine:
         # every session delivers exactly its group's set, batches
-        # interleaving freely on the shared reader side.
+        # interleaving message by message under the engine mutex.
         errors: list[BaseException] = []
 
         def stream(group: int) -> None:
