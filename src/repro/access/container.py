@@ -91,16 +91,18 @@ class RecordContainer:
         return RecordId(page_id, slot)
 
     def read(self, record_id: RecordId) -> bytes:
-        """Return the record's byte string."""
+        """Return the record's byte string (an empty slot raises
+        :class:`RecordNotFoundError`, any other storage failure its own
+        :class:`StorageError`)."""
         self._check_ownership(record_id)
         sequence = self._long.get(record_id)
         if sequence is not None:
             return self._storage.sequences.read(sequence)
-        try:
-            with self._storage.page(record_id.page) as page:
+        with self._storage.page(record_id.page) as page:
+            try:
                 return page.read(record_id.slot)
-        except StorageError as exc:
-            raise RecordNotFoundError(str(exc)) from exc
+            except StorageError as exc:
+                raise RecordNotFoundError(str(exc)) from exc
 
     def update(self, record_id: RecordId, payload: bytes) -> RecordId:
         """Replace the record's bytes; may relocate (returns the new id)."""
@@ -119,15 +121,16 @@ class RecordContainer:
             # grew past the threshold: move onto a page sequence
             self.delete(record_id)
             return self.insert(payload)
-        try:
-            with self._storage.page(record_id.page, write=True) as page:
+        with self._storage.page(record_id.page, write=True) as page:
+            try:
                 page.update(record_id.slot, payload)
+            except PageOverflowError:
+                pass  # move to another page below
+            except StorageError as exc:
+                raise RecordNotFoundError(str(exc)) from exc
+            else:
                 self._free_space[record_id.page.page_no] = page.free_space
-            return record_id
-        except PageOverflowError:
-            pass  # move to another page below
-        except StorageError as exc:
-            raise RecordNotFoundError(str(exc)) from exc
+                return record_id
         self.delete(record_id)
         return self.insert(payload)
 
@@ -137,16 +140,16 @@ class RecordContainer:
         sequence = self._long.pop(record_id, None)
         if sequence is not None:
             self._storage.sequences.drop(sequence)
-        try:
-            with self._storage.page(record_id.page, write=True) as page:
+        with self._storage.page(record_id.page, write=True) as page:
+            try:
                 reclaimed = len(page.read(record_id.slot))
                 page.delete(record_id.slot)
-                # The tombstoned bytes are reclaimable by compaction, so
-                # count them as free for placement decisions.
-                self._free_space[record_id.page.page_no] = \
-                    page.free_space + reclaimed
-        except StorageError as exc:
-            raise RecordNotFoundError(str(exc)) from exc
+            except StorageError as exc:
+                raise RecordNotFoundError(str(exc)) from exc
+            # The tombstoned bytes are reclaimable by compaction, so
+            # count them as free for placement decisions.
+            self._free_space[record_id.page.page_no] = \
+                page.free_space + reclaimed
         self._record_count -= 1
 
     def scan(self) -> Iterator[tuple[RecordId, bytes]]:

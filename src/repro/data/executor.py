@@ -25,6 +25,7 @@ scan is exhausted (the paper's one-molecule-at-a-time MAD interface).
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import replace
 from typing import Any
@@ -105,6 +106,15 @@ class DataSystem:
         #: histograms and gauges on top of the counter bag), and the
         #: slow-query log.  ``Prima.metrics_report()`` exports it.
         self.obs = Observability()
+        #: ``Engine.mutex`` (a cluster rebinds it to the coordinator's).
+        self.mutex = threading.RLock()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A lock does not pickle: a checkpoint drops it, a load makes one.
+        return {k: v for k, v in self.__dict__.items() if k != "mutex"}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state, mutex=threading.RLock())
 
     @property
     def catalog_version(self) -> int:
@@ -226,7 +236,8 @@ class DataSystem:
         snapshot = self.open_snapshot()
         try:
             pipeline = plan.compile(self, snapshot=snapshot)
-            result = ResultSet(source=pipeline, plan_text=plan.explain())
+            result = ResultSet(source=pipeline, plan_text=plan.explain(),
+                               mutex=self.mutex)
         except BaseException:
             snapshot.release()
             raise
@@ -544,7 +555,8 @@ class DataSystem:
         """
         plan = self.plan_select(statement)
         pipeline = plan.compile(self)
-        return ResultSet(source=pipeline, plan_text=plan.explain())
+        return ResultSet(source=pipeline, plan_text=plan.explain(),
+                         mutex=self.mutex)
 
     # -- root access ----------------------------------------------------------------
 

@@ -350,10 +350,9 @@ class PreparedStatement:
     skip the plan template (their execution re-qualifies against current
     state by design) but still skip re-parsing.
 
-    Thread-safety: the template ``(plan, version)`` pair is swapped
-    atomically under a lock and read as one tuple, and binding never
-    mutates shared state — one statement object may be executed from
-    many serving sessions concurrently.
+    Thread-safety: planning and execution run under the engine mutex,
+    and binding never mutates the shared template — one statement object
+    may be executed from many threads and serving sessions.
     """
 
     def __init__(self, data: "DataSystem", text: str,
@@ -375,17 +374,15 @@ class PreparedStatement:
         self.param_names = tuple(names)
         self.kind = "select" if isinstance(statement, SelectStatement) \
             else "statement"
-        self._lock = threading.Lock()
         #: (plan template, catalog version) — swapped as one tuple.
         self._state: tuple[QueryPlan | None, int] = (None, -1)
         if self.kind == "select":
-            with self._lock:
-                self._replan()
+            self._replan()
 
     # -- the plan template ----------------------------------------------------
 
     def _replan(self) -> None:
-        """(Re)build the plan template; caller holds ``self._lock``."""
+        """(Re)build the plan template; caller holds the engine mutex."""
         data = self._data
         version = data.catalog_version
         data._ensure_symmetry()  # noqa: SLF001
@@ -407,12 +404,9 @@ class PreparedStatement:
             )
         plan, version = self._state
         if version != self._data.catalog_version:
-            with self._lock:
-                plan, version = self._state
-                if version != self._data.catalog_version:
-                    self._data.access.counters.bump("plans_invalidated")
-                    self._replan()
-                    plan, _version = self._state
+            self._data.access.counters.bump("plans_invalidated")
+            self._replan()
+            plan, _version = self._state
         assert plan is not None
         return plan
 
@@ -480,12 +474,14 @@ class PreparedStatement:
         """
         data = self._data
         data.access.counters.bump("prepared_executions")
-        if self.kind == "select":
+        with data.mutex:
+            if self.kind != "select":
+                return data.execute(self.bound_statement(args, params))
             plan = self.bind(args, params)
             pipeline = plan.compile(data)
             data.watch_query(self.text, pipeline)
-            return ResultSet(source=pipeline, plan_text=plan.explain())
-        return data.execute(self.bound_statement(args, params))
+            return ResultSet(source=pipeline, plan_text=plan.explain(),
+                             mutex=data.mutex)
 
     def _trace_plan(self, plan: QueryPlan) -> Span:
         """Compile and drain ``plan`` under a forced trace.
@@ -516,7 +512,8 @@ class PreparedStatement:
         server-side."""
         if self.kind != "select":
             raise PrimaError("TRACE supports SELECT statements only")
-        return self._trace_plan(self.bind(args, params or {}))
+        with self._data.mutex:
+            return self._trace_plan(self.bind(args, params or {}))
 
     def explain(self, analyze: bool = False, args: tuple = (),
                 params: dict[str, Any] | None = None) -> str:
@@ -533,14 +530,15 @@ class PreparedStatement:
         if self.kind != "select":
             raise PrimaError("EXPLAIN supports SELECT statements only")
         params = params or {}
-        if args or params or (analyze and
-                              (self.param_count or self.param_names)):
-            plan = self.bind(args, params)
-        else:
-            plan = self.plan()
-        if not analyze:
-            return plan.explain()
-        span = self._trace_plan(plan)
+        with self._data.mutex:
+            if args or params or (analyze and
+                                  (self.param_count or self.param_names)):
+                plan = self.bind(args, params)
+            else:
+                plan = self.plan()
+            if not analyze:
+                return plan.explain()
+            span = self._trace_plan(plan)
         lines = [plan.explain(), "  analyzed:"]
         lines.extend("    " + line for line in span.render())
         return "\n".join(lines)

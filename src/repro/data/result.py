@@ -44,10 +44,15 @@ the serving layer wraps a remote streaming cursor in a ResultSet, so the
 client-side cursor contract above (including close-while-pending
 truncation, which then propagates to the server's pipeline) holds
 unchanged across the coupling network.
+
+An engine-built set takes the engine ``mutex`` per pull, ``close()`` and
+``reopen()``, never for the cursor's lifetime; client-side sets over a
+remote cursor take no lock.
 """
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import CursorStateError
@@ -64,7 +69,8 @@ class ResultSet:
     def __init__(self, molecules: list[Molecule] | None = None,
                  plan_text: str = "", affected: int = 0,
                  inserted: Surrogate | None = None,
-                 source: "Operator | None" = None) -> None:
+                 source: "Operator | None" = None,
+                 mutex: AbstractContextManager = nullcontext()) -> None:
         #: Molecules pulled from the pipeline (or given eagerly) so far.
         self._fetched: list[Molecule] = \
             list(molecules) if molecules is not None else []
@@ -83,22 +89,24 @@ class ResultSet:
         self.affected = affected
         #: Surrogate produced by an INSERT.
         self.inserted = inserted
+        self._mutex = mutex
 
     # -- the cursor ---------------------------------------------------------
 
     def _pull(self) -> Molecule | None:
         """Draw one molecule from the pipeline into the cache (does not
         move the ``fetch_next()`` cursor)."""
-        if self._source is None:
-            return None
-        molecule = self._source.next()
-        if molecule is None:
-            # Natural exhaustion: the cursor is done, but the pipeline is
-            # kept (un-closed) so ``reopen()`` can rewind it.
-            self._source = None
-            return None
-        self._fetched.append(molecule)
-        return molecule
+        with self._mutex:
+            if self._source is None:
+                return None
+            molecule = self._source.next()
+            if molecule is None:
+                # Natural exhaustion: the cursor is done, but the pipeline
+                # is kept (un-closed) so ``reopen()`` can rewind it.
+                self._source = None
+                return None
+            self._fetched.append(molecule)
+            return molecule
 
     def fetch_next(self) -> Molecule | None:
         """Deliver the next molecule of the set (None at end).
@@ -156,22 +164,23 @@ class ResultSet:
         answer ``has_pending()`` (a remote cursor, whose probe would cost
         a network round trip and ahead-of-need construction) is asked
         instead of pulled."""
-        if self._source is not None:
-            pending: bool | None = None
-            has_pending = getattr(self._source, "has_pending", None)
-            if has_pending is not None:
-                pending = has_pending()
-            if pending is None:
-                probe = self._source.next()
-                if probe is not None:
-                    self._fetched.append(probe)
+        with self._mutex:
+            if self._source is not None:
+                pending: bool | None = None
+                has_pending = getattr(self._source, "has_pending", None)
+                if has_pending is not None:
+                    pending = has_pending()
+                if pending is None:
+                    probe = self._source.next()
+                    if probe is not None:
+                        self._fetched.append(probe)
+                        self._truncated = True
+                elif pending:
                     self._truncated = True
-            elif pending:
-                self._truncated = True
-        if self._pipeline is not None:
-            self._pipeline.close()
-            self._pipeline = None
-        self._source = None
+            if self._pipeline is not None:
+                self._pipeline.close()
+                self._pipeline = None
+            self._source = None
 
     @property
     def truncated(self) -> bool:
@@ -198,10 +207,11 @@ class ResultSet:
                 "was fully fetched — the cursor cache holds only "
                 f"{len(self._fetched)} molecule(s) of a longer result"
             )
-        if self._pipeline is not None:
-            self._pipeline.rewind()
-            self._source = self._pipeline
-            self._fetched.clear()
+        with self._mutex:
+            if self._pipeline is not None:
+                self._pipeline.rewind()
+                self._source = self._pipeline
+                self._fetched.clear()
         self._fetch_pos = 0
 
     @property

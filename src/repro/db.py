@@ -82,8 +82,9 @@ class Prima(Engine):
 
     def execute_ldl(self, ldl: str) -> list[str]:
         """Execute a ';'-separated LDL script (tuning structures)."""
-        self.data._ensure_symmetry()  # noqa: SLF001
-        return self.ldl.execute_script(ldl)
+        with self.mutex:
+            self.data._ensure_symmetry()  # noqa: SLF001
+            return self.ldl.execute_script(ldl)
 
     def parallel_select(self, mql: str, processors: int = 4,
                         args: tuple = (),
@@ -103,14 +104,16 @@ class Prima(Engine):
         """Collect optimizer statistics (cardinalities, value ranges,
         association fan-outs); returns the atoms examined.  See
         :mod:`repro.data.statistics`."""
-        return self.data.statistics.analyze(type_name)
+        with self.mutex:
+            return self.data.statistics.analyze(type_name)
 
     # -- persistence -------------------------------------------------------------------
 
     def save(self, path) -> int:
         """Checkpoint this instance to a file (see repro.persistence)."""
         from repro.persistence import save
-        return save(self, path)
+        with self.mutex:
+            return save(self, path)
 
     @staticmethod
     def load(path) -> "Prima":
@@ -122,8 +125,9 @@ class Prima(Engine):
 
     def commit(self) -> None:
         """Propagate deferred updates and flush dirty pages."""
-        self.access.propagate_deferred()
-        self.storage.flush()
+        with self.mutex:
+            self.access.propagate_deferred()
+            self.storage.flush()
 
     def verify_integrity(self) -> list[Violation]:
         """Run the database-wide structural-integrity verification."""

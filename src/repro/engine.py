@@ -22,9 +22,15 @@ A subclass supplies
   :meth:`Engine.io_report`) and ``_reset_layers()`` (zero them);
 
 and gets every method below plus ``session_managers``, the serving
-managers opened over it.  What really differs stays on the subclass:
-``execute_ldl``, ``analyze``, ``verify_integrity``; persistence and
-``parallel_select`` on ``Prima``; placement and channels on the cluster.
+managers opened over it, and ``mutex``.  What really differs stays on
+the subclass: ``execute_ldl``, ``analyze``, ``verify_integrity``;
+persistence and ``parallel_select`` on ``Prima``; placement and
+channels on the cluster.
+
+``mutex`` is the one reentrant lock of an engine tree (a cluster shares
+its own with its shards); nothing below it latches, so every entry into
+the engine takes it — these methods, LDL, ANALYZE, persistence, commit,
+prepared statements, each lazy-result pull and each serving message.
 
 Invariant: facade methods live **only** here — neither subclass
 redefines one (``tests/test_engine_surface.py``), so a fix or a new
@@ -54,6 +60,11 @@ class Engine:
         #: their per-session counters reset with :meth:`reset_accounting`.
         self.session_managers: list["SessionManager"] = []
 
+    @property
+    def mutex(self):
+        """The engine mutex (see the module docstring)."""
+        return self.data.mutex
+
     # -- MQL ----------------------------------------------------------------------
 
     def prepare(self, mql: str):
@@ -73,7 +84,8 @@ class Engine:
         LDL changes between executions transparently re-plan (the
         catalog-version stamp), never run stale.
         """
-        return self.data.prepare(mql)
+        with self.mutex:
+            return self.data.prepare(mql)
 
     def execute(self, mql: str, *args: Any, use_cache: bool = True,
                 **params: Any) -> ResultSet:
@@ -95,8 +107,9 @@ class Engine:
         routed single-key SELECTs touch exactly one shard, other
         SELECTs scatter-gather, DDL fans out and INSERT routes by key.
         """
-        return self.data.execute_text(mql, args, params,
-                                      use_cache=use_cache)
+        with self.mutex:
+            return self.data.execute_text(mql, args, params,
+                                          use_cache=use_cache)
 
     #: Read-path aliases of :meth:`execute` (one implementation — the
     #: historic ``query``/``stream`` split was duplication): ``query``
@@ -114,10 +127,11 @@ class Engine:
         results = []
         statements = parse_script(mql)
         self.access.counters.bump("statements_parsed", len(statements))
-        for statement in statements:
-            result = self.data.execute(statement)
-            result.materialize()
-            results.append(result)
+        with self.mutex:
+            for statement in statements:
+                result = self.data.execute(statement)
+                result.materialize()
+                results.append(result)
         return results
 
     def explain(self, mql: str, *args: Any, analyze: bool = False,
@@ -134,8 +148,9 @@ class Engine:
         quantities :meth:`trace` returns as spans); a parameterized
         statement then requires its bindings.
         """
-        return self.data.prepare(mql).explain(analyze=analyze, args=args,
-                                              params=params)
+        with self.mutex:
+            return self.data.prepare(mql).explain(analyze=analyze,
+                                                  args=args, params=params)
 
     def trace(self, mql: str, *args: Any, **params: Any):
         """Run a SELECT to exhaustion under a forced trace.
@@ -147,7 +162,8 @@ class Engine:
         The programmatic twin of ``explain(analyze=True)`` — and the
         engine half of the TRACE wire message.
         """
-        return self.data.prepare(mql).trace(args, params)
+        with self.mutex:
+            return self.data.prepare(mql).trace(args, params)
 
     # -- programmatic atom access (the access-system interface) ----------------------
 
@@ -157,25 +173,29 @@ class Engine:
 
         Direct mutations publish a new atom-version epoch, like DML —
         snapshots pinned before the call keep their state."""
-        surrogate = self.access.insert(type_name, values)
-        self.data.publish_data_version()
+        with self.mutex:
+            surrogate = self.access.insert(type_name, values)
+            self.data.publish_data_version()
         return surrogate
 
     def get_atom(self, surrogate: Surrogate,
                  attrs: list[str] | None = None) -> dict[str, Any]:
         """Read one atom directly."""
-        return self.access.get(surrogate, attrs)
+        with self.mutex:
+            return self.access.get(surrogate, attrs)
 
     def modify_atom(self, surrogate: Surrogate,
                     values: dict[str, Any]) -> None:
         """Modify one atom directly (publishes an atom-version epoch)."""
-        self.access.modify(surrogate, values)
-        self.data.publish_data_version()
+        with self.mutex:
+            self.access.modify(surrogate, values)
+            self.data.publish_data_version()
 
     def delete_atom(self, surrogate: Surrogate) -> None:
         """Delete one atom directly (publishes an atom-version epoch)."""
-        self.access.delete(surrogate)
-        self.data.publish_data_version()
+        with self.mutex:
+            self.access.delete(surrogate)
+            self.data.publish_data_version()
 
     # -- serving (clients come in through :func:`repro.connect`) -------------------------
 

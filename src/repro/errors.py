@@ -138,10 +138,6 @@ class DataSystemError(PrimaError):
     """Base class for planner/executor failures."""
 
 
-class PlanningError(DataSystemError):
-    """The planner could not produce a processing plan."""
-
-
 class ExecutionError(DataSystemError):
     """A processing plan failed during evaluation."""
 
@@ -169,10 +165,6 @@ class TransactionStateError(TransactionError):
 
 class LockConflictError(TransactionError):
     """A lock request conflicts with a lock held by another transaction."""
-
-
-class TransactionAborted(TransactionError):
-    """The transaction was aborted (explicitly or by conflict)."""
 
 
 # --------------------------------------------------------------------------

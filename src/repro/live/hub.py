@@ -109,8 +109,8 @@ class LiveQueryHub:
     # -- the commit-side listener --------------------------------------------
 
     def _on_publish(self, epoch: int, touched: frozenset[str]) -> None:
-        # Runs on the committing thread, usually inside the engine
-        # mutex: set lookups + queue handoffs only.
+        # Runs on the committing thread, inside the engine mutex: set
+        # lookups + queue handoffs only.
         if self._closed or self.index.empty:
             return
         fired, catalog_changed = self.index.invalidate(
@@ -130,7 +130,7 @@ class LiveQueryHub:
     def _requery(self, sub: Subscription) -> list:
         """Re-run the subscription's statement against a fresh snapshot
         (flush-thread or pump context — takes the engine mutex)."""
-        with self._manager.engine:
+        with self._db.mutex:
             result = self._db.data.open_result(sub.prepared, sub.args,
                                                sub.params)
             try:

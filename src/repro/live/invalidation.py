@@ -73,8 +73,8 @@ class InvalidationIndex:
         """Resolve one typed epoch delta.
 
         Returns ``(fired, catalog_changed)``.  Runs on the committing
-        thread (typically still inside the engine mutex): set
-        lookups and counter bumps only, nothing that could block.
+        thread (inside the engine mutex): set lookups and counter bumps
+        only, nothing that could block.
         """
         with self._mutex:
             if self._catalog_stamp is None:

@@ -1,10 +1,9 @@
 """Delivery: budgets, coalescing, optional re-evaluation, push.
 
 The :class:`Notifier` sits between the invalidation hot path (which
-runs on the **committing** thread, usually still inside the engine
-mutex) and the client-facing sinks (the daemon's bounded asyncio
-send queues, or a session's in-process notification deque).  Its
-contract:
+runs on the **committing** thread, inside the engine mutex) and the
+client-facing sinks (the daemon's bounded asyncio send queues, or a
+session's in-process notification deque).  Its contract:
 
 * A bare ``deliver="notify"`` fire that is *due* (outside the
   min-re-notify interval) ships synchronously from the commit — one

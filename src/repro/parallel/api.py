@@ -47,9 +47,8 @@ def parallel_select(db: Prima, query: "str | PreparedStatement",
     :class:`~repro.data.prepared.PreparedStatement` — a prepared query
     re-executed here performs zero parse/plan work, exactly like the
     serial ``stmt.execute()`` path; ``args``/``params`` bind its
-    placeholders.  The DUs run serially on the calling thread and take
-    no lock: beside serving sessions, hold the engine mutex across the
-    call (``with manager.engine: db.parallel_select(q)``).
+    placeholders.  The DUs run serially on the calling thread, under
+    the engine mutex for the whole call.
     """
     if not isinstance(db, Prima):
         raise DecompositionError(
@@ -57,18 +56,19 @@ def parallel_select(db: Prima, query: "str | PreparedStatement",
             "already scatter-gathers across its shards — execute "
             "through the coordinator instead"
         )
+    if isinstance(query, PreparedStatement) and query.kind != "select":
+        raise DecompositionError(
+            "semantic decomposition operates on SELECT statements"
+        )
     decomposer = SemanticDecomposer(db.data)
-    if isinstance(query, PreparedStatement):
-        if query.kind != "select":
-            raise DecompositionError(
-                "semantic decomposition operates on SELECT statements"
-            )
-        plan, units = decomposer.decompose_plan(
-            query.bind(args, params or {}))
-    else:
-        plan, units = decomposer.decompose_select(query, args=args,
-                                                  params=params)
-    result = decomposer.run_all(plan, units)
+    with db.mutex:
+        if isinstance(query, PreparedStatement):
+            plan, units = decomposer.decompose_plan(
+                query.bind(args, params or {}))
+        else:
+            plan, units = decomposer.decompose_select(query, args=args,
+                                                      params=params)
+        result = decomposer.run_all(plan, units)
     report = simulate(units, processors)
     metrics = db.data.obs.metrics
     metrics.gauge("parallel_speedup", round(report.speedup, 4))

@@ -29,9 +29,8 @@ it goes.  The multiprocessor PRIMA of section 4 is not executed but
 simulated: :mod:`repro.parallel.scheduler` list-schedules the measured
 per-unit costs onto P processors.  (Real worker pools — threads under
 one engine lock, or forked processes — never beat this serial loop in
-wall-clock on one shared engine, so there are none.)  Callers that run
-the loop beside serving sessions hold the engine mutex themselves, e.g.
-``with manager.engine: db.parallel_select(query)``.
+wall-clock on one shared engine, so there are none.)  The entry point,
+``db.parallel_select(query)``, runs the loop under the engine mutex.
 """
 
 from __future__ import annotations

@@ -109,8 +109,8 @@ class SocketTransport:
     """Blocking-socket transport against the asyncio daemon.
 
     Requests are serialised by a lock (the protocol is strictly
-    request/response per session, exactly like the per-session lock
-    server-side), but the byte stream is no longer purely
+    request/response per session, as the engine mutex serialises
+    messages server-side), but the byte stream is no longer purely
     request/response: the server may interleave unsolicited
     :class:`~repro.serve.protocol.Notify` frames (live queries) at any
     frame boundary.  Every request is therefore stamped with a

@@ -59,15 +59,14 @@ blocks the opener until a slot frees (optionally bounded by
 :meth:`SessionManager.open_nowait` and retries cooperatively, so a full
 server never stalls its event loop.
 
-**Threading model.**  Messages of one session are serialised by a
-per-session lock; every message is then handled under **the engine
-mutex** (``SessionManager.engine``, one reentrant lock), taken once in
-:meth:`Session.handle` — nothing below the serving layer latches, so
-the buffer, address table and indexes see one message at a time.
-Sessions interleave *between* messages: a cursor spans many FETCHes
-with commits in between, and its pinned snapshot epoch — not the mutex
-— keeps those commits out of it.  Only teardown outside ``handle``
-(``close``, ``abort``, ``reap_idle``) and the live-query requery take
+**Threading model.**  Every message is handled under **the engine
+mutex** (``Engine.mutex``, one reentrant lock per engine, shared by
+every manager on it), taken once around the whole of
+:meth:`Session.handle`; there is no per-session lock.  Sessions
+interleave *between* messages: a cursor spans many FETCHes with commits
+in between, and its pinned snapshot epoch — not the mutex — keeps those
+commits out of it.  Only teardown outside ``handle`` (``close``,
+``abort``, ``expire``, ``reap_idle``) and the live-query requery take
 the mutex themselves.
 """
 
@@ -159,9 +158,6 @@ class Session:
         self._statements: dict[int, _StatementHolder] = {}
         self._next_statement = 0
         self._reaped_statements: set[int] = set()
-        #: Serialises this session's messages (the per-session half of
-        #: the serving thread model).
-        self._lock = threading.RLock()
         #: Undelivered server pushes (live-query NOTIFY frames) for the
         #: in-process transport; bounded so an unpolled session cannot
         #: grow without limit — overflow drops the oldest frame.  The
@@ -240,13 +236,13 @@ class Session:
         subclasses; socket transports convert them to
         :class:`~repro.serve.protocol.WireError` frames.
         """
-        handler = self._DISPATCH.get(type(request))
-        if handler is None:
-            raise SessionStateError(
-                f"session {self.name!r} cannot serve "
-                f"{type(request).__name__} messages"
-            )
-        with self._lock:
+        with self._db.mutex:
+            handler = self._DISPATCH.get(type(request))
+            if handler is None:
+                raise SessionStateError(
+                    f"session {self.name!r} cannot serve "
+                    f"{type(request).__name__} messages"
+                )
             if self.closed and isinstance(
                     request, (protocol.CloseCursor, protocol.Deallocate,
                               protocol.Goodbye)):
@@ -260,8 +256,7 @@ class Session:
             span = obs.tracer.start(f"msg:{type(request).__name__}",
                                     session=self.name)
             started = time.perf_counter()
-            with self.manager.engine:
-                response = handler(self, request)
+            response = handler(self, request)
             duration = time.perf_counter() - started
             self.counters.observe("request_latency_ms",
                                   duration * 1000.0)
@@ -293,7 +288,7 @@ class Session:
                        params: dict[str, Any] | None,
                        fetch_size: int | str | None) -> protocol.OpenReply:
         """Bind a prepared SELECT, open its server cursor, fetch the
-        first batch.  The caller holds the engine mutex.
+        first batch.  :meth:`handle` holds the engine mutex.
 
         No lock is taken on the root atom type: the pipeline is compiled
         against a pinned snapshot of the atom-version epoch, so it keeps
@@ -562,7 +557,7 @@ class Session:
         """Hand one NOTIFY frame to this session's client.
 
         Called by the notifier (committing thread or flush thread) —
-        deliberately lock-free against the session's message lock: a
+        deliberately lock-free against the engine mutex: a
         deque append / queue handoff plus billing, nothing that could
         wait behind a long-running request.  Returns False once the
         session is closed (the frame is dropped)."""
@@ -720,15 +715,14 @@ class Session:
         :class:`~repro.errors.SessionExpiredError`.
         """
         cursors = statements = 0
-        with self._lock:
+        with self._db.mutex:
             if self.closed:
                 return 0, 0
             timeout = self.manager.idle_cursor_timeout
             if timeout is not None:
                 for cursor_id, cursor in list(self._cursors.items()):
                     if now - cursor.last_used >= timeout:
-                        with self.manager.engine:
-                            cursor.close()
+                        cursor.close()
                         del self._cursors[cursor_id]
                         self._reaped_cursors.add(cursor_id)
                         self._count("cursors_reaped")
@@ -751,25 +745,24 @@ class Session:
         as for a client that disconnects without GOODBYE.  (Checkins
         committed in their own short transactions are unaffected.)
         """
-        with self._lock:
+        with self._db.mutex:
             if self.closed:
                 return
             self.expired = True
             self._count("sessions_expired")
-        self.abort()
+            self.abort()
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Release every cursor, commit the session transaction (freeing
         its locks), and return the admission slot."""
-        with self._lock:
+        with self._db.mutex:
             if self.closed:
                 return
-            with self.manager.engine:
-                for cursor in self._cursors.values():
-                    cursor.close()
-                self._cursors.clear()
+            for cursor in self._cursors.values():
+                cursor.close()
+            self._cursors.clear()
             self._statements.clear()
             self.closed = True
             self.txn.commit()
@@ -779,16 +772,15 @@ class Session:
     def abort(self) -> None:
         """Abort the session transaction (undoing logged effects) and
         release everything."""
-        with self._lock:
+        with self._db.mutex:
             if self.closed:
                 return
-            with self.manager.engine:
-                for cursor in self._cursors.values():
-                    cursor.close()
-                self._cursors.clear()
-                self._statements.clear()
-                self.closed = True
-                self.txn.abort()   # undoing logged effects writes
+            for cursor in self._cursors.values():
+                cursor.close()
+            self._cursors.clear()
+            self._statements.clear()
+            self.closed = True
+            self.txn.abort()   # undoing logged effects writes
         self.manager._drop_subscriptions(self)  # noqa: SLF001
         self.manager._release(self)  # noqa: SLF001
 
@@ -887,13 +879,6 @@ class SessionManager:
         #: tically by substituting a fake).
         self._clock = clock if clock is not None else time.monotonic
         self.txns = TransactionManager(db.access)
-        #: The engine mutex: every message runs under it, taken once in
-        #: :meth:`Session.handle` (after the session's own lock).  A
-        #: shared reader side bought no throughput under the GIL and let
-        #: unlatched buffer state race.  Reentrant, because GOODBYE's
-        #: ``close``/``abort`` and a live requery re-enter it on the
-        #: same thread.
-        self.engine = threading.RLock()
         self._slots = threading.Condition()
         self._active = 0
         self._peak = 0

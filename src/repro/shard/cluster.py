@@ -9,7 +9,8 @@ them.  The cluster is an :class:`~repro.engine.Engine` like ``Prima``
 — the facade is inherited, not re-typed — so examples, benchmarks, and
 the whole serving layer (``SessionManager``, the daemon,
 ``repro.connect``) run over a cluster unchanged; this module holds only
-what a cluster adds (placement, service channels, shard admission).
+what a cluster adds (placement and service channels).  Its shard
+engines share its engine mutex: scatter-gather runs on one thread.
 
 Sharding invariants:
 
@@ -31,8 +32,6 @@ benchmark gates on, independent of the GIL.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from typing import Any
 
 from repro.coupling.network import NetworkModel, NetworkStats
@@ -143,17 +142,13 @@ class ClusterAccess:
 class ShardedCluster(Engine):
     """N partitioned PRIMA engines behind one coordinator.
 
-    ``shard_sessions`` bounds concurrent pipeline-opens *per shard* (the
-    shard half of split admission control — the serving layer's
-    ``max_sessions`` still bounds the coordinator side); ``ranges``
-    declares range placement per atom type (default: stable hash);
-    ``model`` prices the per-shard service channels.
+    ``ranges`` declares range placement per atom type (default: stable
+    hash); ``model`` prices the per-shard service channels.
     """
 
     def __init__(self, shards: int = 4, *,
                  ranges: dict[str, Any] | None = None,
                  router: ShardRouter | None = None,
-                 shard_sessions: int | None = None,
                  model: NetworkModel | None = None,
                  buffer_capacity: int = 256 * 8192) -> None:
         super().__init__()
@@ -178,12 +173,7 @@ class ShardedCluster(Engine):
         #: One modelled service channel per shard: each gathered result
         #: bills one message + its molecule payload to its shard.
         self.channels = [NetworkStats() for _ in range(shards)]
-        self.shard_sessions = shard_sessions
-        self._shard_slots = [threading.Semaphore(shard_sessions)
-                             for _ in range(shards)] \
-            if shard_sessions else None
         self._unrouted = 0
-        self._lock = threading.Lock()
 
     # -- cluster plumbing ----------------------------------------------------
 
@@ -209,29 +199,9 @@ class ShardedCluster(Engine):
             self.access.counters.bump("routed_inserts")
             return shard
         self.access.counters.bump("unrouted_inserts")
-        with self._lock:
-            shard = self._unrouted % self.shard_count
-            self._unrouted += 1
+        shard = self._unrouted % self.shard_count
+        self._unrouted += 1
         return shard
-
-    @contextmanager
-    def shard_slot(self, index: int):
-        """Per-shard admission: bound concurrent pipeline-opens.
-
-        Contention is counted (``shard_admission_waits``), then waited
-        out — shard admission queues rather than rejects, because the
-        coordinator has already admitted the query."""
-        if self._shard_slots is None:
-            yield
-            return
-        slot = self._shard_slots[index]
-        if not slot.acquire(blocking=False):
-            self.access.counters.bump("shard_admission_waits")
-            slot.acquire()
-        try:
-            yield
-        finally:
-            slot.release()
 
     def bill_shard(self, index: int, nbytes: int) -> None:
         """Account one gathered result against a shard's channel."""
@@ -259,15 +229,17 @@ class ShardedCluster(Engine):
 
     def execute_ldl(self, ldl: str) -> list[str]:
         """Execute an LDL script on every shard (catalog lockstep)."""
-        for engine in self.engines:
-            output = engine.execute_ldl(ldl)
+        with self.mutex:
+            for engine in self.engines:
+                output = engine.execute_ldl(ldl)
         self.access.counters.bump("ddl_fanouts")
         return output
 
     def analyze(self, type_name: str | None = None) -> int:
         """Collect optimizer statistics on every shard (each sees only
         its partition — selectivities stay locally accurate)."""
-        return sum(engine.analyze(type_name) for engine in self.engines)
+        with self.mutex:
+            return sum(engine.analyze(type_name) for engine in self.engines)
 
     def advise_ranges(self, type_name: str | None = None
                       ) -> dict[str, tuple]:
@@ -286,41 +258,42 @@ class ShardedCluster(Engine):
         every shard) — correctness never depends on a rebalance this
         engine does not perform.
         """
-        self.analyze(type_name)
-        names = ([type_name] if type_name is not None
-                 else list(self.schema.atom_type_names()))
-        adopted: dict[str, tuple] = {}
-        for name in names:
-            atom_type = self.schema.atom_type(name)
-            if not atom_type.keys or \
-                    self.router.range_points(name) is not None:
-                continue
-            key_attr = atom_type.keys[0]
-            lo = hi = None
-            populated = 0
-            for engine in self.engines:
-                stats = engine.data.statistics.type_statistics(name)
-                column = (stats.attributes.get(key_attr)
-                          if stats is not None else None)
-                if column is None or column.minimum is None:
+        with self.mutex:
+            self.analyze(type_name)
+            names = ([type_name] if type_name is not None
+                     else list(self.schema.atom_type_names()))
+            adopted: dict[str, tuple] = {}
+            for name in names:
+                atom_type = self.schema.atom_type(name)
+                if not atom_type.keys or \
+                        self.router.range_points(name) is not None:
                     continue
-                populated += stats.cardinality
-                try:
-                    if lo is None or column.minimum < lo:
-                        lo = column.minimum
-                    if hi is None or column.maximum > hi:
-                        hi = column.maximum
-                except TypeError:
-                    lo = hi = None   # mixed-type domain: stay hashed
-                    break
-            points = ShardRouter.derive_split_points(
-                lo, hi, self.shard_count)
-            if points is None:
-                continue
-            self.router.adopt_ranges(name, points, mixed=populated > 0)
-            adopted[name] = points
-            self.access.counters.bump("router_ranges_advised")
-        return adopted
+                key_attr = atom_type.keys[0]
+                lo = hi = None
+                populated = 0
+                for engine in self.engines:
+                    stats = engine.data.statistics.type_statistics(name)
+                    column = (stats.attributes.get(key_attr)
+                              if stats is not None else None)
+                    if column is None or column.minimum is None:
+                        continue
+                    populated += stats.cardinality
+                    try:
+                        if lo is None or column.minimum < lo:
+                            lo = column.minimum
+                        if hi is None or column.maximum > hi:
+                            hi = column.maximum
+                    except TypeError:
+                        lo = hi = None   # mixed-type domain: stay hashed
+                        break
+                points = ShardRouter.derive_split_points(
+                    lo, hi, self.shard_count)
+                if points is None:
+                    continue
+                self.router.adopt_ranges(name, points, mixed=populated > 0)
+                adopted[name] = points
+                self.access.counters.bump("router_ranges_advised")
+            return adopted
 
     # -- accounting -----------------------------------------------------------
 
@@ -349,8 +322,9 @@ class ShardedCluster(Engine):
     # -- maintenance ----------------------------------------------------------
 
     def commit(self) -> None:
-        for engine in self.engines:
-            engine.commit()
+        with self.mutex:
+            for engine in self.engines:
+                engine.commit()
 
     def verify_integrity(self) -> list:
         violations = []

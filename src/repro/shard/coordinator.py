@@ -33,6 +33,7 @@ cluster version moves (``cluster_plans_invalidated``).
 from __future__ import annotations
 
 import pickle
+import threading
 import time
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any
@@ -358,11 +359,12 @@ class ClusterPrepared:
             bound, shard=self._coordinator.routed_target(bound))
 
     def execute(self, *args: Any, **params: Any) -> ResultSet:
-        self._refresh()
-        if self.kind == "select":
-            return self._coordinator.open_result(self, args, params)
-        statement = self._stmts[0].bound_statement(args, params)
-        return self._coordinator.execute(statement)
+        with self._coordinator.mutex:
+            self._refresh()
+            if self.kind == "select":
+                return self._coordinator.open_result(self, args, params)
+            statement = self._stmts[0].bound_statement(args, params)
+            return self._coordinator.execute(statement)
 
     @property
     def statement(self) -> Statement:
@@ -381,14 +383,15 @@ class ClusterPrepared:
         if self.kind != "select":
             raise PrimaError("EXPLAIN supports SELECT statements only")
         params = params or {}
-        if args or params or (analyze and
-                              (self.param_count or self.param_names)):
-            plan = self.bind(args, params)
-        else:
-            plan = self.plan()
-        if not analyze:
-            return plan.explain()
-        span = self._coordinator.trace(self, args, params)
+        with self._coordinator.mutex:
+            if args or params or (analyze and
+                                  (self.param_count or self.param_names)):
+                plan = self.bind(args, params)
+            else:
+                plan = self.plan()
+            if not analyze:
+                return plan.explain()
+            span = self._coordinator.trace(self, args, params)
         lines = [plan.explain(), "  analyzed:"]
         lines.extend("    " + line for line in span.render())
         return "\n".join(lines)
@@ -399,7 +402,8 @@ class ClusterPrepared:
         gets one child span per routed/scattered shard."""
         if self.kind != "select":
             raise PrimaError("TRACE supports SELECT statements only")
-        return self._coordinator.trace(self, args, params or {})
+        with self._coordinator.mutex:
+            return self._coordinator.trace(self, args, params or {})
 
     def __repr__(self) -> str:
         shards = len(self._stmts)
@@ -414,6 +418,10 @@ class Coordinator:
         self.cluster = cluster
         self._prepared = PlanCache(128)
         self.obs = Observability()
+        #: The cluster's engine mutex, which every shard engine shares.
+        self.mutex = threading.RLock()
+        for engine in cluster.engines:
+            engine.data.mutex = self.mutex
 
     # -- the DataSystem surface the serving layer speaks ---------------------
 
@@ -520,7 +528,7 @@ class Coordinator:
               text: str = "") -> ResultSet:
         annotated = self.annotate(plans[target or 0], shard=target)
         result = ResultSet(source=self._gather(plans, target, text),
-                           plan_text=annotated.explain())
+                           plan_text=annotated.explain(), mutex=self.mutex)
         result.shard = target
         return result
 
@@ -618,14 +626,12 @@ class Coordinator:
     def _open_pipe(self, index: int, plan: QueryPlan) -> _ShardPipe:
         cluster = self.cluster
         engine = cluster.engines[index]
-        with cluster.shard_slot(index):
-            snapshot = engine.data.open_snapshot()
-            try:
-                pipe = _ShardPipe(cluster, index, engine.data, plan,
-                                  snapshot)
-            except BaseException:
-                snapshot.release()
-                raise
+        snapshot = engine.data.open_snapshot()
+        try:
+            pipe = _ShardPipe(cluster, index, engine.data, plan, snapshot)
+        except BaseException:
+            snapshot.release()
+            raise
         engine.access.counters.bump("cluster_queries")
         return pipe
 

@@ -178,12 +178,17 @@ class BufferManager:
                 self._write_back(pid, frame.page)
                 frame.dirty = False
 
+    def discard(self, page_id: PageId) -> None:
+        """Drop a resident page without write-back (absent: no-op)."""
+        frame = self._frames.pop(page_id, None)
+        if frame is not None:
+            self._used_bytes -= frame.page.size
+            self.policy.on_evict(page_id)
+
     def drop_segment_pages(self, segment: str) -> None:
         """Discard all resident pages of a dropped segment (no write-back)."""
         for pid in [p for p in self._frames if p.segment == segment]:
-            frame = self._frames.pop(pid)
-            self._used_bytes -= frame.page.size
-            self.policy.on_evict(pid)
+            self.discard(pid)
 
 
 class PartitionedBufferManager:
@@ -261,6 +266,9 @@ class PartitionedBufferManager:
             return
         for part in self._parts.values():
             part.flush()
+
+    def discard(self, page_id: PageId) -> None:
+        self._part_for(page_id).discard(page_id)
 
     def drop_segment_pages(self, segment: str) -> None:
         for part in self._parts.values():

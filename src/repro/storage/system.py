@@ -76,18 +76,7 @@ class StorageSystem:
         segment = self.segments.get(page_id.segment)
         if not segment.owns(page_id.page_no):
             raise PageNotFoundError(f"page {page_id} is not allocated")
-        # Evict silently: freed pages must not be written back.
-        frames = getattr(self.buffer, "_frames", None)
-        if frames is not None and page_id in frames:
-            frame = frames.pop(page_id)
-            self.buffer._used_bytes -= frame.page.size  # noqa: SLF001
-            self.buffer.policy.on_evict(page_id)
-        elif isinstance(self.buffer, PartitionedBufferManager):
-            part = self.buffer.partition(segment.page_size)
-            if page_id in part._frames:  # noqa: SLF001
-                frame = part._frames.pop(page_id)  # noqa: SLF001
-                part._used_bytes -= frame.page.size  # noqa: SLF001
-                part.policy.on_evict(page_id)
+        self.buffer.discard(page_id)   # freed pages are never written back
         segment.free(page_id.page_no)
 
     def fix(self, page_id: PageId) -> Page:

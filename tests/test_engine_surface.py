@@ -20,14 +20,13 @@ FACADE = {
     "prepare", "execute", "query", "stream", "execute_script", "explain",
     "trace", "insert_atom", "get_atom", "modify_atom", "delete_atom",
     "attach_sessions", "dump_ddl", "io_report", "obs", "metrics_report",
-    "reset_accounting", "close", "__enter__", "__exit__",
+    "reset_accounting", "close", "__enter__", "__exit__", "mutex",
 }
 
 #: What is allowed to differ between the two public surfaces.
 PRIMA_ONLY = {"storage", "ldl", "parallel_select", "save", "load"}
-CLUSTER_ONLY = {"router", "channels", "service_model", "shard_sessions",
-                "place_insert", "shard_slot", "bill_shard",
-                "service_report", "advise_ranges"}
+CLUSTER_ONLY = {"router", "channels", "service_model", "place_insert",
+                "bill_shard", "service_report", "advise_ranges"}
 
 DDL = ("CREATE ATOM_TYPE city (city_id: IDENTIFIER, name: CHAR_VAR, "
        "pop: INTEGER, grp: INTEGER) KEYS_ARE (name)")

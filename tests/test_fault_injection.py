@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Prima
 from repro.errors import StorageError
 from repro.storage.page import Page, PageId
 from repro.storage.system import StorageSystem
@@ -15,11 +16,7 @@ def flushed_storage():
     with storage.page(pid, write=True) as page:
         page.insert(b"precious payload")
     storage.flush()
-    # drop the clean frame so the next fix reads from disk
-    buffer = storage.buffer
-    frame = buffer._frames.pop(pid)  # noqa: SLF001
-    buffer._used_bytes -= frame.page.size  # noqa: SLF001
-    buffer.policy.on_evict(pid)
+    storage.buffer.discard(pid)   # the next fix reads from disk
     return storage, pid
 
 
@@ -47,10 +44,7 @@ class TestChecksumVerification:
         with storage.page(other, write=True) as page:
             page.insert(b"other page")
         storage.flush()
-        buffer = storage.buffer
-        frame = buffer._frames.pop(other)  # noqa: SLF001
-        buffer._used_bytes -= frame.page.size  # noqa: SLF001
-        buffer.policy.on_evict(other)
+        storage.buffer.discard(other)
         handle = storage.disk.file("data")
         blocks = handle._blocks  # noqa: SLF001
         blocks[pid.page_no], blocks[other.page_no] = \
@@ -65,11 +59,8 @@ class TestChecksumVerification:
         header = storage.sequences.create("seq")
         storage.sequences.write(header, bytes(range(256)) * 10)
         storage.flush()
-        buffer = storage.buffer
-        for pid in list(buffer._frames):  # noqa: SLF001
-            frame = buffer._frames.pop(pid)  # noqa: SLF001
-            buffer._used_bytes -= frame.page.size  # noqa: SLF001
-            buffer.policy.on_evict(pid)
+        for pid in storage.buffer.resident():
+            storage.buffer.discard(pid)
         component = storage.sequences.component_pages(header)[1]
         handle = storage.disk.file("seq")
         image = bytearray(handle._blocks[component.page_no])  # noqa: SLF001
@@ -87,3 +78,25 @@ class TestChecksumVerification:
             page.insert(b"legitimate change")
         with storage.page(pid) as page:
             assert len(page.slots()) == 2
+
+
+def test_a_corrupt_atom_block_is_a_storage_error_on_every_path():
+    """The access layer reports only a missing slot as a missing record;
+    a checksum failure below it keeps its storage type, whether the atom
+    is read directly or through a query."""
+    db = Prima()
+    db.execute("CREATE ATOM_TYPE city (city_id: IDENTIFIER, "
+               "name: CHAR_VAR, pop: INTEGER) KEYS_ARE (name)")
+    surrogate = db.insert_atom("city", {"name": "Kaiserslautern",
+                                        "pop": 99000})
+    db.commit()
+    pid = PageId("at_city", 1)
+    db.storage.buffer.discard(pid)
+    handle = db.storage.disk.file("at_city")
+    image = bytearray(handle._blocks[pid.page_no])  # noqa: SLF001
+    image[100] ^= 0xFF
+    handle._blocks[pid.page_no] = bytes(image)  # noqa: SLF001
+    for read in (lambda: db.get_atom(surrogate),
+                 lambda: db.query("SELECT ALL FROM city").materialize()):
+        with pytest.raises(StorageError, match="checksum"):
+            read()

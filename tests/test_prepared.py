@@ -542,10 +542,9 @@ class TestConcurrentInvalidation:
                 for i in range(25):
                     if stop.is_set():
                         break
-                    with manager.engine:
-                        db.execute_ldl(
-                            f"CREATE SORT ORDER churn_{i} ON item (grp)")
-                        db.execute_ldl(f"DROP SORT ORDER churn_{i}")
+                    db.execute_ldl(
+                        f"CREATE SORT ORDER churn_{i} ON item (grp)")
+                    db.execute_ldl(f"DROP SORT ORDER churn_{i}")
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 

@@ -421,14 +421,13 @@ class TestServingCounters:
         outcome = {}
 
         def write() -> None:
-            with manager.engine:
+            with db.mutex:
                 held.set()
                 release.wait(timeout=10)
 
         def parallel_read() -> None:
-            with manager.engine:
-                outcome["molecules"] = db.parallel_select(
-                    query, processors=3).result
+            outcome["molecules"] = db.parallel_select(
+                query, processors=3).result
 
         writer = threading.Thread(target=write, daemon=True)
         writer.start()

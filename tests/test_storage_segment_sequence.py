@@ -34,6 +34,19 @@ class TestSegments:
         assert storage.allocate_page("data").page_no == pids[0].page_no
         assert storage.allocate_page("data").page_no == pids[1].page_no
 
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_freed_page_leaves_the_buffer_unwritten(self, partitioned):
+        storage = StorageSystem(buffer_capacity=8 * 8192,
+                                partitioned=partitioned)
+        storage.create_segment("data", 512)
+        pid = storage.allocate_page("data")
+        used = storage.buffer.used_bytes
+        storage.free_page(pid)
+        assert pid not in storage.buffer.resident()
+        assert storage.buffer.used_bytes == used - 512
+        storage.flush()
+        assert storage.counters.get("dirty_writebacks") == 0
+
     def test_free_unallocated_rejected(self, storage):
         storage.create_segment("data", 512)
         with pytest.raises(PageNotFoundError):
