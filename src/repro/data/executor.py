@@ -38,7 +38,6 @@ from repro.access.system import AccessSystem
 from repro.data.plan import QueryPlan, RootAccess
 from repro.data.predicates import PredicateEvaluator, path_values
 from repro.data.prepared import (
-    BoundTemplateStatement,
     PlanCache,
     PreparedStatement,
     extract_template,
@@ -97,10 +96,6 @@ class DataSystem:
         #: under every query entry point (facade, serving sessions,
         #: parallel_select), so repeated statement text skips parse+plan.
         self.plan_cache = PlanCache()
-        #: Literal variants of one statement shape share a single cached
-        #: plan template (promoted on the second distinct variant); turn
-        #: off to cache every literal text separately.
-        self.auto_parameterize = True
         #: This engine's observability bundle: the query tracer
         #: (off-by-default sampling), the metrics registry (latency
         #: histograms and gauges on top of the counter bag), and the
@@ -138,12 +133,12 @@ class DataSystem:
         result.  DML/DDL statements are prepared but never cached —
         their execution must re-qualify against current state anyway.
 
-        With :attr:`auto_parameterize` on, *literal variants* of one
-        SELECT shape (``... WHERE n = 1`` / ``... WHERE n = 2``) are
-        recognised on the second distinct variant and promoted to a
-        single shared plan template with the literals as bound
-        parameters (``plan_cache_template_hits``) — the repetitive
-        checkout workload stops filling the cache with per-value plans.
+        *Literal variants* of one statement shape (``... WHERE n = 1`` /
+        ``... WHERE n = 2``) are recognised on the second distinct
+        variant and promoted to a single shared plan template with the
+        literals as bound parameters (``plan_cache_template_hits``) —
+        the repetitive checkout workload stops filling the cache with
+        per-value plans.
         """
         key = PlanCache.normalize(mql)
         caching = use_cache and self.plan_cache.capacity > 0
@@ -152,10 +147,9 @@ class DataSystem:
             if hit is not None:
                 self.access.counters.bump("plan_cache_hits")
                 return hit
-            if self.auto_parameterize:
-                bound = self._prepare_via_template(mql)
-                if bound is not None:
-                    return bound
+            variant = self._prepare_via_template(mql)
+            if variant is not None:
+                return variant
         statement = parse(mql)
         self.access.counters.bump("statements_parsed")
         prepared = PreparedStatement(self, mql, statement)
@@ -164,18 +158,20 @@ class DataSystem:
             self.plan_cache.put(key, prepared)
         return prepared
 
-    def _prepare_via_template(self, mql: str) -> BoundTemplateStatement | None:
+    def _prepare_via_template(self, mql: str) -> PreparedStatement | None:
         """Share one cached plan across literal variants of a statement.
 
-        The statement's literals are lifted into positional parameters
+        The statement's literals are lifted into internal named parameters
         (:func:`~repro.data.prepared.extract_template`); the resulting
         *template key* identifies the statement shape.  The first
         sighting of a shape only notes the key (a one-off literal query
         plans normally — nothing changes for it); the second distinct
         variant parses and caches the shared template; every later
         variant binds its literals into that template without parsing
-        (``plan_cache_template_hits``).  Returns ``None`` whenever the
-        literal path should proceed as usual.
+        (``plan_cache_template_hits``): it is a handle over the
+        template's statement that carries the lifted values and shares
+        the template's plan.  Returns ``None`` whenever the literal path
+        should proceed as usual.
         """
         extracted = extract_template(mql)
         if extracted is None:
@@ -194,18 +190,11 @@ class DataSystem:
             self.access.counters.bump("plan_cache_misses")
             self.plan_cache.put(tkey, template)
         else:
-            if not isinstance(template, PreparedStatement) \
-                    or not template_matches(template, values):
+            if not template_matches(template, values):
                 return None
             self.access.counters.bump("plan_cache_template_hits")
-        return BoundTemplateStatement(mql, template, values)
-
-    def execute_text(self, mql: str, args: tuple = (),
-                     params: dict[str, Any] | None = None,
-                     use_cache: bool = True) -> ResultSet:
-        """Prepare (cache-aware) and execute one statement text."""
-        prepared = self.prepare(mql, use_cache=use_cache)
-        return prepared.execute(*args, **(params or {}))
+        return PreparedStatement(self, mql, template.statement,
+                                 template=template, lifted=values)
 
     # ------------------------------------------------------------ snapshots --
 
@@ -219,31 +208,6 @@ class DataSystem:
         (or use it as a context manager) when the cursor closes.
         """
         return self.access.atoms.open_snapshot()
-
-    def open_result(self, prepared: "PreparedStatement | Any",
-                    args: tuple = (),
-                    params: dict[str, Any] | None = None) -> ResultSet:
-        """Bind and execute a prepared SELECT over a pinned snapshot.
-
-        The lock-free serving read path as one call: bind the plan, pin
-        a snapshot at the current atom-version epoch, compile the
-        pipeline against it, and hand back a lazy :class:`ResultSet`
-        that releases the snapshot when its cursor closes.  Shared by
-        the serving sessions and the cluster coordinator (which calls
-        it per shard) — the snapshot lifetime rules live in one place.
-        """
-        plan = prepared.bind(args, params or {})
-        snapshot = self.open_snapshot()
-        try:
-            pipeline = plan.compile(self, snapshot=snapshot)
-            result = ResultSet(source=pipeline, plan_text=plan.explain(),
-                               mutex=self.mutex)
-        except BaseException:
-            snapshot.release()
-            raise
-        result.on_close(lambda _op: snapshot.release())
-        self.watch_query(getattr(prepared, "text", ""), pipeline)
-        return result
 
     def watch_query(self, text: str, pipeline: Any) -> None:
         """Arm per-query accounting on a compiled pipeline.

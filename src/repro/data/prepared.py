@@ -33,10 +33,11 @@ concrete key value is substituted into the derived
 bound pushdown applies to the bound pipeline unchanged.
 
 Callers that do not prepare still benefit: :func:`extract_template`
-lifts the literals of a plain-text SELECT into positional parameters,
-so the data system can key its cache on the statement *shape* — every
-literal variant of one checkout query shares a single cached template,
-executed through the thin :class:`BoundTemplateStatement` wrapper.
+lifts the literals of a plain-text SELECT into internal named
+parameters, so the data system can key its cache on the statement
+*shape* — every literal variant of one checkout query shares a single
+cached template.  A variant is itself a :class:`PreparedStatement` that
+carries its lifted values and defers its plan to the template.
 """
 
 from __future__ import annotations
@@ -356,10 +357,25 @@ class PreparedStatement:
     """
 
     def __init__(self, data: "DataSystem", text: str,
-                 statement: Statement) -> None:
+                 statement: Statement, *,
+                 template: "PreparedStatement | None" = None,
+                 lifted: tuple = ()) -> None:
         self._data = data
         self.text = text
         self.statement = statement
+        self.kind = "select" if isinstance(statement, SelectStatement) \
+            else "statement"
+        #: The handle that owns this one's plan (``None``: plans itself).
+        self._template = template
+        #: Literal values bound as the reserved ``:__tN`` names on every
+        #: call (a literal variant of the template's shape).
+        self._lifted = tuple(lifted)
+        if template is not None:
+            self.param_count = template.param_count
+            self.param_names = tuple(
+                name for name in template.param_names
+                if not (lifted and name.startswith(TEMPLATE_PARAM_PREFIX)))
+            return
         positional: set[int] = set()
         names: list[str] = []
         for parameter in iter_parameters(statement):
@@ -370,10 +386,9 @@ class PreparedStatement:
                 positional.add(parameter.index or 0)
         #: Number of positional ``?`` slots (the highest index + 1).
         self.param_count = max(positional) + 1 if positional else 0
-        #: Named ``:name`` slots, in first-appearance order.
+        #: Named ``:name`` slots, in first-appearance order (a literal
+        #: variant hides the reserved ``:__tN`` names it binds itself).
         self.param_names = tuple(names)
-        self.kind = "select" if isinstance(statement, SelectStatement) \
-            else "statement"
         #: (plan template, catalog version) — swapped as one tuple.
         self._state: tuple[QueryPlan | None, int] = (None, -1)
         if self.kind == "select":
@@ -396,8 +411,11 @@ class PreparedStatement:
         Re-validates and re-plans when the catalog version moved since
         the template was built — a dropped atom type raises here instead
         of executing stale, and a newly created tuning structure is
-        picked up.
+        picked up.  A literal variant defers to its template, so every
+        variant of one shape shares one plan and one replan.
         """
+        if self._template is not None:
+            return self._template.plan()
         if self.kind != "select":
             raise ExecutionError(
                 f"{type(self.statement).__name__} has no query plan"
@@ -413,6 +431,8 @@ class PreparedStatement:
     @property
     def root_atom_type(self) -> str:
         """Root atom type of the plan (the serving layer's lock scope)."""
+        if self._template is not None:
+            return self._template.root_atom_type
         return self.plan().root_access.atom_type
 
     def dependency_types(self) -> frozenset[str]:
@@ -427,6 +447,13 @@ class PreparedStatement:
     # -- binding and execution ------------------------------------------------
 
     def _bindings(self, args: tuple, named: dict[str, Any]) -> Bindings:
+        if self._lifted:
+            for name in named:
+                if name.startswith(TEMPLATE_PARAM_PREFIX):
+                    raise ExecutionError(
+                        f"parameter name {name!r} is reserved for "
+                        f"internally bound literals"
+                    )
         if len(args) != self.param_count:
             raise ExecutionError(
                 f"statement takes {self.param_count} positional "
@@ -444,6 +471,10 @@ class PreparedStatement:
                 f"no value bound for parameter(s) "
                 f"{', '.join(':' + name for name in sorted(missing))}"
             )
+        if self._lifted:
+            named = dict(named)
+            for index, value in enumerate(self._lifted):
+                named[template_param_name(index)] = value
         return Bindings(args, named)
 
     def bind(self, args: tuple = (),
@@ -477,30 +508,46 @@ class PreparedStatement:
         with data.mutex:
             if self.kind != "select":
                 return data.execute(self.bound_statement(args, params))
-            plan = self.bind(args, params)
-            pipeline = plan.compile(data)
-            data.watch_query(self.text, pipeline)
-            return ResultSet(source=pipeline, plan_text=plan.explain(),
-                             mutex=data.mutex)
+            return self._cursor(args, params)
 
-    def _trace_plan(self, plan: QueryPlan) -> Span:
-        """Compile and drain ``plan`` under a forced trace.
-
-        The returned root span's duration is the wall-time of the whole
-        drain; its children are the operator spans, rebuilt from the
-        operators' own ``time_total`` / ``rows_out`` measurements."""
+    def _cursor(self, args: tuple, params: dict[str, Any]) -> ResultSet:
+        """The embedded read path of :meth:`execute`: a lazy cursor over
+        a pipeline compiled against the live atom manager (no snapshot
+        pin).  A cluster has snapshot cursors only and routes this to
+        :meth:`open`."""
         data = self._data
-        span = Span("query", attrs={"mql": self.text})
+        plan = self.bind(args, params)
         pipeline = plan.compile(data)
-        try:
-            while pipeline.next() is not None:
-                pass
-        finally:
-            pipeline.close()
-        span.finish()
-        span_from_operator(pipeline, parent=span)
-        data.obs.observe_query(self.text, span.duration, span)
-        return span
+        data.watch_query(self.text, pipeline)
+        return ResultSet(source=pipeline, plan_text=plan.explain(),
+                         mutex=data.mutex)
+
+    def open(self, args: tuple = (),
+             params: dict[str, Any] | None = None) -> ResultSet:
+        """Bind and execute a SELECT over a pinned snapshot.
+
+        The lock-free serving read path as one call: bind the plan, pin
+        a snapshot at the current atom-version epoch, compile the
+        pipeline against it, and hand back a lazy :class:`ResultSet`
+        that releases the snapshot when its cursor closes.  Serving
+        sessions and live-query requeries open every cursor here — the
+        snapshot lifetime rules live in one place.
+        """
+        data = self._data
+        with data.mutex:
+            plan = self.bind(args, params or {})
+            snapshot = data.open_snapshot()
+            try:
+                pipeline = plan.compile(data, snapshot=snapshot)
+                result = ResultSet(source=pipeline,
+                                   plan_text=plan.explain(),
+                                   mutex=data.mutex)
+            except BaseException:
+                snapshot.release()
+                raise
+            result.on_close(lambda _op: snapshot.release())
+            data.watch_query(self.text, pipeline)
+            return result
 
     def trace(self, args: tuple = (),
               params: dict[str, Any] | None = None) -> Span:
@@ -509,36 +556,51 @@ class PreparedStatement:
         Unlike the sampled tracing of the regular execution path, this
         always produces the span tree — the programmatic twin of
         ``explain(analyze=True)``, and what the TRACE wire message runs
-        server-side."""
+        server-side.  The root span's duration is the wall-time of the
+        whole drain; its children are the operator spans, rebuilt from
+        the operators' own ``time_total`` / ``rows_out`` measurements.
+        """
         if self.kind != "select":
             raise PrimaError("TRACE supports SELECT statements only")
-        with self._data.mutex:
-            return self._trace_plan(self.bind(args, params or {}))
+        data = self._data
+        with data.mutex:
+            plan = self.bind(args, params or {})
+            span = Span("query", attrs={"mql": self.text})
+            pipeline = plan.compile(data)
+            try:
+                while pipeline.next() is not None:
+                    pass
+            finally:
+                pipeline.close()
+            span.finish()
+            span_from_operator(pipeline, parent=span)
+            data.obs.observe_query(self.text, span.duration, span)
+            return span
 
     def explain(self, analyze: bool = False, args: tuple = (),
                 params: dict[str, Any] | None = None) -> str:
         """The processing plan (SELECT only).
 
         Without bindings the *template* is rendered — placeholders show
-        as ``?n`` / ``:name`` markers.  With bindings (or under
-        ``analyze=True``, which must execute the pipeline) the bound
-        plan is rendered; ``analyze=True`` additionally renders the
-        query's **span tree** (see :meth:`trace`): the root span's
-        measured wall-time with one child span per operator carrying
-        rows and self/total time.
+        as ``?n`` / ``:name`` markers; a literal variant renders its
+        bound plan.  With bindings (or under ``analyze=True``, which
+        must execute the pipeline) the bound plan is rendered;
+        ``analyze=True`` additionally renders the query's **span tree**
+        (see :meth:`trace`): the root span's measured wall-time with one
+        child span per operator carrying rows and self/total time.
         """
         if self.kind != "select":
             raise PrimaError("EXPLAIN supports SELECT statements only")
         params = params or {}
         with self._data.mutex:
-            if args or params or (analyze and
-                                  (self.param_count or self.param_names)):
+            if args or params or self._lifted or (
+                    analyze and (self.param_count or self.param_names)):
                 plan = self.bind(args, params)
             else:
                 plan = self.plan()
             if not analyze:
                 return plan.explain()
-            span = self._trace_plan(plan)
+            span = self.trace(args, params)
         lines = [plan.explain(), "  analyzed:"]
         lines.extend("    " + line for line in span.render())
         return "\n".join(lines)
@@ -550,7 +612,7 @@ class PreparedStatement:
         if self.param_names:
             slots.append(", ".join(":" + n for n in self.param_names))
         inner = f" [{'; '.join(slots)}]" if slots else ""
-        return f"PreparedStatement({self.kind}{inner}, {self.text!r})"
+        return f"{type(self).__name__}({self.kind}{inner}, {self.text!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -670,86 +732,6 @@ def template_matches(template: "PreparedStatement",
                 if name.startswith(TEMPLATE_PARAM_PREFIX)}
     return internal == {template_param_name(i)
                         for i in range(len(values))}
-
-
-class BoundTemplateStatement:
-    """A literal statement riding a shared plan template.
-
-    Presents the :class:`PreparedStatement` execution surface for the
-    original text: its lifted literals are bound internally (as the
-    reserved ``:__tN`` names) on every call, while any *explicit*
-    ``?`` / ``:name`` placeholders the text carried stay open for the
-    caller — a half-parameterized statement keeps its public parameter
-    surface.  Parse, validation, planning, and catalog-version tracking
-    live once in the shared template.  Works for SELECT and the DML
-    verbs alike (``kind`` follows the template).
-    """
-
-    __slots__ = ("text", "template", "_values", "kind", "param_count",
-                 "param_names")
-
-    def __init__(self, text: str, template: PreparedStatement,
-                 values: tuple) -> None:
-        self.text = text
-        self.template = template
-        self._values = tuple(values)
-        self.kind = template.kind
-        self.param_count = template.param_count
-        self.param_names = tuple(
-            name for name in template.param_names
-            if not name.startswith(TEMPLATE_PARAM_PREFIX)
-        )
-
-    def _merged(self, params: dict[str, Any] | None) -> dict[str, Any]:
-        """Caller-supplied named bindings plus the internal literals."""
-        merged = dict(params or {})
-        for name in merged:
-            if name.startswith(TEMPLATE_PARAM_PREFIX):
-                raise ExecutionError(
-                    f"parameter name {name!r} is reserved for internally "
-                    f"bound literals"
-                )
-        for index, value in enumerate(self._values):
-            merged[template_param_name(index)] = value
-        return merged
-
-    @property
-    def statement(self) -> Statement:
-        return self.template.statement
-
-    def plan(self) -> QueryPlan:
-        return self.template.plan()
-
-    @property
-    def root_atom_type(self) -> str:
-        return self.template.root_atom_type
-
-    def dependency_types(self) -> frozenset[str]:
-        return self.template.dependency_types()
-
-    def bind(self, args: tuple = (),
-             params: dict[str, Any] | None = None) -> QueryPlan:
-        return self.template.bind(args, self._merged(params))
-
-    def bound_statement(self, args: tuple = (),
-                        params: dict[str, Any] | None = None) -> Statement:
-        return self.template.bound_statement(args, self._merged(params))
-
-    def execute(self, *args: Any, **params: Any) -> ResultSet:
-        return self.template.execute(*args, **self._merged(params))
-
-    def explain(self, analyze: bool = False, args: tuple = (),
-                params: dict[str, Any] | None = None) -> str:
-        return self.template.explain(analyze, args=args,
-                                     params=self._merged(params))
-
-    def trace(self, args: tuple = (),
-              params: dict[str, Any] | None = None) -> "Span":
-        return self.template.trace(args, self._merged(params))
-
-    def __repr__(self) -> str:
-        return (f"BoundTemplateStatement({self.kind}, {self.text!r}, "
-                f"{len(self._values)} literal(s) bound)")
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ depend on this type, never on which subclass they hold.
 A subclass supplies
 
 * ``data`` — the query executor (``prepare`` / ``execute`` /
-  ``execute_text`` / ``publish_data_version`` / ``obs``): a
-  ``DataSystem`` or a shard ``Coordinator``;
+  ``publish_data_version`` / ``obs``): a ``DataSystem`` or a shard
+  ``Coordinator``, whose ``prepare`` returns the one statement handle,
+  a :class:`~repro.data.prepared.PreparedStatement` (``execute`` /
+  ``open`` / ``bind`` / ``explain`` / ``trace``);
 * ``access`` — direct atom access (``insert`` / ``get`` / ``modify`` /
   ``delete``) and the ``counters`` bag;
 * ``schema`` and ``catalog``; ``shard_count`` and ``engines`` (``1``
@@ -71,7 +73,7 @@ class Engine:
         """Parse, validate, and plan one statement **once**.
 
         The returned :class:`~repro.data.prepared.PreparedStatement`
-        (on a cluster: one per shard behind a ``ClusterPrepared``)
+        (on a cluster a ``ClusterPrepared`` over one per shard)
         re-executes with fresh placeholder bindings and zero per-call
         frontend work::
 
@@ -108,8 +110,8 @@ class Engine:
         SELECTs scatter-gather, DDL fans out and INSERT routes by key.
         """
         with self.mutex:
-            return self.data.execute_text(mql, args, params,
-                                          use_cache=use_cache)
+            return self.data.prepare(mql, use_cache=use_cache) \
+                .execute(*args, **params)
 
     #: Read-path aliases of :meth:`execute` (one implementation — the
     #: historic ``query``/``stream`` split was duplication): ``query``

@@ -16,7 +16,7 @@ loop.
 Layout::
 
     registry.py      SubscriptionRegistry — ids, per-session ownership,
-                     dependency-set extraction from plans
+                     the dependency set each statement handle reports
     invalidation.py  InvalidationIndex — type -> subscriptions inverted
                      index + catalog-version bump detection
     notifier.py      Notifier — budgets, min re-notify interval,
@@ -28,11 +28,7 @@ Layout::
 from repro.live.hub import LiveQueryHub
 from repro.live.invalidation import InvalidationIndex
 from repro.live.notifier import Notifier
-from repro.live.registry import (
-    Subscription,
-    SubscriptionRegistry,
-    dependency_types,
-)
+from repro.live.registry import Subscription, SubscriptionRegistry
 
 __all__ = [
     "InvalidationIndex",
@@ -40,5 +36,4 @@ __all__ = [
     "Notifier",
     "Subscription",
     "SubscriptionRegistry",
-    "dependency_types",
 ]

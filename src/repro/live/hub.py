@@ -131,8 +131,7 @@ class LiveQueryHub:
         """Re-run the subscription's statement against a fresh snapshot
         (flush-thread or pump context — takes the engine mutex)."""
         with self._db.mutex:
-            result = self._db.data.open_result(sub.prepared, sub.args,
-                                               sub.params)
+            result = sub.prepared.open(sub.args, sub.params)
             try:
                 return list(result)
             finally:

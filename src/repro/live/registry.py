@@ -4,9 +4,11 @@ A live query is a prepared SELECT plus a **dependency set** — the atom
 types whose commits can change its result: the root molecule type and
 every type referenced anywhere in the plan's structure tree, stamped
 with the catalog version in force at registration.  The registry owns
-the ``subscription_id`` namespace, the per-session index (subscriptions
-die with their session), and the extraction itself; the inverted
-type → subscriptions index lives in
+the ``subscription_id`` namespace and the per-session index
+(subscriptions die with their session); the set itself is the
+statement handle's ``PreparedStatement.dependency_types()`` (a cluster
+handle unions its per-shard plans), and the inverted type →
+subscriptions index lives in
 :class:`~repro.live.invalidation.InvalidationIndex`.
 """
 
@@ -16,23 +18,8 @@ import threading
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.data.prepared import PreparedStatement
     from repro.serve.session import Session
-
-
-def dependency_types(prepared: Any) -> frozenset[str]:
-    """The atom types a prepared SELECT depends on.
-
-    Prefers the statement's own ``dependency_types()`` (cluster
-    statements union their per-shard plans); falls back to walking the
-    plan's structure tree directly.
-    """
-    extractor = getattr(prepared, "dependency_types", None)
-    if extractor is not None:
-        return frozenset(extractor())
-    plan = prepared.plan()
-    types = set(plan.structure.atom_types())
-    types.add(plan.root_access.atom_type)
-    return frozenset(types)
 
 
 class Subscription:
@@ -52,8 +39,8 @@ class Subscription:
     )
 
     def __init__(self, subscription_id: int, session: "Session",
-                 prepared: Any, args: tuple, params: dict[str, Any],
-                 deliver: str, types: frozenset[str],
+                 prepared: "PreparedStatement", args: tuple,
+                 params: dict[str, Any], deliver: str, types: frozenset[str],
                  catalog_version: int) -> None:
         self.subscription_id = subscription_id
         self.session = session
@@ -89,10 +76,11 @@ class SubscriptionRegistry:
         self._subscriptions: dict[int, Subscription] = {}
         self._by_session: dict[int, set[int]] = {}
 
-    def register(self, session: "Session", prepared: Any, args: tuple,
+    def register(self, session: "Session",
+                 prepared: "PreparedStatement", args: tuple,
                  params: dict[str, Any], deliver: str,
                  catalog_version: int) -> Subscription:
-        types = dependency_types(prepared)
+        types = prepared.dependency_types()
         with self._mutex:
             sub = Subscription(self._next_id, session, prepared, args,
                                params, deliver, types, catalog_version)

@@ -56,18 +56,15 @@ def parallel_select(db: Prima, query: "str | PreparedStatement",
             "already scatter-gathers across its shards — execute "
             "through the coordinator instead"
         )
-    if isinstance(query, PreparedStatement) and query.kind != "select":
-        raise DecompositionError(
-            "semantic decomposition operates on SELECT statements"
-        )
     decomposer = SemanticDecomposer(db.data)
     with db.mutex:
-        if isinstance(query, PreparedStatement):
-            plan, units = decomposer.decompose_plan(
-                query.bind(args, params or {}))
-        else:
-            plan, units = decomposer.decompose_select(query, args=args,
-                                                      params=params)
+        stmt = db.data.prepare(query) if isinstance(query, str) else query
+        if stmt.kind != "select":
+            raise DecompositionError(
+                "semantic decomposition operates on SELECT statements"
+            )
+        plan, units = decomposer.decompose_plan(
+            stmt.bind(args, params or {}))
         result = decomposer.run_all(plan, units)
     report = simulate(units, processors)
     metrics = db.data.obs.metrics

@@ -287,8 +287,8 @@ class Session:
     def _open_pipeline(self, prepared: PreparedStatement, args: tuple,
                        params: dict[str, Any] | None,
                        fetch_size: int | str | None) -> protocol.OpenReply:
-        """Bind a prepared SELECT, open its server cursor, fetch the
-        first batch.  :meth:`handle` holds the engine mutex.
+        """Open a prepared SELECT's server cursor (``prepared.open``),
+        fetch the first batch.  :meth:`handle` holds the engine mutex.
 
         No lock is taken on the root atom type: the pipeline is compiled
         against a pinned snapshot of the atom-version epoch, so it keeps
@@ -308,7 +308,7 @@ class Session:
                 "remote cursors serve SELECT statements only "
                 "(use execute() for DML)"
             )
-        result = self._db.data.open_result(prepared, args, params or {})
+        result = prepared.open(args, params or {})
         self._count("snapshot_reads")
         self._next_cursor += 1
         cursor = ServerCursor(self, self._next_cursor, result,

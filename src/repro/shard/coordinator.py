@@ -4,8 +4,10 @@ The :class:`Coordinator` is the ``data`` member of a
 :class:`~repro.shard.cluster.ShardedCluster` — what the
 :class:`~repro.engine.Engine` facade and the serving layer call where a
 single engine has its :class:`~repro.data.executor.DataSystem`
-(``prepare`` / ``execute`` / ``open_result`` / ``catalog_version`` /
-``publish_data_version``).  Behind those calls it routes:
+(``prepare`` / ``execute`` / ``catalog_version`` /
+``publish_data_version``); its statement handle, :class:`ClusterPrepared`,
+is a :class:`~repro.data.prepared.PreparedStatement` whose ``open``
+routes.  Behind those calls it routes:
 
 * **routed** — a SELECT whose root access is an exact KEYS_ARE lookup
   with concrete (bound) key values executes on exactly the shard that
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.data.operators import RootScan, order_rank
 from repro.data.plan import QueryPlan
-from repro.data.prepared import PlanCache
+from repro.data.prepared import PlanCache, PreparedStatement
 from repro.data.result import ResultSet
 from repro.errors import PrimaError
 from repro.mql.ast import (
@@ -229,7 +231,7 @@ class _ScatterGather:
             if prefix_attrs and len(entries) >= window:
                 boundary = sorted(entries, key=entry_key)[window - 1]
                 pipe.push_bound(boundary[4])
-                self._coordinator.counters.bump("shard_bounds_pushed")
+                self._coordinator.access.counters.bump("shard_bounds_pushed")
             while True:
                 molecule = pipe.next()
                 if molecule is None:
@@ -305,31 +307,26 @@ class _ScatterGather:
             hook(self)
 
 
-class ClusterPrepared:
+class ClusterPrepared(PreparedStatement):
     """One prepared statement, planned on every shard.
 
-    Wraps N per-shard prepared statements (each riding its shard's plan
-    cache and auto-parameterization, each replanning itself when *its*
-    catalog version moves) behind the single-statement surface the
-    serving layer speaks.  The coordinator-level concern on top is the
-    routing annotation: re-derived whenever the summed cluster catalog
-    version moves (a DDL fan-out bumps every shard).
+    A :class:`~repro.data.prepared.PreparedStatement` over N per-shard
+    statements (each riding its shard's plan cache, each replanning
+    itself when *its* catalog version moves), whose plan, parameters
+    and literal bindings are shard 0's.  It overrides only what routing
+    changes: the annotated ``plan`` / ``bind`` (re-derived whenever the
+    summed cluster catalog version moves), the union
+    ``dependency_types``, the routed or scatter-gather ``open`` (also
+    how ``execute`` reads) and the per-shard ``trace``.
     """
 
     def __init__(self, coordinator: "Coordinator", text: str) -> None:
-        self._coordinator = coordinator
         self._stmts = [engine.data.prepare(text)
                        for engine in coordinator.cluster.engines]
         base = self._stmts[0]
-        self.text = base.text
-        self.kind = base.kind
-        self.param_count = base.param_count
-        self.param_names = tuple(base.param_names)
+        super().__init__(coordinator, base.text, base.statement,
+                         template=base, lifted=base._lifted)
         self._version = coordinator.catalog_version
-
-    @property
-    def root_atom_type(self) -> str:
-        return self._stmts[0].root_atom_type
 
     def dependency_types(self) -> frozenset[str]:
         """The union of every shard plan's dependency set.  Shard
@@ -342,73 +339,72 @@ class ClusterPrepared:
         return frozenset(types)
 
     def _refresh(self) -> None:
-        current = self._coordinator.catalog_version
+        current = self._data.catalog_version
         if current != self._version:
             self._version = current
-            self._coordinator.counters.bump("cluster_plans_invalidated")
+            self._data.access.counters.bump("cluster_plans_invalidated")
 
     def plan(self) -> QueryPlan:
         self._refresh()
-        return self._coordinator.annotate(self._stmts[0].plan())
+        return self._data.annotate(self._stmts[0].plan())
 
     def bind(self, args: tuple = (),
              params: dict[str, Any] | None = None) -> QueryPlan:
         self._refresh()
         bound = self._stmts[0].bind(args, params or {})
-        return self._coordinator.annotate(
-            bound, shard=self._coordinator.routed_target(bound))
+        return self._data.annotate(bound,
+                                   shard=self._data.routed_target(bound))
 
-    def execute(self, *args: Any, **params: Any) -> ResultSet:
-        with self._coordinator.mutex:
-            self._refresh()
-            if self.kind == "select":
-                return self._coordinator.open_result(self, args, params)
-            statement = self._stmts[0].bound_statement(args, params)
-            return self._coordinator.execute(statement)
+    def _bound_plans(self, args: tuple,
+                     params: dict[str, Any] | None) -> list[QueryPlan]:
+        self._refresh()
+        return [stmt.bind(args, params or {}) for stmt in self._stmts]
 
-    @property
-    def statement(self) -> Statement:
-        return self._stmts[0].statement
+    def open(self, args: tuple = (),
+             params: dict[str, Any] | None = None) -> ResultSet:
+        """Bind and execute a SELECT: routed or scatter-gather.
 
-    def bound_statement(self, args: tuple = (),
-                        params: dict[str, Any] | None = None) -> Statement:
-        return self._stmts[0].bound_statement(args, params or {})
+        The returned lazy :class:`ResultSet` holds one pinned snapshot
+        *per touched shard*, all released when it closes.
+        """
+        coordinator = self._data
+        with coordinator.mutex:
+            plans = self._bound_plans(args, params)
+            return coordinator._open(
+                plans, coordinator.routed_target(plans[0]), self.text)
 
-    def explain(self, analyze: bool = False, args: tuple = (),
-                params: dict[str, Any] | None = None) -> str:
-        """The routed/annotated plan; ``analyze=True`` executes the
-        query cluster-wide and renders the real span tree — the root
-        span's wall-time with one child span per touched shard, each
-        carrying its shard pipeline's operator spans."""
-        if self.kind != "select":
-            raise PrimaError("EXPLAIN supports SELECT statements only")
-        params = params or {}
-        with self._coordinator.mutex:
-            if args or params or (analyze and
-                                  (self.param_count or self.param_names)):
-                plan = self.bind(args, params)
-            else:
-                plan = self.plan()
-            if not analyze:
-                return plan.explain()
-            span = self._coordinator.trace(self, args, params)
-        lines = [plan.explain(), "  analyzed:"]
-        lines.extend("    " + line for line in span.render())
-        return "\n".join(lines)
+    #: A cluster has snapshot cursors only: ``execute`` reads via open.
+    _cursor = open
 
     def trace(self, args: tuple = (),
               params: dict[str, Any] | None = None) -> Span:
-        """Execute to exhaustion under a forced trace; the root span
-        gets one child span per routed/scattered shard."""
+        """Run the SELECT to exhaustion under a forced trace.
+
+        Unlike the sampled close-hook path this always builds the span
+        tree: the root span is live wall-time, each touched shard
+        contributes one child span carrying its pipeline's operator
+        spans (their summed self-times bound by the root duration).
+        """
         if self.kind != "select":
             raise PrimaError("TRACE supports SELECT statements only")
-        with self._coordinator.mutex:
-            return self._coordinator.trace(self, args, params or {})
-
-    def __repr__(self) -> str:
-        shards = len(self._stmts)
-        return f"ClusterPrepared({self.kind}, {shards} shard(s), " \
-               f"{self.text!r})"
+        coordinator = self._data
+        with coordinator.mutex:
+            plans = self._bound_plans(args, params)
+            target = coordinator.routed_target(plans[0])
+            span = Span("query", attrs={
+                "mql": self.text,
+                "mode": "scatter" if target is None else "routed",
+                "shards": len(plans) if target is None else 1,
+            })
+            source = coordinator._gather(plans, target, self.text, span)
+            rows = 0
+            try:
+                while source.next() is not None:
+                    rows += 1
+                span.attrs["rows"] = rows
+            finally:
+                source.close()
+            return span
 
 
 class Coordinator:
@@ -416,6 +412,8 @@ class Coordinator:
 
     def __init__(self, cluster: "ShardedCluster") -> None:
         self.cluster = cluster
+        #: The cluster's access facade (``DataSystem.access``'s twin).
+        self.access = cluster.access
         self._prepared = PlanCache(128)
         self.obs = Observability()
         #: The cluster's engine mutex, which every shard engine shares.
@@ -428,10 +426,6 @@ class Coordinator:
     @property
     def validator(self):
         return self.cluster.engines[0].data.validator
-
-    @property
-    def counters(self):
-        return self.cluster.access.counters
 
     @property
     def catalog_version(self) -> int:
@@ -449,25 +443,19 @@ class Coordinator:
         """Plan ``mql`` on every shard; cache the cluster handle.
 
         The per-shard statements ride their shards' plan caches (and
-        auto-parameterization); this map only deduplicates the cluster
-        wrapper so repeated text returns one handle identity.
+        literal templates); this map only deduplicates the cluster
+        handle so repeated text returns one handle identity.
         """
         key = PlanCache.normalize(mql)
         if use_cache:
             hit = self._prepared.get(key)
             if hit is not None:
-                self.counters.bump("cluster_prepared_hits")
+                self.access.counters.bump("cluster_prepared_hits")
                 return hit
         prepared = ClusterPrepared(self, mql)
         if use_cache:
             self._prepared.put(key, prepared)
         return prepared
-
-    def execute_text(self, mql: str, args: tuple = (),
-                     params: dict[str, Any] | None = None,
-                     use_cache: bool = True) -> ResultSet:
-        prepared = self.prepare(mql, use_cache=use_cache)
-        return prepared.execute(*args, **(params or {}))
 
     # -- SELECT execution -----------------------------------------------------
 
@@ -502,20 +490,6 @@ class Coordinator:
         return self.cluster.router.shard_of_key(plan.root_access.atom_type,
                                                 key)
 
-    def open_result(self, prepared: ClusterPrepared, args: tuple = (),
-                    params: dict[str, Any] | None = None) -> ResultSet:
-        """Bind and execute a prepared SELECT: routed or scatter-gather.
-
-        The cluster twin of ``DataSystem.open_result``: the returned
-        lazy :class:`ResultSet` holds one pinned snapshot *per touched
-        shard*, all released when it closes.
-        """
-        params = params or {}
-        prepared._refresh()
-        plans = [stmt.bind(args, params) for stmt in prepared._stmts]
-        return self._open(plans, self.routed_target(plans[0]),
-                          text=prepared.text)
-
     def _select_statement(self, statement: SelectStatement) -> ResultSet:
         """Execute an already-parsed SELECT AST (the script path)."""
         plans = []
@@ -536,12 +510,13 @@ class Coordinator:
                 text: str, span: Span | None = None) -> Any:
         """Open the one routed pipe or the scatter-gather over all of
         them — the only place shard pipes are opened for a SELECT.
-        ``span`` forces a trace (see :meth:`_watch`)."""
+        ``span`` forces a trace (see :meth:`_watch` and
+        :meth:`ClusterPrepared.trace`)."""
         if target is not None:
             pipes = [self._open_pipe(
                 target, replace(plans[target], routing=None))]
             source: Any = pipes[0]
-            self.counters.bump("routed_queries")
+            self.access.counters.bump("routed_queries")
         else:
             pipes = []
             try:
@@ -553,7 +528,7 @@ class Coordinator:
                     pipe.close()
                 raise
             source = _ScatterGather(self, plans[0], pipes)
-            self.counters.bump("scatter_queries")
+            self.access.counters.bump("scatter_queries")
         self._watch(text, source, pipes, span)
         return source
 
@@ -579,33 +554,6 @@ class Coordinator:
             obs.observe_query(text, duration, span)
 
         source.add_close_hook(_finish)
-
-    def trace(self, prepared: ClusterPrepared, args: tuple,
-              params: dict[str, Any]) -> Span:
-        """Run a prepared SELECT to exhaustion under a forced trace.
-
-        Unlike the sampled close-hook path this always builds the span
-        tree: the root span is live wall-time, each touched shard
-        contributes one child span carrying its pipeline's operator
-        spans (their summed self-times bound by the root duration).
-        """
-        prepared._refresh()
-        plans = [stmt.bind(args, params) for stmt in prepared._stmts]
-        target = self.routed_target(plans[0])
-        span = Span("query", attrs={
-            "mql": prepared.text,
-            "mode": "scatter" if target is None else "routed",
-            "shards": len(plans) if target is None else 1,
-        })
-        source = self._gather(plans, target, prepared.text, span)
-        rows = 0
-        try:
-            while source.next() is not None:
-                rows += 1
-            span.attrs["rows"] = rows
-        finally:
-            source.close()
-        return span
 
     def _shard_plan(self, plan: QueryPlan) -> QueryPlan:
         """One shard's slice of a scatter plan.
@@ -649,7 +597,7 @@ class Coordinator:
         if isinstance(statement, _DDL_STATEMENTS):
             for engine in self.cluster.engines:
                 result = engine.data.execute(statement)
-            self.counters.bump("ddl_fanouts")
+            self.access.counters.bump("ddl_fanouts")
             return result
         if isinstance(statement, InsertStatement):
             return self._execute_insert(statement)
@@ -657,7 +605,7 @@ class Coordinator:
             affected = 0
             for engine in self.cluster.engines:
                 affected += engine.data.execute(statement).affected
-            self.counters.bump("dml_fanouts")
+            self.access.counters.bump("dml_fanouts")
             return ResultSet(affected=affected)
         raise PrimaError(
             f"cluster coordinator cannot execute "

@@ -94,3 +94,53 @@ def test_one_shard_cluster_is_byte_identical_to_prima(mql):
             answers.append(pickle.dumps(conn.query(mql).to_dicts()))
         db.close()
     assert answers[0] == answers[1]
+
+
+#: Members the cluster handle must inherit, never re-declare.
+HANDLE_INHERITED = ("execute", "explain", "bound_statement", "_bindings",
+                    "__repr__")
+
+
+def test_every_prepared_handle_is_a_prepared_statement():
+    from repro.data.prepared import PreparedStatement
+    with Prima() as db, ShardedCluster(shards=2) as cluster:
+        for engine in (db, cluster):
+            engine.execute(DDL)
+            # plain, then three literal variants (the second and third
+            # ride the shared template), then DML
+            handles = [engine.prepare("SELECT ALL FROM city WHERE pop = ?")]
+            for pop in (1, 2, 3):
+                handles.append(engine.prepare(
+                    f"SELECT ALL FROM city WHERE pop = {pop}"))
+            handles.append(engine.prepare("INSERT city (name = 'x')"))
+            with repro.connect(engine) as conn:
+                for grp in (1, 2):
+                    conn.prepare(f"SELECT ALL FROM city WHERE grp = {grp}")
+                handles.extend(holder.prepared for holder in
+                               conn.session._statements.values())
+            assert len(handles) == 7
+            for handle in handles:
+                assert isinstance(handle, PreparedStatement), handle
+
+
+def test_cluster_handle_inherits_the_statement_surface():
+    from repro.data.prepared import PreparedStatement
+    from repro.shard import ClusterPrepared
+    assert issubclass(ClusterPrepared, PreparedStatement)
+    assert not set(HANDLE_INHERITED) & set(vars(ClusterPrepared))
+
+
+def test_retired_statement_surfaces_are_gone():
+    import repro.data.prepared as prepared
+    import repro.live as live
+    from repro.data.executor import DataSystem
+    from repro.shard import Coordinator
+    assert not hasattr(prepared, "BoundTemplateStatement")
+    for name in ("open_result", "execute_text", "auto_parameterize"):
+        assert not hasattr(DataSystem, name), name
+    with Prima() as db:
+        assert not hasattr(db.data, "auto_parameterize")
+    for name in ("open_result", "execute_text"):
+        assert not hasattr(Coordinator, name), name
+    assert not hasattr(live, "dependency_types")
+    assert "dependency_types" not in live.__all__

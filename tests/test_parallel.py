@@ -115,6 +115,18 @@ class TestEndToEnd:
         assert all(unit.read_set for unit in units)
         assert all(unit.result is not None for unit in units)
 
+    def test_literal_variant_handle(self, handles):
+        """The second literal variant of a shape prepares as a handle
+        over the shared template; parallel_select takes it like any
+        other prepared statement."""
+        db = handles.db
+        db.prepare("SELECT ALL FROM brep WHERE brep_no = 1713")
+        query = "SELECT ALL FROM brep WHERE brep_no = 1714"
+        outcome = parallel_select(db, db.prepare(query), processors=2)
+        assert [m.to_dict() for m in outcome.result] == \
+            [m.to_dict() for m in db.query(query)]
+        assert len(outcome.result) == 1
+
     def test_order_and_window_equal_serial(self, handles):
         db = handles.db
         query = ("SELECT ALL FROM brep ORDER BY brep_no DESC "

@@ -308,13 +308,14 @@ class TestPlanCache:
         assert report.get("plan_cache_hits", 0) == 0
 
     def test_lru_eviction(self, db):
-        # Auto-parameterization would collapse these literal variants
-        # into one shared template — turn it off to exercise the LRU.
-        db.data.auto_parameterize = False
+        # Eight distinct placeholder shapes: literal variants of one
+        # shape would share a single template entry instead.
         make_items(db, 10)
         db.data.plan_cache.capacity = 4
-        for i in range(8):
-            db.query(f"SELECT ALL FROM item WHERE n = {i}").materialize()
+        for attr in ("n", "grp"):
+            for op in ("=", "<", ">", "!="):
+                db.query(f"SELECT ALL FROM item WHERE {attr} {op} ?",
+                         3).materialize()
         assert len(db.data.plan_cache) == 4
         assert db.data.plan_cache.evictions == 4
 
@@ -686,16 +687,6 @@ class TestAutoParameterize:
         assert report["statements_parsed"] == 2
         assert report["plan_cache_template_hits"] == 3
 
-    def test_knob_off_plans_every_literal(self, db):
-        make_items(db, 30)
-        db.data.auto_parameterize = False
-        db.data.plan_cache.clear()
-        db.reset_accounting()
-        for g in range(4):
-            db.query(f"SELECT ALL FROM item WHERE grp = {g}").materialize()
-        assert db.io_report()["statements_parsed"] == 4
-        assert db.io_report().get("plan_cache_template_hits", 0) == 0
-
     def test_explicit_placeholders_never_templated(self, db):
         make_items(db, 30)
         db.data.plan_cache.clear()
@@ -725,6 +716,24 @@ class TestAutoParameterize:
             [n for n in range(20) if n % 7 == 3]
         with pytest.raises(ExecutionError):
             bound.execute(4)
+
+    def test_literal_variant_rejects_reserved_names(self, db):
+        make_items(db, 20)
+        db.data.plan_cache.clear()
+        db.prepare("SELECT ALL FROM item WHERE grp = 1")
+        variant = db.prepare("SELECT ALL FROM item WHERE grp = 2")
+        assert variant.param_names == ()
+        with pytest.raises(ExecutionError, match="reserved"):
+            variant.execute(__t0=4)
+
+    def test_own_reserved_name_placeholder_still_binds(self, db):
+        """Only a handle carrying lifted literals reserves ``:__tN`` — a
+        statement whose own text names one binds it like any other."""
+        make_items(db, 20)
+        stmt = db.prepare("SELECT ALL FROM item WHERE grp = :__t0")
+        assert stmt.param_names == ("__t0",)
+        assert [m.atom["n"] for m in stmt.execute(__t0=3)] == \
+            [n for n in range(20) if n % 7 == 3]
 
     def test_string_literals_survive_the_round_trip(self, db):
         make_items(db, 25)

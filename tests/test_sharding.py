@@ -150,6 +150,22 @@ class TestRoutedLookup:
         scatter = cluster.explain("SELECT ALL FROM city WHERE pop > 1100")
         assert f"scatter to {SHARDS} shard(s)" in scatter
 
+    def test_explain_binds_a_literal_variant(self, cluster, oracle):
+        # The third variant rides the shared template: EXPLAIN shows its
+        # own key, never the internal placeholder, as Prima's does.
+        for i in (1, 2):
+            cluster.explain(f"SELECT ALL FROM city WHERE name = 'c{i}'")
+            oracle.explain(f"SELECT ALL FROM city WHERE name = 'c{i}'")
+        mql = "SELECT ALL FROM city WHERE name = 'c3'"
+        plan = cluster.explain(mql)
+        assert "key = ('c3',)" in plan
+        assert "__t" not in plan
+
+        def root(text):
+            return [line for line in text.splitlines()
+                    if line.startswith("  root:")]
+        assert root(plan) == root(oracle.explain(mql))
+
     def test_unbound_parameter_key_falls_back_to_scatter(self, cluster):
         # A plan-time explain of a parameterized key cannot route yet;
         # binding concrete values resolves the target shard.
@@ -487,16 +503,14 @@ class TestRangeAdvisor:
             # scattering, so every pre-adoption atom stays reachable.
             assert not cluster.router.routable("m")
             for v in (0, 13, 29):
-                rows = cluster.data.execute_text(
-                    f"SELECT ALL FROM m WHERE v = {v}")
+                rows = cluster.execute(f"SELECT ALL FROM m WHERE v = {v}")
                 assert [x.atom["v"] for x in rows] == [v]
             # New inserts follow the derived ranges.
             cluster.execute("INSERT m (v = 500)")
             owner = cluster.router.shard_of_key("m", 500)
             assert cluster.engines[owner].access.atoms.find_by_key(
                 "m", 500) is not None
-            rows = cluster.data.execute_text(
-                "SELECT ALL FROM m WHERE v = 500")
+            rows = cluster.execute("SELECT ALL FROM m WHERE v = 500")
             assert [x.atom["v"] for x in rows] == [500]
 
     def test_advised_cluster_parity_with_oracle(self, oracle):
@@ -515,5 +529,5 @@ class TestRangeAdvisor:
                 oracle2.execute(f"INSERT m (v = {v})")
             mql = "SELECT ALL FROM m WHERE v >= 20"
             assert sorted(x.atom["v"] for x in
-                          cluster.data.execute_text(mql)) == \
+                          cluster.execute(mql)) == \
                 sorted(x.atom["v"] for x in oracle2.execute(mql))
