@@ -20,7 +20,7 @@ markers (``benchmarks/check_regressions.py`` fails CI on them):
   (the daemon pays real pickling + socket costs the in-process loop
   does not, hence the margin);
 * **auto-tuning** (marker): a fetch size tuned from the
-  :class:`~repro.coupling.network.NetworkModel` must beat the static
+  :class:`~repro.obs.network.NetworkModel` must beat the static
   default on modelled ``net_comm_time_ms`` for the same stream;
 * **lease reclaim** (hard assert): abandoned sessions are expired by
   the daemon's reaper and their admission slots come back without any

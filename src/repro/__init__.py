@@ -39,6 +39,11 @@ Package map (one subpackage per layer of Fig. 3.1):
 * :mod:`repro.coupling` — workstation-host checkout/checkin
 * :mod:`repro.workloads`— BREP / VLSI / GIS generators
 * :mod:`repro.baselines`— hierarchical and network stores (Fig. 2.1)
+
+Every import points down one order, bottom to top — errors, util,
+storage, mad, access, mql, obs, data, txn, ldl, engine, db, persistence,
+parallel, shard, live, serve, workloads, al, baselines, coupling, this
+package — and sits at module top; ``tests/test_layering.py`` checks it.
 """
 
 from repro.data.prepared import PreparedStatement

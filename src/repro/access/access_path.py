@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.access.btree import BStarTree
+from repro.access.btree import BStarTree, make_key
 from repro.access.multidim import GridFile, KeyCondition
 from repro.access.structure import StorageStructure
 from repro.errors import AccessError
@@ -127,7 +127,6 @@ class AccessPath(StorageStructure):
 
     @staticmethod
     def _qualifies_rest(values: tuple, conditions: list[KeyCondition]) -> bool:
-        from repro.access.btree import make_key
         for value, cond in zip(values, conditions):
             if cond.start is not None:
                 lo = make_key(cond.start)

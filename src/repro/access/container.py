@@ -20,7 +20,7 @@ from typing import Iterator
 from repro.errors import AccessError, PageOverflowError, RecordNotFoundError, StorageError
 from repro.access.address import RecordId
 from repro.storage.constants import PAGE_HEADER_SIZE, SLOT_ENTRY_SIZE
-from repro.storage.page import PageId
+from repro.storage.page import PAGE_TYPE_DATA, PageId
 from repro.storage.system import StorageSystem
 
 
@@ -155,7 +155,6 @@ class RecordContainer:
     def scan(self) -> Iterator[tuple[RecordId, bytes]]:
         """All records in physical (page, slot) order — the system-defined
         order of the atom-type scan.  Long records are resolved."""
-        from repro.storage.page import PAGE_TYPE_DATA
         for page_id in self.page_ids():
             with self._storage.page(page_id) as page:
                 if page.page_type != PAGE_TYPE_DATA:

@@ -1,12 +1,9 @@
 """Workstation-host coupling (paper, section 4; [HHMM87])."""
 
-from repro.coupling.network import NetworkModel, NetworkStats
 from repro.coupling.server import PrimaServer
 from repro.coupling.workstation import ObjectBuffer, Workstation
 
 __all__ = [
-    "NetworkModel",
-    "NetworkStats",
     "ObjectBuffer",
     "PrimaServer",
     "Workstation",

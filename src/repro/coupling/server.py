@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.access.encoding import encoded_size
-from repro.coupling.network import NetworkModel
 from repro.data.result import ResultSet
 from repro.db import Prima
 from repro.mad.types import Surrogate
+from repro.obs.network import NetworkModel
 from repro.serve import DEFAULT_FETCH_SIZE, Connection, SessionManager, connect
 
 

@@ -17,7 +17,8 @@ from repro.data.plan import QueryPlan, RootAccess
 from repro.data.predicates import PredicateEvaluator, path_values
 from repro.data.result import ResultSet
 from repro.data.simplification import conjuncts, sargable_root_terms, simplify
-from repro.data.validation import MoleculeTypeCatalog, Validator
+from repro.data.validation import Validator
+from repro.mad.molecule import MoleculeTypeCatalog
 
 __all__ = [
     "DataSystem",

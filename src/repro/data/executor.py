@@ -31,11 +31,13 @@ from dataclasses import replace
 from typing import Any
 
 from repro.access.access_path import AccessPath
+from repro.access.btree import make_key
 from repro.access.cluster import AtomCluster
 from repro.access.multidim import KeyCondition
 from repro.access.snapshots import SnapshotView
+from repro.access.sort_order import SortOrder
 from repro.access.system import AccessSystem
-from repro.data.plan import QueryPlan, RootAccess
+from repro.data.plan import QueryPlan, RootAccess, _render_bounds
 from repro.data.predicates import PredicateEvaluator, path_values
 from repro.data.prepared import (
     PlanCache,
@@ -46,9 +48,15 @@ from repro.data.prepared import (
 )
 from repro.data.result import ResultSet
 from repro.data.simplification import sargable_root_terms, simplify
-from repro.data.validation import MoleculeTypeCatalog, Validator
+from repro.data.statistics import StatisticsCatalog
+from repro.data.validation import Validator
 from repro.errors import ExecutionError, ValidationError
-from repro.mad.molecule import Molecule, MoleculeType, StructureNode
+from repro.mad.molecule import (
+    Molecule,
+    MoleculeType,
+    MoleculeTypeCatalog,
+    StructureNode,
+)
 from repro.mad.types import Surrogate, reference_values
 from repro.mql.ast import (
     CreateAtomType,
@@ -84,7 +92,6 @@ class DataSystem:
         self.catalog = catalog if catalog is not None else MoleculeTypeCatalog()
         self.validator = Validator(self.schema, self.catalog)
         self.evaluator = PredicateEvaluator(resolve_ref=self._resolve_ref)
-        from repro.data.statistics import StatisticsCatalog
         #: Meta-data statistics for the optimizer (collected by ANALYZE).
         self.statistics = StatisticsCatalog(access)
         #: Predicates above this estimated selectivity scan instead of
@@ -430,7 +437,6 @@ class DataSystem:
             if descending != direction:
                 break
             wanted.append(attr)
-        from repro.access.sort_order import SortOrder
 
         def prefix_len(have: tuple[str, ...]) -> int:
             matched = 0
@@ -910,8 +916,6 @@ def _range_for(terms: list[tuple[str, str, Any]],
     because the full qualification is re-evaluated as the residual
     filter.
     """
-    from repro.access.btree import make_key
-
     def comparable(a: Any, b: Any) -> bool:
         return not (isinstance(a, Parameter) or isinstance(b, Parameter))
 
@@ -942,15 +946,3 @@ def _range_for(terms: list[tuple[str, str, Any]],
     return KeyCondition(start=start, stop=stop,
                         include_start=include_start,
                         include_stop=include_stop)
-
-
-def _render_bounds(attr: str, condition: KeyCondition) -> str:
-    parts = []
-    if condition.start is not None:
-        op = ">=" if condition.include_start else ">"
-        parts.append(f"{attr} {op} {condition.start!r}")
-    if condition.stop is not None:
-        op = "<=" if condition.include_stop else "<"
-        parts.append(f"{attr} {op} {condition.stop!r}")
-    return " AND ".join(parts) or attr
-

@@ -55,6 +55,7 @@ from repro.access.scans import AccessPathScan, AtomTypeScan, SearchArgument, Sor
 from repro.mad.molecule import Molecule, StructureNode
 from repro.mad.types import Surrogate
 from repro.mql.ast import Expr, Projection
+from repro.obs.trace import span_from_operator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.data.executor import DataSystem
@@ -132,7 +133,6 @@ class Operator:
         wall-time per operator) under ``parent`` — nothing extra runs
         on the row path.  See :func:`repro.obs.trace.span_from_operator`.
         """
-        from repro.obs.trace import span_from_operator
         return span_from_operator(self, parent)
 
     def add_close_hook(self, hook: Callable[["Operator"], None]) -> None:
@@ -716,7 +716,6 @@ def sort_stable(items: list, order_by: list[tuple[str, bool]],
     reads molecule atoms, the parallel path reads the pre-projection
     values its units captured.
     """
-    from repro.access.btree import make_key
     for attr, descending in reversed(order_by):
         items.sort(key=lambda item: make_key(value_of(item, attr)),
                    reverse=descending)

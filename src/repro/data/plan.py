@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.access.multidim import KeyCondition
+from repro.data.operators import Operator, build_pipeline
 from repro.errors import ExecutionError
 from repro.mad.molecule import StructureNode
 from repro.mql.ast import Expr, Parameter, Projection
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.data.executor import DataSystem
-    from repro.data.operators import Operator
 
 
 @dataclass
@@ -118,7 +119,6 @@ class QueryPlan:
                 f"plan has unbound parameter(s) {markers} — execute "
                 f"through a prepared statement with bindings"
             )
-        from repro.data.operators import build_pipeline
         return build_pipeline(data, self, use_topk=use_topk,
                               push_bound=push_bound, snapshot=snapshot)
 
@@ -233,3 +233,14 @@ class QueryPlan:
             lines.append(f"{indent}{name} ({detail})" if detail
                          else f"{indent}{name}")
         return "\n".join(lines)
+
+
+def _render_bounds(attr: str, condition: KeyCondition) -> str:
+    parts = []
+    if condition.start is not None:
+        op = ">=" if condition.include_start else ">"
+        parts.append(f"{attr} {op} {condition.start!r}")
+    if condition.stop is not None:
+        op = "<=" if condition.include_stop else "<"
+        parts.append(f"{attr} {op} {condition.stop!r}")
+    return " AND ".join(parts) or attr

@@ -49,11 +49,12 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.access.multidim import KeyCondition
-from repro.data.plan import QueryPlan, RootAccess
+from repro.data.plan import QueryPlan, RootAccess, _render_bounds
 from repro.data.predicates import bind_expr
 from repro.data.result import ResultSet
 from repro.errors import ExecutionError, PrimaError
 from repro.obs.trace import Span, span_from_operator
+from repro.mql.lexer import tokenize
 from repro.mql.ast import (
     DeleteStatement,
     Expr,
@@ -205,7 +206,6 @@ def _bind_root_access(access: RootAccess,
             detail["conditions"] = bound
             attr = detail.get("attr")
             if attr is not None:
-                from repro.data.executor import _render_bounds
                 detail["range"] = _render_bounds(attr, bound[0])
             changed = True
     search = detail.get("search")
@@ -683,8 +683,6 @@ def extract_template(text: str) -> tuple[str, tuple] | None:
     token-equivalent MQL (whitespace-joined), so it parses to the same
     statement shape regardless of the original formatting.
     """
-    from repro.mql.lexer import tokenize
-
     try:
         tokens = tokenize(text)
     except PrimaError:

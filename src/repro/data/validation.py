@@ -27,7 +27,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.errors import ValidationError
-from repro.mad.molecule import MoleculeType, StructureNode
+# ``MoleculeTypeCatalog`` lives in :mod:`repro.mad.molecule`; older
+# checkpoints pickle it under this module's name, so it stays
+# importable here.
+from repro.mad.molecule import MoleculeTypeCatalog, StructureNode
 from repro.mad.schema import Schema
 from repro.mql.ast import (
     And,
@@ -42,38 +45,6 @@ from repro.mql.ast import (
     Quantified,
     SelectStatement,
 )
-
-
-class MoleculeTypeCatalog:
-    """Named (pre-defined) molecule types: DEFINE MOLECULE TYPE results."""
-
-    #: Monotonic stamp bumped on DEFINE/DROP (class-level default keeps
-    #: old checkpoints loadable); part of the plan-cache version.
-    version = 0
-
-    def __init__(self) -> None:
-        self._types: dict[str, MoleculeType] = {}
-        self.version = 0
-
-    def define(self, molecule_type: MoleculeType) -> None:
-        if molecule_type.name in self._types:
-            raise ValidationError(
-                f"molecule type {molecule_type.name!r} already defined"
-            )
-        self._types[molecule_type.name] = molecule_type
-        self.version = self.version + 1
-
-    def drop(self, name: str) -> None:
-        if name not in self._types:
-            raise ValidationError(f"molecule type {name!r} is not defined")
-        del self._types[name]
-        self.version = self.version + 1
-
-    def get(self, name: str) -> MoleculeType | None:
-        return self._types.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._types)
 
 
 class Validator:

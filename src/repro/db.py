@@ -45,9 +45,9 @@ from typing import Any
 from repro.access.integrity import Violation, verify_database
 from repro.access.system import AccessSystem
 from repro.data.executor import DataSystem
-from repro.data.validation import MoleculeTypeCatalog
 from repro.engine import Engine
 from repro.ldl.executor import LdlExecutor
+from repro.mad.molecule import MoleculeTypeCatalog
 from repro.mad.schema import Schema
 from repro.storage.disk import DiskGeometry
 from repro.storage.system import StorageSystem
@@ -86,18 +86,6 @@ class Prima(Engine):
             self.data._ensure_symmetry()  # noqa: SLF001
             return self.ldl.execute_script(ldl)
 
-    def parallel_select(self, mql: str, processors: int = 4,
-                        args: tuple = (),
-                        params: dict[str, Any] | None = None):
-        """Run one SELECT with semantic parallelism (see
-        :func:`repro.parallel.parallel_select`): the decomposed units
-        run serially here, and their measured costs are scheduled onto
-        ``processors`` simulated processors.
-        """
-        from repro.parallel import parallel_select
-        return parallel_select(self, mql, processors=processors,
-                               args=args, params=params)
-
     # -- optimizer meta-data -----------------------------------------------------------
 
     def analyze(self, type_name: str | None = None) -> int:
@@ -106,20 +94,6 @@ class Prima(Engine):
         :mod:`repro.data.statistics`."""
         with self.mutex:
             return self.data.statistics.analyze(type_name)
-
-    # -- persistence -------------------------------------------------------------------
-
-    def save(self, path) -> int:
-        """Checkpoint this instance to a file (see repro.persistence)."""
-        from repro.persistence import save
-        with self.mutex:
-            return save(self, path)
-
-    @staticmethod
-    def load(path) -> "Prima":
-        """Restore a checkpointed instance (see repro.persistence)."""
-        from repro.persistence import load
-        return load(path)
 
     # -- maintenance ---------------------------------------------------------------------
 

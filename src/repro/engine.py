@@ -25,9 +25,10 @@ A subclass supplies
 
 and gets every method below plus ``session_managers``, the serving
 managers opened over it, and ``mutex``.  What really differs stays on
-the subclass: ``execute_ldl``, ``analyze``, ``verify_integrity``;
-persistence and ``parallel_select`` on ``Prima``; placement and
-channels on the cluster.
+the subclass: ``execute_ldl``, ``analyze``, ``verify_integrity`` on
+``Prima``; placement and channels on the cluster.  Checkpointing
+(:mod:`repro.persistence`) and semantic parallelism
+(:mod:`repro.parallel`) are functions over a ``Prima``, a layer above.
 
 ``mutex`` is the one reentrant lock of an engine tree (a cluster shares
 its own with its shards); nothing below it latches, so every entry into
@@ -44,6 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.data.result import ResultSet
+from repro.mad.ddl import dump_schema
 from repro.mad.types import Surrogate
 from repro.mql.parser import parse_script
 
@@ -61,6 +63,11 @@ class Engine:
         #: their network accounting is summed into :meth:`io_report`,
         #: their per-session counters reset with :meth:`reset_accounting`.
         self.session_managers: list["SessionManager"] = []
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Serving managers hold locks and are not data: a checkpoint
+        # drops them, so a loaded engine starts unserved.
+        return {**self.__dict__, "session_managers": []}
 
     @property
     def mutex(self):
@@ -214,7 +221,6 @@ class Engine:
     def dump_ddl(self) -> str:
         """Regenerate the MQL DDL of the current catalog (round-trips
         through the parser; see :mod:`repro.mad.ddl`)."""
-        from repro.mad.ddl import dump_schema
         return dump_schema(self.schema, self.catalog)
 
     # -- maintenance ---------------------------------------------------------------------

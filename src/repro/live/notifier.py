@@ -27,7 +27,6 @@ import time
 from typing import Any, Callable
 
 from repro.live.registry import Subscription
-from repro.serve import protocol
 
 #: Background flush poll (seconds of *real* time).  Due-ness itself is
 #: computed on the manager clock, so injected fake clocks drive the
@@ -195,7 +194,7 @@ class Notifier:
                 molecules = None
             if self.counters is not None:
                 self.counters.bump("subscription_requeries")
-        message = protocol.Notify(
+        delivered = session.deliver_notification(
             subscription_id=sub.subscription_id,
             epoch=epoch or 0,
             types=tuple(sorted(touched)),
@@ -203,7 +202,6 @@ class Notifier:
             coalesced=coalesced,
             molecules=molecules,
         )
-        delivered = session.deliver_notification(message)
         if span is not None:
             span.attrs["delivered"] = delivered
             span.finish()

@@ -9,8 +9,7 @@ schema migration, documentation, and debugging.
 
 from __future__ import annotations
 
-from repro.data.validation import MoleculeTypeCatalog
-from repro.mad.molecule import StructureNode
+from repro.mad.molecule import MoleculeTypeCatalog, StructureNode
 from repro.mad.schema import AtomType, Schema
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, ValidationError
 from repro.mad.schema import Association
 from repro.mad.types import Surrogate
 
@@ -93,6 +93,38 @@ class MoleculeType:
 
     def __repr__(self) -> str:
         return f"MOLECULE TYPE {self.name} FROM {self.root!r}"
+
+
+class MoleculeTypeCatalog:
+    """Named (pre-defined) molecule types: DEFINE MOLECULE TYPE results."""
+
+    #: Monotonic stamp bumped on DEFINE/DROP (class-level default keeps
+    #: old checkpoints loadable); part of the plan-cache version.
+    version = 0
+
+    def __init__(self) -> None:
+        self._types: dict[str, MoleculeType] = {}
+        self.version = 0
+
+    def define(self, molecule_type: MoleculeType) -> None:
+        if molecule_type.name in self._types:
+            raise ValidationError(
+                f"molecule type {molecule_type.name!r} already defined"
+            )
+        self._types[molecule_type.name] = molecule_type
+        self.version = self.version + 1
+
+    def drop(self, name: str) -> None:
+        if name not in self._types:
+            raise ValidationError(f"molecule type {name!r} is not defined")
+        del self._types[name]
+        self.version = self.version + 1
+
+    def get(self, name: str) -> MoleculeType | None:
+        return self._types.get(name)
+
+    def names(self) -> list[str]:
+        return sorted(self._types)
 
 
 class Molecule:

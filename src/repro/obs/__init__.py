@@ -10,7 +10,9 @@ that can still say where its time went:
   counter bag with gauges and fixed-bucket histograms, mergeable across
   sessions and shards;
 * :mod:`repro.obs.slowlog` — a bounded ring of the N slowest queries
-  with their span trees.
+  with their span trees;
+* :mod:`repro.obs.network` — the coupling network's message/byte cost
+  model and its thread-safe accumulator.
 
 Every engine-shaped object (``Prima.data``, the shard ``Coordinator``)
 owns one :class:`Observability` bundle; the serving layer adds
@@ -19,8 +21,6 @@ per-session registries on top and ``metrics_report()`` /
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -33,9 +33,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.slowlog import SlowLog
 from repro.obs.trace import Span, Tracer, span_from_operator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 __all__ = [
     "DEFAULT_BUCKETS",

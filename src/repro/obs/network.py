@@ -12,6 +12,10 @@ Both classes are **thread-safe**: :class:`NetworkModel` is a frozen
 (immutable) dataclass, and :class:`NetworkStats` guards its accumulation
 with a lock — the serving layer (:mod:`repro.serve`) accounts messages
 from many concurrent session threads against one stats object.
+
+The model is accounting, like the rest of :mod:`repro.obs`: it sits
+below every layer that bills against it — the serving sessions, the
+shard service channels and the workstation coupling.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ simulated: :mod:`repro.parallel.scheduler` list-schedules the measured
 per-unit costs onto P processors.  (Real worker pools — threads under
 one engine lock, or forked processes — never beat this serial loop in
 wall-clock on one shared engine, so there are none.)  The entry point,
-``db.parallel_select(query)``, runs the loop under the engine mutex.
+:func:`repro.parallel.parallel_select`, runs the loop under the engine
+mutex.
 """
 
 from __future__ import annotations
@@ -59,10 +60,12 @@ from repro.mql.ast import (
     EmptyLiteral,
     Expr,
     Literal,
+    ModifyStatement,
     Not,
     Or,
     Parameter,
     Path,
+    Projection,
     RefLookup,
     SelectStatement,
 )
@@ -359,7 +362,6 @@ class SemanticDecomposer:
         ``args``/``params`` bind placeholders in the assignments and the
         qualification.
         """
-        from repro.mql.ast import ModifyStatement, Projection
         prepared = self._data.prepare(mql)
         statement = prepared.bound_statement(args, params or {})
         if not isinstance(statement, ModifyStatement):

@@ -7,6 +7,11 @@ disk blocks, buffer, catalogs, addressing structures, tuning structures —
 and :func:`load` restores it bit-identically.  The file carries a magic
 header and a format version so foreign files fail fast.
 
+Checkpointing sits one layer above the engine, so it is these two
+functions, not methods of :class:`~repro.db.Prima`.  A checkpoint holds
+data, not serving state: session managers attached to the instance are
+left out, and a loaded instance starts unserved.
+
     >>> from repro import Prima
     >>> from repro.persistence import save, load
     >>> db = Prima()
@@ -36,10 +41,13 @@ def save(db: Prima, path: str | Path) -> int:
     """Checkpoint ``db`` to ``path``; returns the bytes written.
 
     Dirty buffered pages are flushed and deferred updates propagated
-    first, so the stored image is a clean commit point.
+    first, so the stored image is a clean commit point.  The engine
+    mutex is held throughout, so no concurrent writer tears the image.
+    Serving managers attached to ``db`` are not saved.
     """
-    db.commit()
-    payload = pickle.dumps(db, protocol=pickle.HIGHEST_PROTOCOL)
+    with db.mutex:
+        db.commit()
+        payload = pickle.dumps(db, protocol=pickle.HIGHEST_PROTOCOL)
     target = Path(path)
     with open(target, "wb") as handle:
         handle.write(_MAGIC)

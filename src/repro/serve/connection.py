@@ -49,6 +49,7 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.data.result import ResultSet
+from repro.db import Prima
 from repro.engine import Engine
 from repro.errors import ProtocolError, SessionError, SessionStateError
 from repro.mad.molecule import Molecule
@@ -56,6 +57,7 @@ from repro.mad.types import Surrogate
 from repro.serve import protocol
 from repro.serve.cursor import RemoteCursor
 from repro.serve.session import Session, SessionManager
+from repro.shard import ShardedCluster
 
 #: "Use the manager's default fetch size" — callers that want to defer
 #: the batching decision to the server's knob pass this instead of an
@@ -619,12 +621,9 @@ def connect(target: Any = None, *, name: str | None = None,
 
     ``name`` labels the session (``io_report`` keys, lock diagnostics).
     """
-    from repro.db import Prima
-
     if target is None:
         shards = options.pop("shards", 1)
         if shards and shards > 1:
-            from repro.shard import ShardedCluster
             db: Any = ShardedCluster(shards=shards)
         else:
             db = Prima()

@@ -50,9 +50,9 @@ from typing import TYPE_CHECKING
 from repro.errors import ProtocolError, SessionError, SessionLimitError
 from repro.serve import protocol
 from repro.serve.aio import read_message, write_message
+from repro.serve.connection import Connection, connect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.connection import Connection
     from repro.serve.session import Session, SessionManager
 
 #: Sentinel closing a connection's send queue.
@@ -178,9 +178,8 @@ class PrimaDaemon:
         self._thread = None
 
     def connect(self, name: str | None = None,
-                timeout: float | None = None) -> "Connection":
+                timeout: float | None = None) -> Connection:
         """A blocking-socket :class:`Connection` to this daemon."""
-        from repro.serve.connection import connect
         return connect(self.address, name=name, timeout=timeout)
 
     def __enter__(self) -> "PrimaDaemon":

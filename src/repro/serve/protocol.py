@@ -14,7 +14,7 @@ off a socket.
 Two independent byte notions live here:
 
 * :func:`wire_size` — the **modelled** size of a message under the
-  coupling network's cost model (:class:`~repro.coupling.NetworkModel`).
+  coupling network's cost model (:class:`~repro.obs.network.NetworkModel`).
   This is what ``io_report``'s ``net_messages`` / ``net_bytes`` /
   ``net_comm_time_ms`` bill, and because the model sits in the codec it
   bills **identically on every transport** — an in-process OPEN and a

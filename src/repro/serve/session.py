@@ -84,6 +84,7 @@ from repro.errors import (
     SessionLimitError,
     SessionStateError,
 )
+from repro.live import LiveQueryHub
 from repro.mad.types import Surrogate
 from repro.mql.ast import (
     DeleteStatement,
@@ -91,6 +92,7 @@ from repro.mql.ast import (
     ModifyStatement,
 )
 from repro.obs import MetricsRegistry
+from repro.obs.network import NetworkModel, NetworkStats
 from repro.serve import protocol
 from repro.serve.cursor import ServerCursor
 from repro.serve.protocol import batch_bytes, wire_size
@@ -98,7 +100,6 @@ from repro.serve.tuning import AUTO_PROBE_SIZE, tune_fetch_size
 from repro.txn import Transaction, TransactionManager
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.coupling.network import NetworkModel
     from repro.data.result import ResultSet
     from repro.engine import Engine
 
@@ -553,8 +554,10 @@ class Session:
         daemon installs a thread-safe handoff into its send queue)."""
         self._notify_sink = sink
 
-    def deliver_notification(self, message: protocol.Notify) -> bool:
-        """Hand one NOTIFY frame to this session's client.
+    def deliver_notification(self, **fields: Any) -> bool:
+        """Build one NOTIFY frame from its ``fields`` (see
+        :class:`~repro.serve.protocol.Notify`) and hand it to this
+        session's client.
 
         Called by the notifier (committing thread or flush thread) —
         deliberately lock-free against the engine mutex: a
@@ -563,6 +566,7 @@ class Session:
         session is closed (the frame is dropped)."""
         if self.closed:
             return False
+        message = protocol.Notify(**fields)
         self._bill(message)
         sink = self._notify_sink
         if sink is not None:
@@ -812,7 +816,7 @@ class SessionManager:
     """Session lifecycle + admission control over one engine (a
     :class:`~repro.engine.Engine`: ``Prima`` or ``ShardedCluster``)."""
 
-    def __init__(self, db: "Engine", model: "NetworkModel | None" = None,
+    def __init__(self, db: "Engine", model: NetworkModel | None = None,
                  max_sessions: int = 8, admission: str = "reject",
                  queue_timeout: float | None = None,
                  default_fetch_size: int | str | None = None,
@@ -822,9 +826,6 @@ class SessionManager:
                  clock: Callable[[], float] | None = None,
                  max_subscriptions: int = 32,
                  notify_interval: float = 0.0) -> None:
-        # Imported here, not at module level: the coupling package's
-        # server rides on this module, so a top-level import would cycle.
-        from repro.coupling.network import NetworkModel, NetworkStats
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         if admission not in ("reject", "queue"):
@@ -871,10 +872,9 @@ class SessionManager:
         #: pending delta.
         self.max_subscriptions = max_subscriptions
         self.notify_interval = notify_interval
-        #: The live-query hub, built on first touch (the import and the
-        #: version-store listeners stay entirely out of subscriptions-
-        #: free workloads).
-        self._live: "Any | None" = None
+        #: The live-query hub, built on first touch (its version-store
+        #: listeners stay entirely out of subscriptions-free workloads).
+        self._live: LiveQueryHub | None = None
         #: Injectable monotonic clock (tests drive expiry determinis-
         #: tically by substituting a fake).
         self._clock = clock if clock is not None else time.monotonic
@@ -893,11 +893,10 @@ class SessionManager:
         return self._clock()
 
     @property
-    def live(self) -> "Any":
+    def live(self) -> LiveQueryHub:
         """The manager's live-query hub (built on first use)."""
         with self._slots:
             if self._live is None:
-                from repro.live import LiveQueryHub
                 self._live = LiveQueryHub(self)
             return self._live
 

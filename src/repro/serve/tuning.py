@@ -10,7 +10,7 @@ batches of molecule construction it never consumes, and the first
 molecule's latency grows with the batch.
 
 The static ``fetch_size`` knob was a guess; :func:`tune_fetch_size`
-derives the batch size from the :class:`~repro.coupling.NetworkModel`
+derives the batch size from the :class:`~repro.obs.network.NetworkModel`
 itself.  Pick the smallest ``f`` whose fixed overhead is at most
 ``target_overhead`` of the whole message service time::
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.coupling.network import NetworkModel
+    from repro.obs.network import NetworkModel
 
 #: First-batch size of an ``"auto"`` cursor: big enough to estimate the
 #: molecule wire size, small enough that a tiny LIMIT query never

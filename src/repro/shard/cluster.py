@@ -24,7 +24,7 @@ Sharding invariants:
   all shards before it is acknowledged.
 
 Each shard also gets a modelled *service channel*
-(:class:`~repro.coupling.NetworkStats` billed per gathered result): the
+(:class:`~repro.obs.network.NetworkStats` billed per gathered result): the
 per-channel communication times report the work each shard performed,
 and their maximum is the cluster's makespan — the quantity the scaling
 benchmark gates on, independent of the GIL.
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.coupling.network import NetworkModel, NetworkStats
 from repro.db import Prima
 from repro.engine import Engine
 from repro.errors import PrimaError
 from repro.mad.types import Surrogate
+from repro.obs.network import NetworkModel, NetworkStats
 from repro.shard.coordinator import Coordinator
 from repro.shard.router import ShardRouter
 from repro.util.stats import Counters

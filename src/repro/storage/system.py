@@ -19,6 +19,7 @@ from repro.storage.buffer import BufferManager, PartitionedBufferManager
 from repro.storage.constants import DEFAULT_PAGE_SIZE
 from repro.storage.disk import DiskGeometry, SimulatedDisk
 from repro.storage.page import PAGE_TYPE_DATA, Page, PageId
+from repro.storage.page_sequence import PageSequenceManager
 from repro.storage.segment import Segment, SegmentDirectory
 from repro.util.stats import Counters
 
@@ -41,9 +42,6 @@ class StorageSystem:
         else:
             self.buffer = BufferManager(self.disk, buffer_capacity,
                                         policy=policy, counters=self.counters)
-        # Imported here to avoid a module cycle (page_sequence needs the
-        # StorageSystem type only for annotations).
-        from repro.storage.page_sequence import PageSequenceManager
         self.sequences = PageSequenceManager(self)
 
     # -- segments ---------------------------------------------------------------

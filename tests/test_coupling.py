@@ -3,8 +3,9 @@
 import pytest
 
 from repro import Prima
-from repro.coupling import NetworkModel, PrimaServer, Workstation
+from repro.coupling import PrimaServer, Workstation
 from repro.errors import CouplingError
+from repro.obs.network import NetworkModel, NetworkStats
 from repro.workloads import brep
 
 QUERY = "SELECT ALL FROM brep-face-edge-point WHERE brep_no = 1713"
@@ -115,7 +116,6 @@ class TestNetworkModel:
         assert model.transfer_ms(1000) == 6.0
 
     def test_stats_accumulate(self):
-        from repro.coupling.network import NetworkStats
         stats = NetworkStats()
         model = NetworkModel()
         stats.account(model, 100)

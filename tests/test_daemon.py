@@ -23,7 +23,6 @@ import pytest
 
 import repro
 from repro import Prima
-from repro.coupling.network import NetworkModel
 from repro.errors import (
     CursorStateError,
     ProtocolError,
@@ -32,6 +31,7 @@ from repro.errors import (
     SessionLimitError,
     SessionStateError,
 )
+from repro.obs.network import NetworkModel
 from repro.serve import (
     Connection,
     PrimaDaemon,

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.data.simplification import conjuncts, sargable_root_terms, simplify
-from repro.data.validation import MoleculeTypeCatalog, Validator
+from repro.data.validation import Validator
 from repro.errors import ValidationError
-from repro.mad.molecule import MoleculeType
+from repro.mad.molecule import MoleculeType, MoleculeTypeCatalog
 from repro.mql.ast import (
     And,
     Comparison,

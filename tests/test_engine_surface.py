@@ -24,7 +24,7 @@ FACADE = {
 }
 
 #: What is allowed to differ between the two public surfaces.
-PRIMA_ONLY = {"storage", "ldl", "parallel_select", "save", "load"}
+PRIMA_ONLY = {"storage", "ldl"}
 CLUSTER_ONLY = {"router", "channels", "service_model", "place_insert",
                 "bill_shard", "service_report", "advise_ranges"}
 

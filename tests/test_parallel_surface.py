@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import Prima
 from repro.parallel import SemanticDecomposer, parallel_select
 from repro.serve import SessionManager
 
@@ -35,8 +34,7 @@ def imported_modules(path: Path) -> set[str]:
 
 @pytest.mark.parametrize(
     "entry",
-    [parallel_select, Prima.parallel_select, SemanticDecomposer.run_all,
-     SessionManager.__init__],
+    [parallel_select, SemanticDecomposer.run_all, SessionManager.__init__],
     ids=lambda entry: entry.__qualname__)
 def test_no_worker_knob_in_the_signature(entry):
     assert not WORKER_KNOBS & set(inspect.signature(entry).parameters)

@@ -1,12 +1,15 @@
 """Tests: checkpoint save/load and DDL round-tripping."""
 
 import pathlib
+import pickle
 
 import pytest
 
+import repro
 from repro import Prima
 from repro.errors import PrimaError
 from repro.mad.ddl import atom_type_to_ddl, dump_schema
+from repro.mad.molecule import MoleculeType, MoleculeTypeCatalog, StructureNode
 from repro.persistence import load, save
 from repro.workloads import brep, gis
 
@@ -50,12 +53,32 @@ class TestPersistence:
         save(db, tmp_path / "db.prima")
         assert db.access.atoms.deferred.pending_count == 0
 
-    def test_facade_methods(self, tmp_path):
+    def test_served_engine_checkpoints_unserved(self, tmp_path):
+        """Serving managers hold locks and are not data: a checkpoint
+        of an engine that was served drops them."""
         db = Prima()
-        db.execute("CREATE ATOM_TYPE a (a_id: IDENTIFIER)")
-        db.query("SELECT ALL FROM a")
-        db.save(tmp_path / "x.prima")
-        assert isinstance(Prima.load(tmp_path / "x.prima"), Prima)
+        db.execute("CREATE ATOM_TYPE a (a_id: IDENTIFIER, n: INTEGER)")
+        with repro.connect(db) as conn:
+            conn.execute("INSERT a (n = 7)")
+        save(db, tmp_path / "db.prima")
+        loaded = load(tmp_path / "db.prima")
+        assert [m.atom["n"] for m in loaded.query("SELECT ALL FROM a")] \
+            == [7]
+        assert loaded.session_managers == []
+        assert db.session_managers   # the live instance keeps its own
+
+    def test_catalog_unpickles_from_its_old_module_path(self):
+        """Checkpoints written before ``MoleculeTypeCatalog`` moved to
+        :mod:`repro.mad.molecule` name ``repro.data.validation``."""
+        catalog = MoleculeTypeCatalog()
+        catalog.define(MoleculeType("m", StructureNode("a", "a")))
+        old = pickle.dumps(catalog, protocol=0).replace(
+            b"repro.mad.molecule\nMoleculeTypeCatalog",
+            b"repro.data.validation\nMoleculeTypeCatalog")
+        assert b"repro.data.validation" in old
+        restored = pickle.loads(old)
+        assert isinstance(restored, MoleculeTypeCatalog)
+        assert (restored.names(), restored.version) == (["m"], 1)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(PrimaError):

@@ -19,6 +19,7 @@ from repro.errors import (
     SessionStateError,
     TypeMismatchError,
 )
+from repro.parallel import parallel_select
 from repro.serve import PrimaDaemon, SessionManager, protocol
 from repro.workloads import brep
 
@@ -426,8 +427,8 @@ class TestServingCounters:
                 release.wait(timeout=10)
 
         def parallel_read() -> None:
-            outcome["molecules"] = db.parallel_select(
-                query, processors=3).result
+            outcome["molecules"] = parallel_select(
+                db, query, processors=3).result
 
         writer = threading.Thread(target=write, daemon=True)
         writer.start()
