@@ -428,13 +428,6 @@ class PreparedStatement:
         assert plan is not None
         return plan
 
-    @property
-    def root_atom_type(self) -> str:
-        """Root atom type of the plan (the serving layer's lock scope)."""
-        if self._template is not None:
-            return self._template.root_atom_type
-        return self.plan().root_access.atom_type
-
     def dependency_types(self) -> frozenset[str]:
         """The atom types whose commits can change this SELECT's result:
         the root molecule type plus every type the plan's structure tree

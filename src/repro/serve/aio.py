@@ -85,11 +85,6 @@ class AsyncClient:
         if self.on_notify is not None:
             self.on_notify(frame)
 
-    @staticmethod
-    def _is_push(message: protocol.Response) -> bool:
-        return isinstance(message, protocol.Notify) and \
-            protocol.correlation_of(message) is None
-
     async def request(self, message: protocol.Request) -> protocol.Response:
         """One exchange: send the request, await its reply.
 
@@ -104,34 +99,18 @@ class AsyncClient:
             correlation = self._next_correlation
             protocol.set_correlation(message, correlation)
             await write_message(self._writer, message)
-            while True:
+            reply = await read_message(self._reader)
+            while reply is not None and protocol.is_push(reply):
+                self._stash_push(reply)
                 reply = await read_message(self._reader)
-                if reply is None:
-                    break
-                if self._is_push(reply):
-                    self._stash_push(reply)
-                    continue
-                break
-        if reply is None:
-            raise ProtocolError("server closed the connection mid-exchange")
-        echoed = protocol.correlation_of(reply)
-        if echoed is not None and echoed != correlation:
-            raise ProtocolError(
-                f"out-of-order reply: sent correlation #{correlation}, "
-                f"received #{echoed}"
-            )
-        if isinstance(reply, protocol.WireError):
-            protocol.raise_wire_error(reply)
-        return reply
+        return protocol.check_reply(correlation, reply)
 
     async def hello(self, client: str | None = None) -> protocol.Welcome:
         """Open the session (admission control applies; a queued HELLO
         resolves when a slot frees)."""
-        welcome = await self.request(protocol.Hello(client=client))
-        if not isinstance(welcome, protocol.Welcome):
-            raise ProtocolError(
-                f"expected Welcome, got {type(welcome).__name__}"
-            )
+        welcome = protocol.expect(
+            await self.request(protocol.Hello(client=client)),
+            protocol.Welcome)
         self.session = welcome.session
         self.default_fetch_size = welcome.default_fetch_size
         return welcome
@@ -145,13 +124,9 @@ class AsyncClient:
         """SUBSCRIBE a SELECT for server push; consume the frames with
         :meth:`next_notification` / ``async for`` :meth:`notifications`
         (or set :attr:`on_notify`)."""
-        reply = await self.request(
-            protocol.Subscribe(mql, args, params, deliver))
-        if not isinstance(reply, protocol.SubscribeReply):
-            raise ProtocolError(
-                f"expected SubscribeReply, got {type(reply).__name__}"
-            )
-        return reply
+        return protocol.expect(
+            await self.request(protocol.Subscribe(mql, args, params, deliver)),
+            protocol.SubscribeReply)
 
     async def unsubscribe(self, subscription_id: int) -> None:
         """UNSUBSCRIBE one live query (idempotent)."""
@@ -187,10 +162,7 @@ class AsyncClient:
                     raise ProtocolError(
                         "server closed the connection while awaiting "
                         "notifications")
-                if not self._is_push(frame):
-                    raise ProtocolError(
-                        f"unsolicited {type(frame).__name__} frame "
-                        f"outside any request exchange")
+                protocol.expect_push(frame)
                 if self.on_notify is not None:
                     self.on_notify(frame)
                 return frame

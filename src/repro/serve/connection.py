@@ -51,7 +51,7 @@ from typing import Any, Callable
 from repro.data.result import ResultSet
 from repro.db import Prima
 from repro.engine import Engine
-from repro.errors import ProtocolError, SessionError, SessionStateError
+from repro.errors import SessionError, SessionStateError
 from repro.mad.molecule import Molecule
 from repro.mad.types import Surrogate
 from repro.serve import protocol
@@ -142,30 +142,11 @@ class SocketTransport:
             correlation = self._next_correlation
             protocol.set_correlation(message, correlation)
             protocol.send_message(self._sock, message)
-            while True:
+            reply = protocol.recv_message(self._sock)
+            while reply is not None and protocol.is_push(reply):
+                self._notifications.append(reply)
                 reply = protocol.recv_message(self._sock)
-                if reply is None:
-                    break
-                if self._is_push(reply):
-                    self._notifications.append(reply)
-                    continue
-                break
-        if reply is None:
-            raise ProtocolError("server closed the connection mid-exchange")
-        echoed = protocol.correlation_of(reply)
-        if echoed is not None and echoed != correlation:
-            raise ProtocolError(
-                f"out-of-order reply: sent correlation #{correlation}, "
-                f"received #{echoed}"
-            )
-        if isinstance(reply, protocol.WireError):
-            protocol.raise_wire_error(reply)
-        return reply
-
-    @staticmethod
-    def _is_push(message: protocol.Response) -> bool:
-        return isinstance(message, protocol.Notify) and \
-            protocol.correlation_of(message) is None
+        return protocol.check_reply(correlation, reply)
 
     def poll_notifications(self, timeout: float = 0.0,
                            ) -> list[protocol.Notify]:
@@ -193,12 +174,7 @@ class SocketTransport:
                 reply = protocol.recv_message(self._sock)
                 if reply is None:
                     return out          # EOF — close() will report it
-                if not self._is_push(reply):
-                    raise ProtocolError(
-                        f"unsolicited {type(reply).__name__} frame "
-                        f"outside any request exchange"
-                    )
-                out.append(reply)
+                out.append(protocol.expect_push(reply))
 
     def close(self) -> None:
         with self._lock:
@@ -566,15 +542,11 @@ def _socket_connection(host: str, port: int, name: str | None,
     sock.settimeout(None)   # exchanges block; timeout governed connect only
     transport = SocketTransport(sock)
     try:
-        welcome = transport.request(protocol.Hello(client=name))
+        welcome = protocol.expect(
+            transport.request(protocol.Hello(client=name)), protocol.Welcome)
     except BaseException:
         transport.close()
         raise
-    if not isinstance(welcome, protocol.Welcome):
-        transport.close()
-        raise ProtocolError(
-            f"expected Welcome, got {type(welcome).__name__}"
-        )
     return Connection(transport, welcome.session,
                       welcome.default_fetch_size,
                       shards=welcome.shards)
@@ -606,7 +578,7 @@ def connect(target: Any = None, *, name: str | None = None,
       :class:`SessionManager` is reused (so several ``connect(db)``
       calls share one admission domain); otherwise a new manager is
       created with ``options`` as its knobs (``max_sessions``,
-      ``admission``, ``default_fetch_size``, ``idle_cursor_timeout``,
+      ``admission``, ``default_fetch_size``, ``idle_timeout``,
       ``session_lease``, ... — see :class:`SessionManager`).
     * a :class:`SessionManager` — open one more session on it (its
       knobs are fixed: ``options`` raise :class:`ValueError`).

@@ -37,29 +37,12 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.errors import SessionStateError
 from repro.mad.molecule import Molecule
 from repro.serve import protocol
-from repro.serve.protocol import (
-    ACK_BYTES,
-    BATCH_HEADER_BYTES,
-    CONTROL_REQUEST_BYTES,
-    FETCH_REQUEST_BYTES,
-    STATEMENT_HANDLE_BYTES,
-    batch_bytes,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.data.result import ResultSet
     from repro.serve.session import Session
 
-__all__ = [
-    "ACK_BYTES",
-    "BATCH_HEADER_BYTES",
-    "CONTROL_REQUEST_BYTES",
-    "FETCH_REQUEST_BYTES",
-    "STATEMENT_HANDLE_BYTES",
-    "RemoteCursor",
-    "ServerCursor",
-    "batch_bytes",
-]
+__all__ = ["RemoteCursor", "ServerCursor"]
 
 
 class ServerCursor:
@@ -69,57 +52,31 @@ class ServerCursor:
     batches from it.  A close-hook on the pipeline root records the
     actual release (``serve_pipelines_released``), so tests and the
     serving benchmark can verify that a client CLOSE — truncating or
-    not — really tore the operator tree down.  ``last_used`` feeds the
-    idle-cursor reaper: a cursor nobody fetches from within the
-    manager's ``idle_cursor_timeout`` is closed server-side and its
-    pipeline resources returned.
+    not — really tore the operator tree down.  Its id and idle time
+    live in the session's cursor table.
     """
 
-    def __init__(self, session: "Session", cursor_id: int,
-                 result: "ResultSet", root_type: str) -> None:
+    def __init__(self, session: "Session", result: "ResultSet") -> None:
         self.session = session
-        self.cursor_id = cursor_id
         self.result = result
-        #: Root atom type of the plan (diagnostic; snapshot reads pin an
-        #: epoch instead of locking the type).
-        self.root_type = root_type
-        #: Molecules shipped to the client so far.
-        self.delivered = 0
-        self.released = False
-        #: Last client interaction (manager clock) — the idle reaper's
-        #: decision input.
-        self.last_used = session.manager._now()  # noqa: SLF001
         result.on_close(self._on_pipeline_close)
 
     def _on_pipeline_close(self, _operator) -> None:
-        self.released = True
-        self.session.counters.bump("pipelines_released")
-        self.session.manager.db.access.counters.bump(
-            "serve_pipelines_released")
+        self.session._count("pipelines_released")  # noqa: SLF001
 
-    def touch(self) -> None:
-        self.last_used = self.session.manager._now()  # noqa: SLF001
-
-    def fetch(self, count: int) -> tuple[list[Molecule], bool]:
-        """Deliver the next batch (at most ``count`` molecules) and
-        whether the set is exhausted with it."""
-        self.touch()
-        batch = self.result.fetch_many(count)
-        self.delivered += len(batch)
-        exhausted = self.result.exhausted or len(batch) < count
-        return batch, exhausted
-
-    def fetch_all(self) -> list[Molecule]:
-        """Drain the whole set (the ``fetch_size=None`` open)."""
-        self.touch()
-        batch: list[Molecule] = []
+    def fetch(self, count: int | None) -> tuple[list[Molecule], bool]:
+        """Deliver the next batch — at most ``count`` molecules, or the
+        whole rest of the set when ``count`` is None — and whether the
+        set is exhausted with it."""
+        if count is not None:
+            batch = self.result.fetch_many(count)
+            return batch, self.result.exhausted or len(batch) < count
+        batch = []
         while True:
             chunk = self.result.fetch_many(256)
             batch.extend(chunk)
             if len(chunk) < 256:
-                break
-        self.delivered += len(batch)
-        return batch
+                return batch, True
 
     def reopen(self) -> None:
         """Restart the server pipeline at the first molecule.
@@ -128,9 +85,7 @@ class ServerCursor:
         was closed while molecules were pending — the truncation half of
         the ResultSet contract, surfaced across the wire.
         """
-        self.touch()
         self.result.reopen()
-        self.delivered = 0
 
     def close(self) -> None:
         """Release the pipeline (close-while-pending marks truncation)."""

@@ -17,12 +17,13 @@ connection:
   ``drain()``, the queue fills, and the reader stops accepting requests
   for that session — one slow client never grows server memory.
 
-**Admission.**  The first frame must be HELLO.  The daemon admits via
-the non-blocking :meth:`SessionManager.open_nowait` — with
-``admission='queue'`` a full server *parks the coroutine* (cooperative
-retry) instead of blocking a thread, honouring ``queue_timeout``; with
-``'reject'`` the client gets :class:`~repro.errors.SessionLimitError`
-as a :class:`~repro.serve.protocol.WireError` frame.
+**Admission.**  The first frame must be HELLO.  The daemon drives the
+manager's one admission path (:meth:`SessionManager.admit`) and
+*awaits* between its steps — with ``admission='queue'`` a full server
+parks the coroutine instead of blocking a thread, honouring
+``queue_timeout``; with ``'reject'`` the client gets
+:class:`~repro.errors.SessionLimitError` as a
+:class:`~repro.serve.protocol.WireError` frame.
 
 **Failure handling.**  A server-side :class:`~repro.errors.PrimaError`
 becomes a WireError frame (the client re-raises it by class); an abrupt
@@ -31,8 +32,8 @@ its cursors (truncating pending pipelines, running close-hooks, and
 releasing pinned snapshots) and returns the admission slot.
 
 **Hygiene.**  A periodic task calls :meth:`SessionManager.reap`, so
-idle-cursor / idle-statement timeouts and session leases are enforced
-without any client cooperation.
+the idle timeout of cursors and statement handles and the session
+lease are enforced without any client cooperation.
 
 The daemon serialises molecules with pickle; like any pickle endpoint it
 must only listen on trusted interfaces (default: loopback).
@@ -58,6 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Sentinel closing a connection's send queue.
 _CLOSE = object()
 
+#: Listen backlog of the daemon's socket.
+_BACKLOG = 128
+#: Bound of each connection's response queue — the backpressure point.
+_SEND_QUEUE = 8
+#: Longest sleep (seconds) between two steps of a queued admission.
+_ADMISSION_POLL = 0.005
+
 
 class PrimaDaemon:
     """Serve a :class:`SessionManager` over a socket, asynchronously.
@@ -68,36 +76,24 @@ class PrimaDaemon:
     :attr:`address` is known before :meth:`start`, and the loop never
     needs resolver helper threads).
 
-    ``send_queue`` bounds the per-connection response queue (the
-    backpressure knob); ``reap_interval`` is the hygiene sweep period
-    (defaults on when the manager has any timeout knob set);
-    ``admission_poll`` is the cooperative retry period of queued
-    admission.
+    ``reap_interval`` is the hygiene sweep period; by default a quarter
+    of the manager's shorter of ``idle_timeout`` and ``session_lease``
+    (no sweep when neither is set).
     """
 
     def __init__(self, manager: "SessionManager", host: str = "127.0.0.1",
-                 port: int = 0, *, backlog: int = 128, send_queue: int = 8,
-                 reap_interval: float | None = None,
-                 admission_poll: float = 0.005) -> None:
-        if send_queue < 1:
-            raise ValueError("send_queue must be >= 1")
+                 port: int = 0, *, reap_interval: float | None = None,
+                 ) -> None:
         self.manager = manager
-        self.send_queue = send_queue
-        self.admission_poll = admission_poll
-        if reap_interval is None and (
-                manager.idle_cursor_timeout is not None
-                or manager.idle_statement_timeout is not None
-                or manager.session_lease is not None):
-            timeouts = [t for t in (manager.idle_cursor_timeout,
-                                    manager.idle_statement_timeout,
-                                    manager.session_lease)
-                        if t is not None]
+        timeouts = [t for t in (manager.idle_timeout, manager.session_lease)
+                    if t is not None]
+        if reap_interval is None and timeouts:
             reap_interval = max(min(timeouts) / 4, 0.01)
         self.reap_interval = reap_interval
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
-        self._sock.listen(backlog)
+        self._sock.listen(_BACKLOG)
         self._sock.setblocking(False)
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -201,7 +197,7 @@ class PrimaDaemon:
         self._connections.add(task)
         self.connections_served += 1
         session: "Session | None" = None
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.send_queue)
+        queue: asyncio.Queue = asyncio.Queue(maxsize=_SEND_QUEUE)
         sender = asyncio.ensure_future(self._send_loop(queue, writer))
         try:
             session = await self._handshake(reader, queue)
@@ -244,55 +240,33 @@ class PrimaDaemon:
         first = await read_message(reader)
         if first is None:
             return None
-        correlation = protocol.correlation_of(first)
-
-        def stamped(message: protocol.Response) -> protocol.Response:
-            if correlation is not None:
-                protocol.set_correlation(message, correlation)
-            return message
-
         if not isinstance(first, protocol.Hello):
-            await queue.put(stamped(protocol.wire_error(ProtocolError(
-                f"expected Hello, got {type(first).__name__}"))))
+            await queue.put(protocol.echo_correlation(
+                first, protocol.wire_error(ProtocolError(
+                    f"expected Hello, got {type(first).__name__}"))))
             return None
         try:
             session = await self._admit(first.client)
         except SessionLimitError as exc:
-            await queue.put(stamped(protocol.wire_error(exc)))
+            await queue.put(protocol.echo_correlation(
+                first, protocol.wire_error(exc)))
             return None
-        await queue.put(stamped(protocol.Welcome(
+        await queue.put(protocol.echo_correlation(first, protocol.Welcome(
             session.name, self.manager.default_fetch_size,
             shards=self.manager.db.shard_count)))
         return session
 
     async def _admit(self, client: str | None) -> "Session":
-        """Admission without blocking the loop: non-blocking open plus
-        cooperative retry under the ``'queue'`` policy."""
-        manager = self.manager
-        try:
-            return manager.open_nowait(client)
-        except SessionLimitError:
-            if manager.admission != "queue":
-                raise
-        manager.db.access.counters.bump("serve_sessions_queued")
-        wait_started = time.perf_counter()
-        deadline = (time.monotonic() + manager.queue_timeout
-                    if manager.queue_timeout is not None else None)
+        """The manager's admission steps, awaited between — the loop
+        keeps serving while a queued HELLO waits for a slot."""
+        admission = self.manager.admit(client)
         while True:
-            await asyncio.sleep(self.admission_poll)
             try:
-                session = manager.open_nowait(client)
-                manager.metrics.observe(
-                    "admission_wait_ms",
-                    (time.perf_counter() - wait_started) * 1000.0)
-                return session
-            except SessionLimitError:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise SessionLimitError(
-                        f"queued session timed out after "
-                        f"{manager.queue_timeout}s (max_sessions="
-                        f"{manager.max_sessions})"
-                    ) from None
+                wait = next(admission)
+            except StopIteration as admitted:
+                return admitted.value
+            await asyncio.sleep(_ADMISSION_POLL if wait is None
+                                else min(wait, _ADMISSION_POLL))
 
     async def _request_loop(self, session: "Session",
                             reader: asyncio.StreamReader,
@@ -303,8 +277,8 @@ class PrimaDaemon:
         message is CPU-bound under the GIL anyway, so handing it to a
         thread pool would re-grow the thread count this daemon exists to
         flatten.  Concurrency happens *between* messages of different
-        connections, which is exactly the granularity the per-session
-        lock serialises anyway."""
+        connections, which is exactly the granularity the engine mutex
+        serialises anyway."""
         while True:
             request = await read_message(reader)
             if request is None:
@@ -314,13 +288,7 @@ class PrimaDaemon:
                 response = session.handle(request)
             except Exception as exc:  # noqa: BLE001 - shipped to client
                 response = protocol.wire_error(exc)
-            # Echo the request's correlation id so the client can pick
-            # its reply out of a stream that also carries unsolicited
-            # NOTIFY frames (which never have one).
-            correlation = protocol.correlation_of(request)
-            if correlation is not None:
-                protocol.set_correlation(response, correlation)
-            await queue.put(response)
+            await queue.put(protocol.echo_correlation(request, response))
             if isinstance(request, protocol.Goodbye) and session.closed:
                 return
 
@@ -337,7 +305,7 @@ class PrimaDaemon:
         while True:
             message = await queue.get()
             # Depth *after* taking this message: 0 means the writer is
-            # keeping up, near ``send_queue`` means backpressure.
+            # keeping up, near ``_SEND_QUEUE`` means backpressure.
             metrics.observe("send_queue_depth", queue.qsize())
             if message is _CLOSE:
                 return

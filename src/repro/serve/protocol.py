@@ -437,6 +437,56 @@ def correlation_of(message: Request | Response) -> int | None:
     return getattr(message, "correlation_id", None)
 
 
+def echo_correlation(request: Request, response: Response) -> Response:
+    """Stamp ``response`` with ``request``'s correlation id (if any), so
+    the client can pick it out of a stream that also carries pushes."""
+    correlation = correlation_of(request)
+    if correlation is not None:
+        set_correlation(response, correlation)
+    return response
+
+
+def is_push(message: Response) -> bool:
+    """Whether ``message`` is an unsolicited push (a Notify without a
+    correlation id) rather than a reply."""
+    return isinstance(message, Notify) and correlation_of(message) is None
+
+
+def expect_push(message: Response) -> Notify:
+    """A frame read outside any exchange: it must be a push."""
+    if not is_push(message):
+        raise ProtocolError(
+            f"unsolicited {type(message).__name__} frame outside any "
+            f"request exchange"
+        )
+    return message
+
+
+def expect(reply: Response, kind: type) -> Response:
+    """``reply``, which must be a ``kind`` message."""
+    if not isinstance(reply, kind):
+        raise ProtocolError(
+            f"expected {kind.__name__}, got {type(reply).__name__}")
+    return reply
+
+
+def check_reply(correlation: int, reply: Response | None) -> Response:
+    """The frame that ended one exchange, checked: EOF and an
+    out-of-order correlation raise :class:`ProtocolError`, a
+    :class:`WireError` is re-raised under its original class."""
+    if reply is None:
+        raise ProtocolError("server closed the connection mid-exchange")
+    echoed = correlation_of(reply)
+    if echoed is not None and echoed != correlation:
+        raise ProtocolError(
+            f"out-of-order reply: sent correlation #{correlation}, "
+            f"received #{echoed}"
+        )
+    if isinstance(reply, WireError):
+        raise_wire_error(reply)
+    return reply
+
+
 # ---------------------------------------------------------------------------
 # Modelled accounting — one place, every transport
 # ---------------------------------------------------------------------------

@@ -38,26 +38,30 @@ and calls the same method.  Message/byte accounting happens once, in
 ``handle``, via :func:`repro.serve.protocol.wire_size` — so every
 transport is billed identically against the network cost model.
 
-**Resource hygiene at scale.**  Three knobs reclaim what abandoned
-clients leave behind (all off by default; the daemon runs a periodic
+**Resource hygiene at scale.**  Two knobs reclaim what abandoned
+clients leave behind (both off by default; the daemon runs a periodic
 reaper, in-process callers invoke :meth:`SessionManager.reap`):
 
-* ``idle_cursor_timeout`` — a cursor nobody FETCHes from is closed,
-  its pipeline (and pinned snapshot) released; later use raises
+* ``idle_timeout`` — a cursor nobody FETCHes from is closed, its
+  pipeline (and pinned snapshot) released, and a statement handle
+  nobody executes is deallocated; later use of either id raises
   :class:`~repro.errors.SessionExpiredError`;
-* ``idle_statement_timeout`` — a statement handle nobody executes is
-  deallocated;
 * ``session_lease`` — a session with no message traffic at all is
   aborted and its admission slot returned; PING refreshes the lease
   without doing work (keepalive).
 
+A closed session leaves only its counters behind (``io_report``'s
+``session:<name>:*`` keys; its histograms are folded into one retired
+registry), so a long-running server does not accumulate sessions.
+
 **Admission control.**  ``max_sessions`` bounds concurrency; the
 ``admission`` knob decides what happens at the limit: ``"reject"``
 raises :class:`~repro.errors.SessionLimitError` immediately, ``"queue"``
-blocks the opener until a slot frees (optionally bounded by
-``queue_timeout`` seconds).  The daemon admits via the non-blocking
-:meth:`SessionManager.open_nowait` and retries cooperatively, so a full
-server never stalls its event loop.
+makes the opener wait until a slot frees (optionally bounded by
+``queue_timeout`` seconds).  :meth:`SessionManager.admit` is the one
+admission path: :meth:`SessionManager.open` waits between its steps on
+a condition, the daemon awaits, so a full server never stalls its event
+loop.
 
 **Threading model.**  Every message is handled under **the engine
 mutex** (``Engine.mutex``, one reentrant lock per engine, shared by
@@ -75,7 +79,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.data.prepared import PreparedStatement
 from repro.errors import (
@@ -116,14 +120,90 @@ def _lock_resource(atom_type: str) -> tuple[str, str]:
     return ("atom_type", atom_type)
 
 
-class _StatementHolder:
-    """One server-side prepared-statement handle with idle tracking."""
+class _HandleTable:
+    """One session's id-keyed table of server resources: its cursors, or
+    its prepared statements.
 
-    __slots__ = ("prepared", "last_used")
+    Allocates ids, records when each entry was last used, reaps entries
+    idle for the manager's ``idle_timeout`` and releases what is left on
+    teardown.  Reaped ids are remembered, so a late lookup can say why
+    the id is gone instead of claiming it never existed.
+    """
 
-    def __init__(self, prepared: PreparedStatement, now: float) -> None:
-        self.prepared = prepared
-        self.last_used = now
+    __slots__ = ("_session", "_noun", "_fate", "_counter", "_release",
+                 "_entries", "_reaped", "_next")
+
+    def __init__(self, session: "Session", noun: str, fate: str,
+                 counter: str,
+                 release: Callable[[Any], None] = lambda _resource: None,
+                 ) -> None:
+        self._session = session
+        #: ``"cursor"`` / ``"prepared statement"`` — the error texts' noun.
+        self._noun = noun
+        #: What reaping did, formatted with the timeout.
+        self._fate = fate
+        #: The session counter that reaping bumps.
+        self._counter = counter
+        self._release = release
+        #: id -> [resource, manager-clock time of last use]
+        self._entries: dict[int, list] = {}
+        self._reaped: set[int] = set()
+        self._next = 0
+
+    def add(self, resource: Any) -> int:
+        """Store ``resource`` under a fresh id (used as of now)."""
+        self._next += 1
+        self._entries[self._next] = [resource, self._session.manager._now()]
+        return self._next
+
+    def get(self, handle_id: int) -> Any:
+        """The resource under ``handle_id``, marked used now."""
+        entry = self._entries.get(handle_id)
+        if entry is None:
+            session = self._session
+            if handle_id in self._reaped:
+                fate = self._fate.format(session.manager.idle_timeout)
+                raise SessionExpiredError(
+                    f"{self._noun} #{handle_id} of session "
+                    f"{session.name!r} was {fate}")
+            raise SessionStateError(
+                f"session {session.name!r} has no {self._noun} #{handle_id}")
+        entry[1] = self._session.manager._now()
+        return entry[0]
+
+    def discard(self, handle_id: int) -> bool:
+        """Release one entry; False when the id is unknown (never
+        allocated, already discarded, or reaped)."""
+        entry = self._entries.pop(handle_id, None)
+        if entry is not None:
+            self._release(entry[0])
+        return entry is not None
+
+    def reap(self, now: float) -> int:
+        """Release every entry idle for ``idle_timeout``, count them;
+        returns how many went."""
+        timeout = self._session.manager.idle_timeout
+        if timeout is None:
+            return 0
+        idle = [handle_id for handle_id, (_r, used) in self._entries.items()
+                if now - used >= timeout]
+        for handle_id in idle:
+            self.discard(handle_id)
+            self._reaped.add(handle_id)
+        if idle:
+            self._session._count(self._counter, len(idle))
+        return len(idle)
+
+    def clear(self) -> None:
+        """Release every entry (session teardown)."""
+        for handle_id in list(self._entries):
+            self.discard(handle_id)
+
+    def values(self) -> list[Any]:
+        return [resource for resource, _used in self._entries.values()]
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class Session:
@@ -150,15 +230,14 @@ class Session:
         self.expired = False
         #: Manager-clock time of the last message (the lease input).
         self.last_activity = manager._now()
-        self._cursors: dict[int, ServerCursor] = {}
-        self._next_cursor = 0
-        #: Cursor ids reclaimed by the idle reaper (tombstones for
-        #: error messages that explain *why* the cursor is gone).
-        self._reaped_cursors: set[int] = set()
+        self._cursors = _HandleTable(
+            self, "cursor",
+            "reclaimed after {}s idle — its pipeline resources were "
+            "returned", "cursors_reaped", ServerCursor.close)
         #: Server-side prepared-statement handles of this session.
-        self._statements: dict[int, _StatementHolder] = {}
-        self._next_statement = 0
-        self._reaped_statements: set[int] = set()
+        self._statements = _HandleTable(
+            self, "prepared statement", "deallocated after {}s idle",
+            "statements_reaped")
         #: Undelivered server pushes (live-query NOTIFY frames) for the
         #: in-process transport; bounded so an unpolled session cannot
         #: grow without limit — overflow drops the oldest frame.  The
@@ -192,38 +271,23 @@ class Session:
         self.counters.bump(name, amount)
         self.manager.db.access.counters.bump(f"serve_{name}", amount)
 
+    def _count_batch(self, batch: list) -> None:
+        """Count one batch shipped in a reply (OPEN, FETCH, REOPEN)."""
+        self._count("fetch_messages")
+        self._count("rows_streamed", len(batch))
+        self.counters.observe("fetch_batch_rows", len(batch))
+
     @property
     def _db(self) -> "Engine":
         return self.manager.db
 
-    def _cursor_of(self, cursor_id: int) -> ServerCursor:
-        try:
-            return self._cursors[cursor_id]
-        except KeyError:
-            if cursor_id in self._reaped_cursors:
-                raise SessionExpiredError(
-                    f"cursor #{cursor_id} of session {self.name!r} was "
-                    f"reclaimed after {self.manager.idle_cursor_timeout}s "
-                    f"idle — its pipeline resources were returned"
-                ) from None
+    def _prepare_select(self, mql: str, verb: str) -> PreparedStatement:
+        """Prepare ``mql`` for a message that serves SELECTs only."""
+        prepared = self._db.data.prepare(mql)
+        if prepared.kind != "select":
             raise SessionStateError(
-                f"session {self.name!r} has no cursor #{cursor_id}"
-            ) from None
-
-    def _statement_of(self, statement_id: int) -> _StatementHolder:
-        try:
-            return self._statements[statement_id]
-        except KeyError:
-            if statement_id in self._reaped_statements:
-                raise SessionExpiredError(
-                    f"prepared statement #{statement_id} of session "
-                    f"{self.name!r} was deallocated after "
-                    f"{self.manager.idle_statement_timeout}s idle"
-                ) from None
-            raise SessionStateError(
-                f"session {self.name!r} has no prepared statement "
-                f"#{statement_id}"
-            ) from None
+                f"{verb} supports SELECT statements only")
+        return prepared
 
     # -- the protocol core ---------------------------------------------------
 
@@ -271,6 +335,11 @@ class Session:
                     f"msg:{type(request).__name__}"
                 obs.slowlog.record(text, duration, span)
             self._bill(response)
+            if isinstance(request, protocol.Goodbye):
+                # Ended after the message's last observation: release
+                # folds this session's registry into the manager's.
+                self._teardown(self.txn.abort if request.abort
+                               else self.txn.commit)
             return response
 
     # -- cursor messages -----------------------------------------------------
@@ -289,7 +358,8 @@ class Session:
                        params: dict[str, Any] | None,
                        fetch_size: int | str | None) -> protocol.OpenReply:
         """Open a prepared SELECT's server cursor (``prepared.open``),
-        fetch the first batch.  :meth:`handle` holds the engine mutex.
+        fetch the first batch.  :meth:`handle` holds the engine mutex;
+        the caller has checked that ``prepared`` is a SELECT.
 
         No lock is taken on the root atom type: the pipeline is compiled
         against a pinned snapshot of the atom-version epoch, so it keeps
@@ -304,21 +374,11 @@ class Session:
         :mod:`repro.serve.tuning`); the reply's ``fetch_size`` is always
         the resolved value the client should FETCH with.
         """
-        if prepared.kind != "select":
-            raise SessionStateError(
-                "remote cursors serve SELECT statements only "
-                "(use execute() for DML)"
-            )
         result = prepared.open(args, params or {})
         self._count("snapshot_reads")
-        self._next_cursor += 1
-        cursor = ServerCursor(self, self._next_cursor, result,
-                              prepared.root_atom_type)
-        self._cursors[cursor.cursor_id] = cursor
-        if fetch_size is None:
-            batch = cursor.fetch_all()
-            exhausted, resolved = True, None
-        elif fetch_size == protocol.AUTO_FETCH_SIZE:
+        cursor = ServerCursor(self, result)
+        cursor_id = self._cursors.add(cursor)
+        if fetch_size == protocol.AUTO_FETCH_SIZE:
             batch, exhausted = cursor.fetch(AUTO_PROBE_SIZE)
             if batch:
                 row_bytes = max(
@@ -332,10 +392,8 @@ class Session:
             batch, exhausted = cursor.fetch(fetch_size)
             resolved = fetch_size
         self._count("cursors_opened")
-        self._count("fetch_messages")
-        self._count("rows_streamed", len(batch))
-        self.counters.observe("fetch_batch_rows", len(batch))
-        return protocol.OpenReply(cursor.cursor_id, batch, exhausted,
+        self._count_batch(batch)
+        return protocol.OpenReply(cursor_id, batch, exhausted,
                                   result.plan_text, resolved,
                                   shard=getattr(result, "shard", None))
 
@@ -346,40 +404,31 @@ class Session:
         through the shared plan cache, so repeated text skips parse+plan
         even over this one-shot message."""
         fetch_size = self._resolve_fetch_size(request.fetch_size)
-        prepared = self._db.data.prepare(request.mql)
+        prepared = self._prepare_select(request.mql, "OPEN")
         return self._open_pipeline(prepared, request.args, request.params,
                                    fetch_size)
 
     def _handle_fetch(self, request: protocol.Fetch) -> protocol.Batch:
         """FETCH(n): the next batch of an open cursor."""
-        cursor = self._cursor_of(request.cursor_id)
+        cursor = self._cursors.get(request.cursor_id)
         batch, exhausted = cursor.fetch(request.count)
-        self._count("fetch_messages")
-        self._count("rows_streamed", len(batch))
-        self.counters.observe("fetch_batch_rows", len(batch))
+        self._count_batch(batch)
         return protocol.Batch(batch, exhausted)
 
     def _handle_reopen(self, request: protocol.Reopen) -> protocol.Batch:
         """REOPEN: restart the stream (truncation raises, as locally)."""
-        cursor = self._cursor_of(request.cursor_id)
+        cursor = self._cursors.get(request.cursor_id)
         cursor.reopen()
-        if request.fetch_size is None:
-            batch = cursor.fetch_all()
-            exhausted = True
-        else:
-            batch, exhausted = cursor.fetch(request.fetch_size)
-        self._count("fetch_messages")
-        self._count("rows_streamed", len(batch))
-        self.counters.observe("fetch_batch_rows", len(batch))
+        batch, exhausted = cursor.fetch(request.fetch_size)
+        self._count_batch(batch)
         return protocol.Batch(batch, exhausted)
 
     def _handle_close_cursor(self,
                              request: protocol.CloseCursor) -> protocol.Ack:
-        """CLOSE: release the server pipeline for good."""
-        cursor = self._cursors.pop(request.cursor_id, None)
-        if cursor is not None:
-            cursor.close()
-        self._count("cursors_closed")
+        """CLOSE: release the server pipeline for good.  A reaped or
+        unknown id has nothing left to close and is not counted."""
+        if self._cursors.discard(request.cursor_id):
+            self._count("cursors_closed")
         return protocol.Ack()
 
     # -- prepared-statement messages -----------------------------------------
@@ -392,10 +441,7 @@ class Session:
         never re-plans it (until a catalog-version bump forces a
         transparent re-plan)."""
         prepared = self._db.data.prepare(request.mql)
-        self._next_statement += 1
-        statement_id = self._next_statement
-        self._statements[statement_id] = _StatementHolder(
-            prepared, self.manager._now())
+        statement_id = self._statements.add(prepared)
         self._count("statements_prepared")
         return protocol.PrepareReply(
             statement_id, prepared.kind, prepared.text,
@@ -406,23 +452,15 @@ class Session:
     ) -> protocol.OpenReply | protocol.Executed:
         """EXECUTE_PREPARED: open a cursor (SELECT) or run the DML over
         a server-side statement handle — handle + bindings only."""
-        holder = self._statement_of(request.statement_id)
-        holder.last_used = self.manager._now()
+        prepared = self._statements.get(request.statement_id)
         self._count("prepared_executions")
-        if holder.prepared.kind == "select":
-            fetch_size = self._resolve_fetch_size(request.fetch_size)
-            return self._open_pipeline(holder.prepared, request.args,
-                                       request.params, fetch_size)
-        result = self._execute_locked(holder.prepared, request.args,
-                                      request.params)
-        self._count("statements")
-        return protocol.Executed(result.molecules, result.affected,
-                                 result.inserted)
+        return self._open_or_execute(prepared, request.args, request.params,
+                                     request.fetch_size)
 
     def _handle_deallocate(self,
                            request: protocol.Deallocate) -> protocol.Ack:
         """DEALLOCATE: drop a server-side statement handle."""
-        self._statements.pop(request.statement_id, None)
+        self._statements.discard(request.statement_id)
         return protocol.Ack()
 
     # -- one-shot statements -------------------------------------------------
@@ -433,13 +471,20 @@ class Session:
         """EXECUTE: the server routes — SELECT opens a default-sized
         cursor (the reply is an :class:`~repro.serve.protocol.OpenReply`),
         DML runs in a subtransaction and answers with its outcome."""
-        prepared = self._db.data.prepare(request.mql)
+        return self._open_or_execute(
+            self._db.data.prepare(request.mql), request.args,
+            request.params, protocol.DEFAULT_FETCH_SIZE_WIRE)
+
+    def _open_or_execute(
+            self, prepared: PreparedStatement, args: tuple,
+            params: dict[str, Any] | None, fetch_size: Any,
+    ) -> protocol.OpenReply | protocol.Executed:
+        """The step EXECUTE and EXECUTE_PREPARED share: a SELECT opens a
+        cursor, anything else runs in a subtransaction."""
         if prepared.kind == "select":
-            fetch_size = self._resolve_fetch_size(
-                protocol.DEFAULT_FETCH_SIZE_WIRE)
-            return self._open_pipeline(prepared, request.args,
-                                       request.params, fetch_size)
-        result = self._execute_locked(prepared, request.args, request.params)
+            return self._open_pipeline(prepared, args, params,
+                                       self._resolve_fetch_size(fetch_size))
+        result = self._execute_locked(prepared, args, params)
         self._count("statements")
         return protocol.Executed(result.molecules, result.affected,
                                  result.inserted)
@@ -450,9 +495,7 @@ class Session:
         first-class message pair — request carries the text (+ optional
         bindings), response carries the plan text.  No pipeline opens,
         no cursor, no locks beyond the engine mutex."""
-        prepared = self._db.data.prepare(request.mql)
-        if prepared.kind != "select":
-            raise SessionStateError("EXPLAIN supports SELECT statements only")
+        prepared = self._prepare_select(request.mql, "EXPLAIN")
         text = prepared.explain(args=request.args,
                                 params=request.params or {})
         self._count("explains")
@@ -483,9 +526,7 @@ class Session:
         ship its span tree back — rendered text plus the JSON form.  No
         cursor opens; the engine mutex covers the run exactly like an
         OPEN."""
-        prepared = self._db.data.prepare(request.mql)
-        if prepared.kind != "select":
-            raise SessionStateError("TRACE supports SELECT statements only")
+        prepared = self._prepare_select(request.mql, "TRACE")
         span = prepared.trace(request.args, request.params or {})
         self._count("traces")
         return protocol.TraceReply("\n".join(span.render()),
@@ -527,10 +568,7 @@ class Session:
         (``manager.max_subscriptions``).  From here on, any commit
         touching a type in the set pushes an unsolicited NOTIFY frame.
         """
-        prepared = self._db.data.prepare(request.mql)
-        if prepared.kind != "select":
-            raise SessionStateError(
-                "SUBSCRIBE supports SELECT statements only")
+        prepared = self._prepare_select(request.mql, "SUBSCRIBE")
         sub = self.manager.live.subscribe(
             self, prepared, request.args, request.params or {},
             request.deliver)
@@ -603,12 +641,9 @@ class Session:
         self._count("keepalives")
         return protocol.Pong(self.name)
 
-    def _handle_goodbye(self, request: protocol.Goodbye) -> protocol.Ack:
-        """GOODBYE: end the session (abort=True rolls it back)."""
-        if request.abort:
-            self.abort()
-        else:
-            self.close()
+    def _handle_goodbye(self, _request: protocol.Goodbye) -> protocol.Ack:
+        """GOODBYE: acknowledged here; :meth:`handle` then ends the
+        session (``abort=True`` rolls it back)."""
         return protocol.Ack()
 
     _DISPATCH: dict[type, Callable[["Session", Any], protocol.Response]] = {
@@ -718,28 +753,10 @@ class Session:
         of the reclaimed id raises
         :class:`~repro.errors.SessionExpiredError`.
         """
-        cursors = statements = 0
         with self._db.mutex:
             if self.closed:
                 return 0, 0
-            timeout = self.manager.idle_cursor_timeout
-            if timeout is not None:
-                for cursor_id, cursor in list(self._cursors.items()):
-                    if now - cursor.last_used >= timeout:
-                        cursor.close()
-                        del self._cursors[cursor_id]
-                        self._reaped_cursors.add(cursor_id)
-                        self._count("cursors_reaped")
-                        cursors += 1
-            timeout = self.manager.idle_statement_timeout
-            if timeout is not None:
-                for statement_id, holder in list(self._statements.items()):
-                    if now - holder.last_used >= timeout:
-                        del self._statements[statement_id]
-                        self._reaped_statements.add(statement_id)
-                        self._count("statements_reaped")
-                        statements += 1
-        return cursors, statements
+            return self._cursors.reap(now), self._statements.reap(now)
 
     def expire(self) -> None:
         """Lease ran out: abort the session and reclaim its slot.
@@ -749,43 +766,35 @@ class Session:
         as for a client that disconnects without GOODBYE.  (Checkins
         committed in their own short transactions are unaffected.)
         """
-        with self._db.mutex:
-            if self.closed:
-                return
-            self.expired = True
-            self._count("sessions_expired")
-            self.abort()
+        self._teardown(self.txn.abort, expired=True)
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Release every cursor, commit the session transaction (freeing
         its locks), and return the admission slot."""
-        with self._db.mutex:
-            if self.closed:
-                return
-            for cursor in self._cursors.values():
-                cursor.close()
-            self._cursors.clear()
-            self._statements.clear()
-            self.closed = True
-            self.txn.commit()
-        self.manager._drop_subscriptions(self)  # noqa: SLF001
-        self.manager._release(self)  # noqa: SLF001
+        self._teardown(self.txn.commit)
 
     def abort(self) -> None:
         """Abort the session transaction (undoing logged effects) and
         release everything."""
+        self._teardown(self.txn.abort)
+
+    def _teardown(self, finish: Callable[[], None],
+                  expired: bool = False) -> None:
+        """The one teardown of close, abort and expire: release cursors
+        and statement handles, ``finish`` the session transaction, then
+        hand the session back to its manager."""
         with self._db.mutex:
             if self.closed:
                 return
-            for cursor in self._cursors.values():
-                cursor.close()
+            if expired:
+                self.expired = True
+                self._count("sessions_expired")
             self._cursors.clear()
             self._statements.clear()
             self.closed = True
-            self.txn.abort()   # undoing logged effects writes
-        self.manager._drop_subscriptions(self)  # noqa: SLF001
+            finish()
         self.manager._release(self)  # noqa: SLF001
 
     def __enter__(self) -> "Session":
@@ -820,8 +829,7 @@ class SessionManager:
                  max_sessions: int = 8, admission: str = "reject",
                  queue_timeout: float | None = None,
                  default_fetch_size: int | str | None = None,
-                 idle_cursor_timeout: float | None = None,
-                 idle_statement_timeout: float | None = None,
+                 idle_timeout: float | None = None,
                  session_lease: float | None = None,
                  clock: Callable[[], float] | None = None,
                  max_subscriptions: int = 32,
@@ -838,9 +846,7 @@ class SessionManager:
                 f"default_fetch_size must be None, an int >= 1, or "
                 f"'auto', got {default_fetch_size!r}"
             )
-        for knob, value in (("idle_cursor_timeout", idle_cursor_timeout),
-                            ("idle_statement_timeout",
-                             idle_statement_timeout),
+        for knob, value in (("idle_timeout", idle_timeout),
                             ("session_lease", session_lease)):
             if value is not None and value <= 0:
                 raise ValueError(f"{knob} must be positive (or None)")
@@ -863,8 +869,7 @@ class SessionManager:
         self.default_fetch_size = default_fetch_size
         #: Resource-hygiene knobs (seconds; None disables) — enforced by
         #: :meth:`reap`, which the daemon calls periodically.
-        self.idle_cursor_timeout = idle_cursor_timeout
-        self.idle_statement_timeout = idle_statement_timeout
+        self.idle_timeout = idle_timeout
         self.session_lease = session_lease
         #: Live-query admission budgets: subscriptions per session, and
         #: the minimum seconds (manager clock) between NOTIFY frames of
@@ -880,13 +885,15 @@ class SessionManager:
         self._clock = clock if clock is not None else time.monotonic
         self.txns = TransactionManager(db.access)
         self._slots = threading.Condition()
-        self._active = 0
         self._peak = 0
         self._session_seq = 0
-        #: Every session ever opened (for io_report merging) and the
-        #: labels reserved so far (uniqueness under concurrency).
-        self._sessions: list[Session] = []
-        self._names: set[str] = set()
+        #: Open sessions by label, one admission slot each.
+        self._sessions: dict[str, Session] = {}
+        #: What closed sessions leave behind: their counters by label
+        #: (``io_report``; the keys keep their labels reserved) and
+        #: their registries folded into one (``metric_registries``).
+        self._retired_counters: dict[str, dict[str, float]] = {}
+        self._retired = MetricsRegistry()
         db.attach_sessions(self)
 
     def _now(self) -> float:
@@ -900,12 +907,6 @@ class SessionManager:
                 self._live = LiveQueryHub(self)
             return self._live
 
-    def _drop_subscriptions(self, session: Session) -> None:
-        """Session teardown hook: subscriptions die with their session
-        (close, abort, lease expiry, abrupt EOF all land here)."""
-        if self._live is not None:
-            self._live.release_session(session)
-
     # -- lifecycle -----------------------------------------------------------
 
     def open(self, name: str | None = None,
@@ -917,72 +918,78 @@ class SessionManager:
         ``'queue'`` the opener waits until a slot frees (``timeout``
         overrides the manager's ``queue_timeout``).
         """
-        wait_limit = timeout if timeout is not None else self.queue_timeout
+        admission = self.admit(name, timeout)
         with self._slots:
-            if self._active >= self.max_sessions:
+            while True:
+                try:
+                    wait = next(admission)
+                except StopIteration as admitted:
+                    return admitted.value
+                self._slots.wait(wait)
+
+    def admit(self, name: str | None = None, timeout: float | None = None,
+              ) -> Generator[float | None, None, Session]:
+        """The one admission path, as steps its caller drives: a step
+        admits (the generator returns the session), raises
+        :class:`~repro.errors.SessionLimitError` (full under
+        ``'reject'``, or queued past ``timeout``, default
+        ``queue_timeout``), or yields the seconds to wait before the
+        next step (None: no limit).  :meth:`open` waits on the slot
+        condition; the daemon awaits, so its event loop never blocks."""
+        limit = self.queue_timeout if timeout is None else timeout
+        queued: float | None = None
+        while True:
+            with self._slots:
+                if len(self._sessions) < self.max_sessions:
+                    if queued is not None:
+                        self.metrics.observe(
+                            "admission_wait_ms",
+                            (time.perf_counter() - queued) * 1000.0)
+                    return self._new_session(name)
                 if self.admission == "reject":
                     raise SessionLimitError(
                         f"server at max_sessions={self.max_sessions}"
                     )
-                self.db.access.counters.bump("serve_sessions_queued")
-                wait_started = time.perf_counter()
-                while self._active >= self.max_sessions:
-                    if not self._slots.wait(timeout=wait_limit):
-                        raise SessionLimitError(
-                            f"queued session timed out after "
-                            f"{wait_limit}s (max_sessions="
-                            f"{self.max_sessions})"
-                        )
-                self.metrics.observe(
-                    "admission_wait_ms",
-                    (time.perf_counter() - wait_started) * 1000.0)
-            return self._admit(name)
+                now = time.perf_counter()
+                if queued is None:
+                    self.db.access.counters.bump("serve_sessions_queued")
+                    queued = now
+                elif limit is not None and now - queued >= limit:
+                    raise SessionLimitError(
+                        f"queued session timed out after {limit}s "
+                        f"(max_sessions={self.max_sessions})"
+                    )
+            yield None if limit is None else max(limit - (now - queued), 0.0)
 
-    def open_nowait(self, name: str | None = None) -> Session:
-        """Open one session without ever blocking.
-
-        Raises :class:`~repro.errors.SessionLimitError` immediately when
-        the server is at capacity — regardless of the ``admission``
-        policy.  The asyncio daemon admits through this and retries
-        cooperatively (its event loop must never sleep in a condition
-        wait), implementing ``'queue'`` admission without a blocked
-        thread."""
-        with self._slots:
-            if self._active >= self.max_sessions:
-                raise SessionLimitError(
-                    f"server at max_sessions={self.max_sessions}"
-                )
-            return self._admit(name)
-
-    def _admit(self, name: str | None) -> Session:
-        """Take one admission slot and build its session.  The caller
-        holds ``_slots`` with ``_active < max_sessions``."""
-        self._active += 1
-        if self._active > self._peak:
-            self._peak = self._active
+    def _new_session(self, name: str | None) -> Session:
+        """Take a free admission slot (the caller holds ``_slots``)."""
         self._session_seq += 1
         label = name if name is not None else f"s{self._session_seq}"
-        if label in self._names:
+        if label in self._sessions or label in self._retired_counters:
             # Reserve a unique label atomically with the slot, so
             # two concurrent opens under one name cannot collide
             # (their io_report keys would silently merge).
             label = f"{label}#{self._session_seq}"
-        self._names.add(label)
-        session = Session(self, label)
-        self._sessions.append(session)
+        session = self._sessions[label] = Session(self, label)
+        self._peak = max(self._peak, len(self._sessions))
         self.db.access.counters.bump("serve_sessions_opened")
         return session
 
-    def _release(self, _session: Session) -> None:
+    def _release(self, session: Session) -> None:
+        """Session teardown hook: drop its subscriptions, keep its
+        counters, return its slot — and hold no reference to it after."""
+        if self._live is not None:
+            self._live.release_session(session)
         with self._slots:
-            self._active -= 1
+            del self._sessions[session.name]
+            self._retired_counters[session.name] = session.counters.snapshot()
+            self._retired = self._retired.merge(session.counters)
             self._slots.notify_all()
 
     def close_all(self) -> None:
         """Close every still-open session (releasing their pipelines)."""
-        for session in list(self._sessions):
-            if not session.closed:
-                session.close()
+        for session in list(self._sessions.values()):
+            session.close()
         if self._live is not None:
             self._live.close()
 
@@ -1005,9 +1012,7 @@ class SessionManager:
         if self._live is not None:
             self._live.pump()
         expired = cursors = statements = 0
-        for session in list(self._sessions):
-            if session.closed:
-                continue
+        for session in list(self._sessions.values()):
             if self.session_lease is not None and \
                     now - session.last_activity >= self.session_lease:
                 session.expire()
@@ -1021,30 +1026,31 @@ class SessionManager:
 
     def reset_accounting(self) -> None:
         """Zero this manager's accounting: network stats, the
-        per-session counters of every session ever opened, and the
+        per-session counters (of open and closed sessions), and the
         concurrency peak — so benchmark phases start from zero.
         (``Engine.reset_accounting`` calls this for attached managers.)"""
         self.stats.reset()
         self.metrics.reset()
         with self._slots:
-            sessions = list(self._sessions)
-            self._peak = self._active
-        for session in sessions:
-            session.counters.reset()
+            self._peak = len(self._sessions)
+            self._retired_counters = dict.fromkeys(self._retired_counters, {})
+            self._retired = MetricsRegistry()
+            for session in self._sessions.values():
+                session.counters.reset()
 
     def metric_registries(self) -> list[MetricsRegistry]:
-        """This manager's registry plus every session's — the inputs
-        ``metrics_report()`` merges into the one server-wide view."""
+        """This manager's registry, the closed sessions' folded one and
+        every open session's — the inputs ``metrics_report()`` merges
+        into the one server-wide view."""
         with self._slots:
-            sessions = list(self._sessions)
-        return [self.metrics] + [session.counters for session in sessions]
+            return [self.metrics, self._retired] + [
+                session.counters for session in self._sessions.values()]
 
     # -- inspection ----------------------------------------------------------
 
     @property
     def active_sessions(self) -> int:
-        with self._slots:
-            return self._active
+        return len(self._sessions)
 
     def io_report(self) -> dict[str, Any]:
         """The database's report plus network and per-session counters."""
@@ -1055,10 +1061,12 @@ class SessionManager:
         report["net_comm_time_ms"] = snapshot["comm_time_ms"]
         with self._slots:
             report["serve_sessions_peak"] = self._peak
-            sessions = list(self._sessions)
-        for session in sessions:
-            for counter, value in session.counters:
-                report[f"session:{session.name}:{counter}"] = value
+            counters = dict(self._retired_counters)
+            sessions = list(self._sessions.values())
+        counters.update((s.name, s.counters.snapshot()) for s in sessions)
+        for label, values in counters.items():
+            for counter, value in values.items():
+                report[f"session:{label}:{counter}"] = value
         return report
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ client surface must not grow back unnoticed."""
 import inspect
 
 import repro
-from repro.serve import Session
+from repro.serve import PrimaDaemon, Session, SessionManager
 from repro.serve.connection import LocalTransport, SocketTransport
 
 
@@ -36,3 +36,17 @@ def test_transports_expose_the_same_methods():
         local, sock = (inspect.signature(getattr(cls, name))
                        for cls in (LocalTransport, SocketTransport))
         assert list(local.parameters) == list(sock.parameters)
+
+
+def test_serving_constructors_take_only_these_knobs():
+    # Knobs no caller sets to two different values are constants; a
+    # removed one must not creep back.
+    def knobs(cls) -> list[str]:
+        return list(inspect.signature(cls).parameters)[1:]
+
+    assert knobs(SessionManager) == [
+        "model", "max_sessions", "admission", "queue_timeout",
+        "default_fetch_size", "idle_timeout", "session_lease", "clock",
+        "max_subscriptions", "notify_interval",
+    ]
+    assert knobs(PrimaDaemon) == ["host", "port", "reap_interval"]

@@ -13,11 +13,13 @@ codec.
 from __future__ import annotations
 
 import asyncio
+import gc
 import inspect
 import re
 import struct
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -350,7 +352,7 @@ class TestDaemon:
 class TestHygiene:
     def test_idle_cursor_reaped(self, db):
         clock = FakeClock()
-        manager = SessionManager(db, idle_cursor_timeout=30, clock=clock)
+        manager = SessionManager(db, idle_timeout=30, clock=clock)
         conn = repro.connect(manager)
         cursor = conn.cursor("SELECT ALL FROM item", fetch_size=4)
         next(iter(cursor))
@@ -365,9 +367,22 @@ class TestHygiene:
                 protocol.Fetch(cursor.cursor_id, 4))
         conn.close()
 
+    def test_reaped_cursor_is_not_counted_closed(self, db):
+        clock = FakeClock()
+        manager = SessionManager(db, idle_timeout=30, clock=clock)
+        conn = repro.connect(manager, name="idle")
+        cursor = conn.cursor("SELECT ALL FROM item", fetch_size=4)
+        clock.advance(31)
+        assert manager.reap()["cursors_reaped"] == 1
+        cursor.close()              # CLOSE of the reclaimed id
+        report = manager.io_report()
+        assert report.get("session:idle:cursors_closed", 0) == 0
+        assert report["session:idle:cursors_reaped"] == 1
+        conn.close()
+
     def test_active_cursor_survives_reap(self, db):
         clock = FakeClock()
-        manager = SessionManager(db, idle_cursor_timeout=30, clock=clock)
+        manager = SessionManager(db, idle_timeout=30, clock=clock)
         conn = repro.connect(manager)
         cursor = conn.cursor("SELECT ALL FROM item", fetch_size=4)
         clock.advance(20)
@@ -380,7 +395,7 @@ class TestHygiene:
 
     def test_idle_statement_reaped(self, db):
         clock = FakeClock()
-        manager = SessionManager(db, idle_statement_timeout=60, clock=clock)
+        manager = SessionManager(db, idle_timeout=60, clock=clock)
         conn = repro.connect(manager)
         stmt = conn.prepare("SELECT ALL FROM item WHERE grp = ?")
         assert len(list(stmt.execute(0))) == N_ITEMS // GROUPS
@@ -427,6 +442,48 @@ class TestHygiene:
                 conn.ping()
             with daemon.connect() as fresh:   # the slot came back
                 assert fresh.ping()
+
+
+class TestRetiredSessions:
+    """The manager holds open sessions only; a closed one leaves its
+    counters (and its histograms, folded) behind."""
+
+    def test_closed_session_is_not_kept_alive(self, db):
+        manager = SessionManager(db)
+        conn = repro.connect(manager, name="gone")
+        conn.query("SELECT ALL FROM item", fetch_size=4).materialize()
+        session = weakref.ref(conn.session)
+        conn.close()
+        del conn
+        gc.collect()
+        assert session() is None
+        report = manager.io_report()
+        assert report["session:gone:cursors_opened"] == 1
+        # Every message, GOODBYE included, is observed once.
+        latency = db.metrics_report()["histograms"]["request_latency_ms"]
+        assert latency["count"] == report["net_messages"] // 2
+
+    def test_metrics_report_cost_does_not_grow_with_closed_sessions(
+            self, db):
+        manager = SessionManager(db)
+
+        def cycles(count: int) -> None:
+            for _ in range(count):
+                with repro.connect(manager) as conn:
+                    conn.ping()
+
+        def cost() -> float:
+            runs = []
+            for _ in range(7):
+                started = time.perf_counter()
+                db.metrics_report()
+                runs.append(time.perf_counter() - started)
+            return min(runs)
+
+        cycles(10)
+        few = cost()
+        cycles(1990)
+        assert cost() <= 3 * few
 
 
 # ---------------------------------------------------------------------------

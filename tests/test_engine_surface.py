@@ -116,8 +116,7 @@ def test_every_prepared_handle_is_a_prepared_statement():
             with repro.connect(engine) as conn:
                 for grp in (1, 2):
                     conn.prepare(f"SELECT ALL FROM city WHERE grp = {grp}")
-                handles.extend(holder.prepared for holder in
-                               conn.session._statements.values())
+                handles.extend(conn.session._statements.values())
             assert len(handles) == 7
             for handle in handles:
                 assert isinstance(handle, PreparedStatement), handle
