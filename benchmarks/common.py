@@ -1,26 +1,18 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the paper-reproduction benches.
 
 Every bench file is runnable two ways:
 
 * ``python benchmarks/bench_*.py`` — prints the figure/table-shaped report;
 * ``pytest benchmarks/ --benchmark-only`` — timings via pytest-benchmark.
-
-Benches additionally emit their measurements as JSON via
-:func:`emit_json` (one ``<bench>.json`` per bench under
-``BENCH_RESULTS_DIR``, default ``benchmarks/results/``) — the CI
-``bench-smoke`` job uploads these as workflow artifacts, giving the
-repository a benchmark trajectory over time.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from functools import lru_cache
 from typing import Any, Iterable
 
 from repro import Prima
-from repro.workloads import brep, gis, vlsi
+from repro.workloads import brep, vlsi
 
 
 @lru_cache(maxsize=None)
@@ -32,31 +24,6 @@ def brep_database(n_solids: int = 8, **kwargs) -> brep.BrepDatabase:
 @lru_cache(maxsize=None)
 def vlsi_database(n_cells: int = 24) -> vlsi.VlsiDatabase:
     return vlsi.generate(n_cells=n_cells)
-
-
-@lru_cache(maxsize=None)
-def gis_database(rows: int = 4, cols: int = 4) -> gis.GisDatabase:
-    return gis.generate(rows=rows, cols=cols)
-
-
-def emit_json(name: str, payload: dict[str, Any]) -> str:
-    """Write one bench's measurements to ``<results dir>/<name>.json``.
-
-    The directory comes from ``BENCH_RESULTS_DIR`` (default
-    ``benchmarks/results/`` next to this file); the path written to is
-    returned and echoed so CI logs show where the artifact landed.
-    """
-    directory = os.environ.get(
-        "BENCH_RESULTS_DIR",
-        os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"),
-    )
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{name}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
-    print(f"\n[json] {path}")
-    return path
 
 
 def print_header(title: str, subtitle: str = "") -> None:

@@ -16,7 +16,7 @@ time" at every level of the stack:
   ``Connection.server_stats()`` — no server-side shell needed.
 
 Tracing is off by default and its disabled cost is one float test per
-query (gated by ``benchmarks/bench_b9_obs.py``); turn it on per engine
+query (pinned by ``tests/test_obs.py::TestTracer``); turn it on per engine
 with ``db.obs.enable_tracing(sample)``.
 
 Run:  python examples/observability.py

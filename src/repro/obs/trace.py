@@ -12,7 +12,8 @@ the query).
 
 Tracing is **off by default** and sampled: :meth:`Tracer.start` returns
 ``None`` unless the query is sampled, and the disabled path is one
-attribute test — near-free, which ``bench_b9_obs`` gates.
+attribute test — near-free, which
+``tests/test_obs.py::TestTracer::test_disabled_returns_none`` pins.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 A thread per client burns one OS thread per session; this daemon
 multiplexes every connection onto a single event loop instead, so the
 server's thread count stays **O(1)** no matter how many sessions are
-open (the property ``benchmarks/bench_b7_daemon.py`` gates on).  Per
-connection:
+open (the property ``test_many_async_clients_one_daemon_thread`` in
+``tests/test_daemon.py`` gates on).  Per connection:
 
 * a **reader coroutine** decodes length-prefixed frames into the typed
   requests of :mod:`repro.serve.protocol` and dispatches them inline to

@@ -213,7 +213,9 @@ class ShardedCluster(Engine):
         ``makespan_ms`` — the slowest channel's modelled communication
         time — is the cluster's parallel completion time: balanced
         shards divide the work, so doubling the shard count should
-        roughly halve it (the scale-out quantity ``bench_b8`` gates)."""
+        roughly halve it (the scale-out quantity that
+        ``test_four_shards_divide_the_modelled_makespan`` in
+        ``tests/test_sharding.py`` gates)."""
         per_shard = [stats.snapshot() for stats in self.channels]
         makespan = max((entry["comm_time_ms"] for entry in per_shard),
                        default=0.0)

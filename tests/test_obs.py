@@ -190,6 +190,16 @@ class TestTracer:
         spans = [tracer.start("query") for _ in range(5)]
         assert all(span is not None for span in spans)
 
+    def test_sampling_leaves_the_answer_unchanged(self):
+        db = _build_db()
+        mql = "SELECT ALL FROM t ORDER BY n LIMIT 5"
+        untraced = [m.atom["n"] for m in db.query(mql)]
+        db.obs.enable_tracing(1.0)
+        result = db.query(mql)
+        assert [m.atom["n"] for m in result] == untraced
+        result.close()
+        assert any("trace" in entry for entry in db.obs.slowlog.entries())
+
     def test_fractional_sampling_is_deterministic(self):
         tracer = Tracer()
         tracer.enable(0.25)

@@ -220,6 +220,29 @@ class TestRemoteCursor:
             construct_before + 1
         assert result.truncated
 
+    def test_abandoned_stream_costs_less_than_the_whole_set(self):
+        """Abandoning a 2 000-molecule scan after 10: the stream ships
+        about 10 plus one prefetched batch, so its modelled
+        communication time stays under the whole-set ship's."""
+        db = Prima()
+        db.execute("CREATE ATOM_TYPE item (item_id: IDENTIFIER, "
+                   "n: INTEGER) KEYS_ARE (n)")
+        for i in range(2000):
+            db.insert_atom("item", {"n": i})
+        manager = SessionManager(db)
+
+        def abandon_after_ten(fetch_size) -> float:
+            db.reset_accounting()
+            with repro.connect(manager) as conn:
+                result = conn.query("SELECT ALL FROM item",
+                                    fetch_size=fetch_size)
+                for _ in range(10):
+                    assert result.fetch_next() is not None
+                result.close()
+                return db.io_report()["net_comm_time_ms"]
+
+        assert abandon_after_ten(8) < abandon_after_ten(None)
+
     def test_reopen_restreams_over_the_wire(self, conn):
         result = conn.query("SELECT ALL FROM item WHERE grp = 3",
                             fetch_size=4)

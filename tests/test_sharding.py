@@ -416,6 +416,37 @@ class TestServingOverCluster:
             max(report["shard_service_ms"])
         assert report.get("serve_sessions_opened", 0) >= 1
 
+    def test_four_shards_divide_the_modelled_makespan(self):
+        """Scale-out: padded rows make gather bytes dominate the
+        modelled channel time, so four balanced shards cut the slowest
+        channel's time (the makespan) to well under half of one
+        shard's."""
+        pad = "x" * 512
+
+        def makespan(shards: int) -> float:
+            with ShardedCluster(shards=shards) as cluster:
+                cluster.execute("CREATE ATOM_TYPE item (item_id: "
+                                "IDENTIFIER, n: INTEGER, grp: INTEGER, "
+                                "pad: CHAR_VAR) KEYS_ARE (n)")
+                for i in range(512):
+                    cluster.execute(f"INSERT item (n = {i}, grp = {i % 8}, "
+                                    f"pad = '{pad}')")
+                cluster.reset_accounting()
+                manager = SessionManager(cluster)
+                for group in range(8):
+                    with repro.connect(manager) as conn:
+                        assert len(conn.query(
+                            f"SELECT ALL FROM item WHERE grp = {group}")) \
+                            == 64
+                        stmt = conn.prepare(
+                            "SELECT ALL FROM item WHERE n = ?")
+                        for i in range(4):
+                            assert len(stmt.execute(
+                                group * 4 + i).materialize()) == 1
+                return cluster.service_report()["makespan_ms"]
+
+        assert makespan(1) >= 2.5 * makespan(4)
+
     def test_connect_shards_option_creates_a_cluster(self):
         with repro.connect(shards=3, name="fresh") as conn:
             assert conn.shards == 3

@@ -224,6 +224,7 @@ class TestServingIsolation:
             conn.query("SELECT ALL FROM item WHERE grp = 3").materialize()
             grants = manager.txns.locks.grants
             assert grants["S"] - before["S"] == 0
+            assert grants["X"] == before["X"]
         report = db.io_report()
         assert report["serve_snapshot_reads"] == 2
 
