@@ -5,9 +5,9 @@ PR 9's :mod:`repro.obs` layer answers "where did my query spend its
 time" at every level of the stack:
 
 * **span trees** — ``explain(analyze=True)`` actually runs the query
-  and renders one span per operator; on a sharded cluster the root
-  span fans out into one child span per shard, so a scatter-gather
-  TopK shows exactly which shard was the straggler;
+  and renders one span per operator; on a sharded cluster the
+  ``Gather`` span fans out into one ``shard:<i>`` span per shard, so a
+  scatter-gather TopK shows exactly which shard was the straggler;
 * **metrics** — ``metrics_report()`` merges counters, gauges, and
   fixed-bucket histograms (query latency, fetch batch sizes, admission
   wait, …) across sessions and shards into one JSON-able view;
@@ -44,8 +44,8 @@ def build_cluster() -> repro.ShardedCluster:
 def main() -> None:
     with build_cluster() as cluster:
         # 1. EXPLAIN ANALYZE on a scatter-gather TopK: the plan text,
-        #    then the measured span tree — one child span per shard,
-        #    each carrying its own operator breakdown.
+        #    then the measured span tree — under the Gather one span
+        #    per shard, each carrying its own operator breakdown.
         print("explain analyze (4-shard scatter TopK)")
         print(cluster.explain(
             "SELECT ALL FROM part ORDER BY grade DESC LIMIT 5",
@@ -55,7 +55,7 @@ def main() -> None:
         #    :class:`~repro.obs.Span`, so tooling can walk it.
         span = cluster.trace(
             "SELECT ALL FROM part ORDER BY grade DESC LIMIT 5")
-        shard_spans = [child for child in span.children
+        shard_spans = [child for child in span.walk()
                        if child.name.startswith("shard:")]
         print(f"\ntrace    : {len(shard_spans)} shard spans under the "
               f"root ({span.duration * 1000.0:.3f} ms total)")

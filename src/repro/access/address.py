@@ -139,9 +139,6 @@ class AddressTable:
                                         p.structure))
         return ordered
 
-    def structures_of(self, surrogate: Surrogate) -> list[str]:
-        return sorted(self._require(surrogate))
-
     # -- staleness (deferred update support) ------------------------------------------
 
     def mark_stale(self, surrogate: Surrogate, structure: str) -> None:

@@ -145,11 +145,6 @@ class AtomManager:
             store = self.versions = AtomVersionStore()
         return store
 
-    @property
-    def data_version(self) -> int:
-        """The published atom-version epoch (the snapshot clock)."""
-        return self.version_store().epoch
-
     def publish_epoch(self) -> int:
         """Publish a new epoch — called at commit boundaries (checkin,
         DML statement end, DDL), never per low-level operation."""

@@ -59,9 +59,6 @@ class DeferredUpdateManager:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def is_pending(self, structure_id: str, surrogate: Surrogate) -> bool:
-        return (structure_id, surrogate) in self._pending
-
     # -- propagation ---------------------------------------------------------------
 
     def propagate(self, limit: int | None = None) -> int:

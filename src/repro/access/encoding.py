@@ -17,6 +17,9 @@ INTEGERs are signed 64-bit: a wider value raises :class:`AccessError`
 :func:`encoded_size` is the length of :func:`encode_atom`'s output,
 computed by walking the value without building any bytes — billing a
 wire reply sizes every atom it ships, so it must not encode them.
+:func:`molecules_size` is the one byte notion of shipped molecules: the
+serving protocol bills its batches and a shard its gathered results
+with it.
 :func:`decode_atom` optionally *interns* surrogates: given a pool, every
 occurrence of one logical address decodes to the same object.
 """
@@ -24,9 +27,10 @@ occurrence of one logical address decodes to the same object.
 from __future__ import annotations
 
 import struct
-from typing import Any
+from typing import Any, Iterable
 
-from repro.errors import AccessError
+from repro.errors import AccessError, SchemaError
+from repro.mad.molecule import Molecule
 from repro.mad.types import Surrogate
 
 _TAG_NULL = 0
@@ -285,3 +289,37 @@ def encoded_size(values: dict[str, Any]) -> int:
     for name, value in values.items():
         size += _value_size(name) + _value_size(value)
     return size
+
+
+def molecules_size(molecules: Iterable[Molecule]) -> int:
+    """Encoded size of every atom *occurrence* in ``molecules`` — an atom
+    shared by several molecules (or reached over several paths) counts
+    each time it ships.
+
+    Each distinct atom is sized once: occurrences are keyed by their
+    surrogate, and a size is reused only for a dict ``==`` to the one
+    that was sized (a qualified projection can give one surrogate
+    different dicts in one batch).  The surrogate fixes the atom type,
+    hence every attribute's type, so ``==`` dicts encode alike.  Atoms
+    without a surrogate are sized afresh.  Nothing is encoded."""
+    total = 0
+    sized: dict[Surrogate, tuple[dict[str, Any], int]] = {}
+    pending = list(molecules)
+    while pending:
+        molecule = pending.pop()
+        atom = molecule.atom
+        try:
+            key = molecule.surrogate
+        except SchemaError:          # a hand-built atom without identifier
+            key = None
+        known = sized.get(key)
+        if known is not None and (known[0] is atom or known[0] == atom):
+            total += known[1]
+        else:
+            size = encoded_size(atom)
+            if key is not None and known is None:
+                sized[key] = (atom, size)
+            total += size
+        for components in molecule.components.values():
+            pending.extend(components)
+    return total

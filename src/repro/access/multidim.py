@@ -61,9 +61,6 @@ class GridFile:
     def cell_count(self) -> int:
         return len(self._cells)
 
-    def scales(self) -> list[list[Any]]:
-        return [list(scale) for scale in self._scales]
-
     # -- coordinates -----------------------------------------------------------------
 
     def _coord(self, key: tuple) -> tuple[int, ...]:

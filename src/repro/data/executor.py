@@ -26,7 +26,6 @@ scan is exhausted (the paper's one-molecule-at-a-time MAD interface).
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import replace
 from typing import Any
 
@@ -34,17 +33,16 @@ from repro.access.access_path import AccessPath
 from repro.access.btree import make_key
 from repro.access.cluster import AtomCluster
 from repro.access.multidim import KeyCondition
-from repro.access.snapshots import SnapshotView
 from repro.access.sort_order import SortOrder
 from repro.access.system import AccessSystem
+from repro.data.operators import Operator
 from repro.data.plan import QueryPlan, RootAccess, _render_bounds
 from repro.data.predicates import PredicateEvaluator, path_values
 from repro.data.prepared import (
     PlanCache,
-    PreparedStatement,
-    extract_template,
     iter_parameters,
-    template_matches,
+    prepare_statement,
+    reveto_plan,
 )
 from repro.data.result import ResultSet
 from repro.data.simplification import sargable_root_terms, simplify
@@ -76,10 +74,8 @@ from repro.mql.ast import (
     SelectStatement,
     Statement,
 )
-from repro.mql.parser import parse
 from repro.mad.schema import AtomType
 from repro.obs import Observability
-from repro.obs.trace import span_from_operator
 
 
 class DataSystem:
@@ -129,114 +125,36 @@ class DataSystem:
 
     # ---------------------------------------------------- prepared statements --
 
-    def prepare(self, mql: str,
-                use_cache: bool = True) -> PreparedStatement:
-        """Parse, validate, and plan one statement — through the cache.
+    #: Parse, validate and plan one statement through the plan cache
+    #: (:func:`~repro.data.prepared.prepare_statement`).
+    prepare = prepare_statement
 
-        Repeated (whitespace-normalized) SELECT text returns the cached
-        :class:`~repro.data.prepared.PreparedStatement` without touching
-        the parser (``plan_cache_hits``); a miss parses and plans once
-        (``statements_parsed`` / ``plan_cache_misses``) and caches the
-        result.  DML/DDL statements are prepared but never cached —
-        their execution must re-qualify against current state anyway.
+    # ----------------------------------------- binding and lowering plans --
 
-        *Literal variants* of one statement shape (``... WHERE n = 1`` /
-        ``... WHERE n = 2``) are recognised on the second distinct
-        variant and promoted to a single shared plan template with the
-        literals as bound parameters (``plan_cache_template_hits``) —
-        the repetitive checkout workload stops filling the cache with
-        per-value plans.
+    #: Settle a freshly bound plan's deferred access decisions
+    #: (:func:`~repro.data.prepared.reveto_plan`).
+    settle = reveto_plan
+
+    def lower(self, plan: QueryPlan, pinned: bool = False) -> Operator:
+        """A bound plan's operator pipeline.
+
+        ``pinned`` reads every atom at one snapshot of the current
+        atom-version epoch, released when the pipeline closes (the
+        serving read path): the reader needs **no** type-level S lock —
+        it sees the committed state as of its open, no matter what
+        writers do concurrently.  Unpinned the pipeline reads the live
+        atom manager.
         """
-        key = PlanCache.normalize(mql)
-        caching = use_cache and self.plan_cache.capacity > 0
-        if caching:
-            hit = self.plan_cache.get(key)
-            if hit is not None:
-                self.access.counters.bump("plan_cache_hits")
-                return hit
-            variant = self._prepare_via_template(mql)
-            if variant is not None:
-                return variant
-        statement = parse(mql)
-        self.access.counters.bump("statements_parsed")
-        prepared = PreparedStatement(self, mql, statement)
-        if caching and prepared.kind == "select":
-            self.access.counters.bump("plan_cache_misses")
-            self.plan_cache.put(key, prepared)
-        return prepared
-
-    def _prepare_via_template(self, mql: str) -> PreparedStatement | None:
-        """Share one cached plan across literal variants of a statement.
-
-        The statement's literals are lifted into internal named parameters
-        (:func:`~repro.data.prepared.extract_template`); the resulting
-        *template key* identifies the statement shape.  The first
-        sighting of a shape only notes the key (a one-off literal query
-        plans normally — nothing changes for it); the second distinct
-        variant parses and caches the shared template; every later
-        variant binds its literals into that template without parsing
-        (``plan_cache_template_hits``): it is a handle over the
-        template's statement that carries the lifted values and shares
-        the template's plan.  Returns ``None`` whenever the literal path
-        should proceed as usual.
-        """
-        extracted = extract_template(mql)
-        if extracted is None:
-            return None
-        template_text, values = extracted
-        tkey = PlanCache.normalize(template_text)
-        template = self.plan_cache.get(tkey)
-        if template is None:
-            if not self.plan_cache.note_template(tkey):
-                return None   # first sighting of this shape
-            statement = parse(template_text)
-            self.access.counters.bump("statements_parsed")
-            template = PreparedStatement(self, template_text, statement)
-            if not template_matches(template, values):
-                return None
-            self.access.counters.bump("plan_cache_misses")
-            self.plan_cache.put(tkey, template)
-        else:
-            if not template_matches(template, values):
-                return None
-            self.access.counters.bump("plan_cache_template_hits")
-        return PreparedStatement(self, mql, template.statement,
-                                 template=template, lifted=values)
-
-    # ------------------------------------------------------------ snapshots --
-
-    def open_snapshot(self) -> SnapshotView:
-        """Pin a read snapshot at the current atom-version epoch.
-
-        The returned view substitutes for the atom manager throughout
-        one pipeline (``plan.compile(..., snapshot=view)``): the reader
-        needs **no** type-level S lock — it sees the committed state as
-        of its open, no matter what writers do concurrently.  Release it
-        (or use it as a context manager) when the cursor closes.
-        """
-        return self.access.atoms.open_snapshot()
-
-    def watch_query(self, text: str, pipeline: Any) -> None:
-        """Arm per-query accounting on a compiled pipeline.
-
-        When the cursor is closed, the elapsed wall-time lands in the
-        ``query_latency_ms`` histogram and the slow log; when the tracer
-        sampled this query, the slow-log entry additionally carries the
-        span tree with one span per operator (rebuilt from the
-        operators' own measurements, so nothing extra runs per row).
-        """
-        obs = self.obs
-        span = obs.tracer.start("query", mql=text)
-        started = time.perf_counter()
-
-        def _finish(operator: Any) -> None:
-            duration = time.perf_counter() - started
-            if span is not None:
-                span.duration = duration
-                span_from_operator(operator, parent=span)
-            obs.observe_query(text, duration, span)
-
-        pipeline.add_close_hook(_finish)
+        if not pinned:
+            return plan.compile(self)
+        snapshot = self.access.atoms.open_snapshot()
+        try:
+            pipeline = plan.compile(self, snapshot=snapshot)
+        except BaseException:
+            snapshot.release()
+            raise
+        pipeline.add_close_hook(lambda _op: snapshot.release())
+        return pipeline
 
     def publish_data_version(self) -> int:
         """Advance the atom-version epoch (a commit boundary).
@@ -259,7 +177,6 @@ class DataSystem:
         after it see the writes).
         """
         if isinstance(statement, SelectStatement):
-            self._ensure_symmetry()
             return self.select(statement)
         result = self._execute_mutation(statement)
         self.publish_data_version()
@@ -319,6 +236,7 @@ class DataSystem:
 
     def plan_select(self, statement: SelectStatement) -> QueryPlan:
         """Validation + simplification + preparation, without execution."""
+        self._ensure_symmetry()
         structure = self.validator.resolve_structure(statement.from_clause)
         self.validator.check_select(statement, structure)
         where = simplify(statement.where)
@@ -524,8 +442,7 @@ class DataSystem:
         the rest of the root atom set untouched.
         """
         plan = self.plan_select(statement)
-        pipeline = plan.compile(self)
-        return ResultSet(source=pipeline, plan_text=plan.explain(),
+        return ResultSet(source=self.lower(plan), plan_text=plan.explain(),
                          mutex=self.mutex)
 
     # -- root access ----------------------------------------------------------------

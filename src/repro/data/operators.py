@@ -30,6 +30,12 @@ TopK                 ORDER BY + LIMIT k (+ OFFSET m) fused into one bounded
                      scan's walk as a dynamically tightening stop key
 Offset / Limit       skip the first m molecules / stop after n molecules
 Project              applies (qualified) projections to delivered molecules
+Route                one shard's pipeline, run against that shard's pinned
+                     snapshot on a cluster; counts delivered rows and bytes
+Gather               merges the Route children of a scatter: windowed (ORDER
+                     BY + LIMIT: shards drain in order while the global
+                     boundary is pushed into the later shards' root scans)
+                     or a lazy k-way merge; projects at delivery
 ===================  =======================================================
 
 Every operator counts the rows it emits (``rows_out`` and the access
@@ -51,6 +57,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro.access.access_path import AccessPath
 from repro.access.btree import make_key
 from repro.access.cluster import AtomCluster
+from repro.access.encoding import molecules_size
 from repro.access.scans import AccessPathScan, AtomTypeScan, SearchArgument, SortScan
 from repro.mad.molecule import Molecule, StructureNode
 from repro.mad.types import Surrogate
@@ -394,7 +401,25 @@ class ResidualFilter(Operator):
         return "residual qualification per molecule"
 
 
-class Sort(Operator):
+class Breaker(Operator):
+    """A pipeline breaker: its emitted run is computed once and cached
+    (``_run``), so ``rewind()`` replays it instead of re-pulling its
+    children; only a breaker that has not run yet rewinds them."""
+
+    _run: list | None = None
+
+    def rewind(self) -> None:
+        if self._closed:
+            return
+        if self._iterator is not None:
+            self._iterator.close()
+            self._iterator = None
+        if self._run is None:
+            for child in self.children:
+                child.rewind()
+
+
+class Sort(Breaker):
     """Explicit final sort over root attributes — a pipeline breaker.
 
     Materialises the child stream, then emits in the requested order.
@@ -413,30 +438,16 @@ class Sort(Operator):
                  order_by: list[tuple[str, bool]]) -> None:
         super().__init__(child)
         self._order_by = order_by
-        self._sorted_run: list[Molecule] | None = None
 
     def _produce(self) -> Iterator[Molecule]:
-        if self._sorted_run is None:
+        if self._run is None:
             molecules = list(self.children[0])
             sort_stable(molecules, self._order_by,
                         lambda molecule, attr: molecule.atom.get(attr))
-            self._sorted_run = molecules
+            self._run = molecules
             if self._counters is not None:
                 self._counters.bump("operator_sort_runs")
-        yield from self._sorted_run
-
-    def rewind(self) -> None:
-        """Replay the cached sorted run; only an un-run Sort rewinds its
-        children."""
-        if self._closed:
-            return
-        cascade = self._sorted_run is None
-        if self._iterator is not None:
-            self._iterator.close()
-            self._iterator = None
-        if cascade:
-            for child in self.children:
-                child.rewind()
+        yield from self._run
 
     def detail(self) -> str:
         rendered = ", ".join(f"{attr} {'DESC' if desc else 'ASC'}"
@@ -490,7 +501,38 @@ def order_rank(item: Any, order_by: list[tuple[str, bool]],
     return tuple(parts)
 
 
-class TopK(Operator):
+def merge_ordered(streams: "list[Operator]",
+                  order_by: list[tuple[str, bool]],
+                  value_of: Callable[[Any, str], Any]
+                  ) -> Iterator[tuple[Any, int]]:
+    """Lazily k-way merge already-ordered item streams.
+
+    Every stream must already deliver in the ``order_by`` order.  Yields
+    ``(item, stream_index)`` in global order; ties resolve to the lower
+    stream index (then arrival order within the stream), so the merge is
+    deterministic.  Consuming lazily pulls at most one item ahead per
+    stream.
+    """
+    heap: list[tuple[tuple, int, int, Any]] = []
+    serial = 0
+    for index, stream in enumerate(streams):
+        item = stream.next()
+        if item is not None:
+            heap.append((order_rank(item, order_by, value_of), index,
+                         serial, item))
+            serial += 1
+    heapq.heapify(heap)
+    while heap:
+        _rank, index, _serial, item = heapq.heappop(heap)
+        yield item, index
+        refill = streams[index].next()
+        if refill is not None:
+            heapq.heappush(heap, (order_rank(refill, order_by, value_of),
+                                  index, serial, refill))
+            serial += 1
+
+
+class TopK(Breaker):
     """ORDER BY + OFFSET m + LIMIT k fused into one bounded-heap operator.
 
     Where Sort materialises the whole child stream, TopK retains at most
@@ -536,7 +578,6 @@ class TopK(Operator):
         self.cut_short = False
         #: How many times the tightening heap bound was pushed down.
         self.bounds_pushed = 0
-        self._run: list[Molecule] | None = None
 
     def _rank(self, molecule: Molecule, seq: int) -> tuple:
         return order_rank(molecule, self._order_by,
@@ -609,19 +650,6 @@ class TopK(Operator):
                 self._push_bound(heap)
         ordered = sorted(heap, key=lambda e: e.rank)
         return [e.row for e in ordered[self._offset:]]
-
-    def rewind(self) -> None:
-        """Replay the cached top-k run; only an un-run TopK rewinds its
-        children."""
-        if self._closed:
-            return
-        cascade = self._run is None
-        if self._iterator is not None:
-            self._iterator.close()
-            self._iterator = None
-        if cascade:
-            for child in self.children:
-                child.rewind()
 
     def detail(self) -> str:
         rendered = ", ".join(f"{attr} {'DESC' if desc else 'ASC'}"
@@ -705,6 +733,136 @@ class Project(Operator):
         if self._projection.select_all:
             return "ALL"
         return f"{len(self._projection.items)} item(s)"
+
+
+class Route(Operator):
+    """One shard's compiled pipeline, as a child of the cluster's plan.
+
+    The pipeline reads that shard's engine (and, opened pinned, its
+    snapshot, released when the pipeline closes).  Route counts the
+    molecules it delivers (``rows_out``) and their encoded bytes
+    (``bytes_out``); its span is named ``shard:<i>``.  The coordinator
+    bills the shard's service channel from a close hook.
+    """
+
+    name = "Route"
+
+    def __init__(self, shard: int, pipeline: Operator,
+                 data: "DataSystem") -> None:
+        super().__init__(pipeline)
+        #: The shard this route reads (a routed result set reports it).
+        self.shard = shard
+        self.name = f"shard:{shard}"
+        #: The shard's data system (a Gather projects through it).
+        self.data = data
+        self.bytes_out = 0
+
+    def _produce(self) -> Iterator[Molecule]:
+        pipeline = self.children[0]
+        while (molecule := pipeline.next()) is not None:
+            self.bytes_out += molecules_size((molecule,))
+            yield molecule
+
+    def push_bound(self, values: tuple) -> None:
+        """Install a global stop bound on this shard's root scan (a
+        no-op for unordered accesses)."""
+        operator: Operator = self
+        while operator.children:
+            operator = operator.children[0]
+        if isinstance(operator, RootScan):
+            operator.bound(values)
+
+    def span_attrs(self) -> dict[str, Any]:
+        return {"shard": self.shard, "bytes": self.bytes_out}
+
+
+def _root_value(molecule: Molecule, attr: str) -> Any:
+    """ORDER BY values read off the unprojected root atom."""
+    return molecule.atom.get(attr)
+
+
+class Gather(Breaker):
+    """Merge the :class:`Route` children of a scatter plan.
+
+    ``plan`` is the global (bound) plan; each route runs its shard's
+    slice of it (:meth:`~repro.data.plan.QueryPlan.shard_slice`).  Two
+    modes:
+
+    * **windowed** — ORDER BY + LIMIT.  Shards drain in shard order into
+      one candidate list (each shard's own TopK caps it at
+      ``limit + offset``); once the candidates cover the window, the
+      current global boundary's order-prefix key is pushed into the
+      root scan of every shard not yet drained (``shard_bounds_pushed``
+      on ``counters``).  The selected window is cached for rewinds.
+    * **stream** — everything else: a lazy k-way merge over the ordered
+      shard streams under the global OFFSET/LIMIT.  Without ORDER BY
+      every rank is equal, so the merge concatenates in shard order.
+
+    Ties go to the lower shard.  Under ORDER BY the shards run
+    projection-free (the merge ranks on root values a projection may
+    prune) and the projection is applied here, at delivery.
+    """
+
+    name = "Gather"
+
+    def __init__(self, routes: list[Route], plan: "QueryPlan",
+                 counters: Any) -> None:
+        super().__init__(*routes)
+        self._plan = plan
+        self._counters = counters
+        self._projected: set[int] = set()
+
+    def _produce(self) -> Iterator[Molecule]:
+        plan = self._plan
+        if plan.order_by and plan.limit is not None:
+            if self._run is None:
+                self._run = self._window()
+            yield from self._run
+            return
+        if plan.limit is not None and plan.limit <= 0:
+            return
+        skipped = emitted = 0
+        for molecule, index in merge_ordered(list(self.children),
+                                             plan.order_by, _root_value):
+            if skipped < plan.offset:
+                skipped += 1
+                continue
+            yield self._project(molecule, index)
+            emitted += 1
+            if plan.limit is not None and emitted >= plan.limit:
+                return
+
+    def _window(self) -> list[Molecule]:
+        plan = self._plan
+        window = plan.limit + plan.offset
+        # A fully order-served access reports no explicit prefix — the
+        # whole ORDER BY is the served (and boundable) prefix then.
+        served = plan.order_prefix_served or (
+            len(plan.order_by) if plan.order_served_by_access else 0)
+        prefix_attrs = [attr for attr, _desc in plan.order_by[:served]]
+        entries: list[tuple[tuple, int, int, Molecule]] = []
+        for index, route in enumerate(self.children):
+            if prefix_attrs and 0 < window <= len(entries):
+                boundary = sorted(entries)[window - 1][3]
+                route.push_bound(tuple(boundary.atom.get(attr)
+                                       for attr in prefix_attrs))
+                self._counters.bump("shard_bounds_pushed")
+            for molecule in route:
+                entries.append((order_rank(molecule, plan.order_by,
+                                           _root_value),
+                                index, len(entries), molecule))
+        entries.sort()
+        return [self._project(molecule, index) for _rank, index, _serial,
+                molecule in entries[plan.offset:window]]
+
+    def _project(self, molecule: Molecule, index: int) -> Molecule:
+        plan = self._plan
+        if plan.order_by and not plan.projection.select_all \
+                and id(molecule) not in self._projected:
+            self._projected.add(id(molecule))
+            self.children[index].data.apply_projection(
+                molecule, plan.projection, plan.structure)
+        return molecule
 
 
 def sort_stable(items: list, order_by: list[tuple[str, bool]],

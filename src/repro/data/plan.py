@@ -13,7 +13,7 @@ including that operator tree — for tests, examples, and benchmark reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.access.multidim import KeyCondition
@@ -81,12 +81,12 @@ class QueryPlan:
     #: non-empty tuple marks a *template*: values must be substituted by
     #: :func:`repro.data.prepared.bind_plan` before compilation.
     parameters: tuple = ()
-    #: Shard-routing annotation, stamped by a cluster coordinator's
-    #: planner wrapper (None on single-engine plans).  A dict shaped
-    #: ``{"mode": "routed"|"scatter", "shards": n, "key_attr": attr}``:
-    #: ``routed`` plans hit exactly the shard owning their root key,
-    #: ``scatter`` plans fan out to every shard and gather through the
-    #: coordinator's ordered k-way merge.
+    #: Shard-routing annotation, stamped by a cluster coordinator
+    #: (None on single-engine plans).  A dict shaped ``{"mode":
+    #: "routed"|"scatter", "shards": n, "key_attr": attr, "shard": i}``:
+    #: ``routed`` plans hit exactly the shard owning their root key
+    #: (``shard`` once the key is concrete), ``scatter`` plans run their
+    #: :meth:`shard_slice` on every shard under one ``Gather``.
     routing: dict[str, Any] | None = None
 
     @property
@@ -122,14 +122,53 @@ class QueryPlan:
         return build_pipeline(data, self, use_topk=use_topk,
                               push_bound=push_bound, snapshot=snapshot)
 
+    def shard_slice(self) -> "QueryPlan":
+        """One shard's part of a scatter plan.
+
+        The window widens to ``limit + offset`` with the offset zeroed —
+        any shard may hold the entire global window, and the skip is a
+        global decision.  Under ORDER BY the shard pipelines also run
+        projection-free (the gather ranks on root-attribute values the
+        projection may prune and projects at delivery).
+        """
+        projection = self.projection
+        if self.order_by and not projection.select_all:
+            projection = Projection(select_all=True)
+        return replace(self, routing=None, offset=0, projection=projection,
+                       limit=None if self.limit is None
+                       else self.limit + self.offset)
+
     def operator_descriptions(self) -> list[tuple[str, str]]:
         """(name, detail) pairs of the pipeline, top operator first.
 
         This is the declarative twin of :func:`repro.data.operators
         .build_pipeline`: the same canonical shape, renderable without a
-        data system at hand.
+        data system at hand.  A cluster plan starts with its ``Route``
+        (routed) or ``Gather`` over one ``Route`` per shard (scatter),
+        above the pipeline each shard runs.
         """
+        routing = self.routing
+        if routing is not None and routing["mode"] == "scatter":
+            merge = "ordered k-way merge" if self.order_by \
+                else "concatenation in shard order"
+            if self.order_by and self.limit is not None:
+                merge = (f"window limit {self.limit}, offset {self.offset}"
+                         f" — shards drain in order")
+                if self.order_prefix_served or self.order_served_by_access:
+                    merge += ", global bound pushed into the later ones"
+            elif self.limit is not None or self.offset:
+                merge += f", limit {self.limit}, offset {self.offset}"
+            if self.order_by and not self.projection.select_all:
+                merge += (f"; project {len(self.projection.items)} "
+                          f"item(s) at delivery")
+            return [("Gather", merge),
+                    ("Route", f"each of {routing['shards']} shard(s)")] \
+                + self.shard_slice().operator_descriptions()
         operators: list[tuple[str, str]] = []
+        if routing is not None:
+            operators.append(("Route", f"shard {routing['shard']}"
+                              if "shard" in routing
+                              else "the shard owning the key"))
         if self.projection.select_all:
             operators.append(("Project", "ALL"))
         else:

@@ -55,6 +55,7 @@ from repro.data.result import ResultSet
 from repro.errors import ExecutionError, PrimaError
 from repro.obs.trace import Span, span_from_operator
 from repro.mql.lexer import tokenize
+from repro.mql.parser import parse
 from repro.mql.ast import (
     DeleteStatement,
     Expr,
@@ -400,7 +401,6 @@ class PreparedStatement:
         """(Re)build the plan template; caller holds the engine mutex."""
         data = self._data
         version = data.catalog_version
-        data._ensure_symmetry()  # noqa: SLF001
         plan = data.plan_select(self.statement)
         data.access.counters.bump("statements_planned")
         self._state = (plan, version)
@@ -474,14 +474,15 @@ class PreparedStatement:
              params: dict[str, Any] | None = None) -> QueryPlan:
         """The concrete plan of one execution (SELECT only).
 
-        Binding also settles the access decisions the template had to
-        defer: an access path chosen blind past a placeholder is
-        re-checked against the now-concrete values and demoted to a
-        scan when the statistics veto it (:func:`reveto_plan`).
+        Binding also settles the decisions the template had to defer
+        (``data.settle``): an access path chosen blind past a
+        placeholder is re-checked against the now-concrete values
+        (:func:`reveto_plan`), and on a cluster a concrete key picks its
+        shard.
         """
         bindings = self._bindings(args, params or {})
         plan = bind_plan(self.plan(), bindings)
-        return reveto_plan(self._data, plan, bindings.resolve)
+        return self._data.settle(plan, bindings.resolve)
 
     def bound_statement(self, args: tuple = (),
                         params: dict[str, Any] | None = None) -> Statement:
@@ -503,15 +504,16 @@ class PreparedStatement:
                 return data.execute(self.bound_statement(args, params))
             return self._cursor(args, params)
 
-    def _cursor(self, args: tuple, params: dict[str, Any]) -> ResultSet:
-        """The embedded read path of :meth:`execute`: a lazy cursor over
-        a pipeline compiled against the live atom manager (no snapshot
-        pin).  A cluster has snapshot cursors only and routes this to
-        :meth:`open`."""
+    def _cursor(self, args: tuple, params: dict[str, Any],
+                pinned: bool = False) -> ResultSet:
+        """A lazy cursor over the bound plan, lowered by the data system
+        (``data.lower``: the compiled pipeline, or on a cluster its
+        ``Route``/``Gather``).  Unpinned it reads the live atom manager
+        (the embedded read path of :meth:`execute`)."""
         data = self._data
         plan = self.bind(args, params)
-        pipeline = plan.compile(data)
-        data.watch_query(self.text, pipeline)
+        pipeline = data.lower(plan, pinned)
+        data.obs.watch(self.text, pipeline)
         return ResultSet(source=pipeline, plan_text=plan.explain(),
                          mutex=data.mutex)
 
@@ -520,27 +522,14 @@ class PreparedStatement:
         """Bind and execute a SELECT over a pinned snapshot.
 
         The lock-free serving read path as one call: bind the plan, pin
-        a snapshot at the current atom-version epoch, compile the
-        pipeline against it, and hand back a lazy :class:`ResultSet`
-        that releases the snapshot when its cursor closes.  Serving
-        sessions and live-query requeries open every cursor here — the
-        snapshot lifetime rules live in one place.
+        a snapshot at the current atom-version epoch (on a cluster, one
+        per touched shard), compile the pipeline against it, and hand
+        back a lazy :class:`ResultSet` that releases the snapshot when
+        its cursor closes.  Serving sessions and live-query requeries
+        open every cursor here.
         """
-        data = self._data
-        with data.mutex:
-            plan = self.bind(args, params or {})
-            snapshot = data.open_snapshot()
-            try:
-                pipeline = plan.compile(data, snapshot=snapshot)
-                result = ResultSet(source=pipeline,
-                                   plan_text=plan.explain(),
-                                   mutex=data.mutex)
-            except BaseException:
-                snapshot.release()
-                raise
-            result.on_close(lambda _op: snapshot.release())
-            data.watch_query(self.text, pipeline)
-            return result
+        with self._data.mutex:
+            return self._cursor(args, params or {}, pinned=True)
 
     def trace(self, args: tuple = (),
               params: dict[str, Any] | None = None) -> Span:
@@ -550,22 +539,27 @@ class PreparedStatement:
         always produces the span tree — the programmatic twin of
         ``explain(analyze=True)``, and what the TRACE wire message runs
         server-side.  The root span's duration is the wall-time of the
-        whole drain; its children are the operator spans, rebuilt from
-        the operators' own ``time_total`` / ``rows_out`` measurements.
+        whole drain and it carries the row count (and a cluster plan's
+        routing annotation); its children are the operator spans,
+        rebuilt from the operators' own ``time_total`` / ``rows_out``
+        measurements — on a cluster one ``shard:<i>`` span per touched
+        shard, under a ``Gather`` on a scatter.
         """
         if self.kind != "select":
             raise PrimaError("TRACE supports SELECT statements only")
         data = self._data
         with data.mutex:
             plan = self.bind(args, params or {})
-            span = Span("query", attrs={"mql": self.text})
-            pipeline = plan.compile(data)
+            span = Span("query", attrs={"mql": self.text,
+                                        **(plan.routing or {})})
+            pipeline = data.lower(plan)
             try:
                 while pipeline.next() is not None:
                     pass
             finally:
                 pipeline.close()
             span.finish()
+            span.attrs["rows"] = pipeline.rows_out
             span_from_operator(pipeline, parent=span)
             data.obs.observe_query(self.text, span.duration, span)
             return span
@@ -826,3 +820,85 @@ class PlanCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PlanCache({len(self)}/{self.capacity} entries, "
                 f"{self.evictions} evictions)")
+
+
+# ---------------------------------------------------------------------------
+# Preparing through the cache
+# ---------------------------------------------------------------------------
+
+def prepare_statement(data: "DataSystem", mql: str,
+                      use_cache: bool = True) -> PreparedStatement:
+    """Parse, validate, and plan one statement — through the cache.
+
+    ``data`` is whatever a statement handle plans and lowers through: a
+    :class:`~repro.data.executor.DataSystem`, or a cluster's coordinator
+    (both expose this function as their ``prepare``).  Repeated
+    (whitespace-normalized) SELECT text returns the cached
+    :class:`PreparedStatement` without touching the parser
+    (``plan_cache_hits``); a miss parses and plans once
+    (``statements_parsed`` / ``plan_cache_misses``) and caches the
+    result.  DML/DDL statements are prepared but never cached — their
+    execution must re-qualify against current state anyway.
+
+    *Literal variants* of one statement shape (``... WHERE n = 1`` /
+    ``... WHERE n = 2``) are recognised on the second distinct variant
+    and promoted to a single shared plan template with the literals as
+    bound parameters (``plan_cache_template_hits``) — the repetitive
+    checkout workload stops filling the cache with per-value plans.
+    """
+    key = PlanCache.normalize(mql)
+    caching = use_cache and data.plan_cache.capacity > 0
+    if caching:
+        hit = data.plan_cache.get(key)
+        if hit is not None:
+            data.access.counters.bump("plan_cache_hits")
+            return hit
+        variant = _prepare_via_template(data, mql)
+        if variant is not None:
+            return variant
+    statement = parse(mql)
+    data.access.counters.bump("statements_parsed")
+    prepared = PreparedStatement(data, mql, statement)
+    if caching and prepared.kind == "select":
+        data.access.counters.bump("plan_cache_misses")
+        data.plan_cache.put(key, prepared)
+    return prepared
+
+
+def _prepare_via_template(data: "DataSystem",
+                          mql: str) -> PreparedStatement | None:
+    """Share one cached plan across literal variants of a statement.
+
+    The statement's literals are lifted into internal named parameters
+    (:func:`extract_template`); the resulting *template key* identifies
+    the statement shape.  The first sighting of a shape only notes the
+    key (a one-off literal query plans normally — nothing changes for
+    it); the second distinct variant parses and caches the shared
+    template; every later variant binds its literals into that template
+    without parsing (``plan_cache_template_hits``): it is a handle over
+    the template's statement that carries the lifted values and shares
+    the template's plan.  Returns ``None`` whenever the literal path
+    should proceed as usual.
+    """
+    extracted = extract_template(mql)
+    if extracted is None:
+        return None
+    template_text, values = extracted
+    tkey = PlanCache.normalize(template_text)
+    template = data.plan_cache.get(tkey)
+    if template is None:
+        if not data.plan_cache.note_template(tkey):
+            return None   # first sighting of this shape
+        statement = parse(template_text)
+        data.access.counters.bump("statements_parsed")
+        template = PreparedStatement(data, template_text, statement)
+        if not template_matches(template, values):
+            return None
+        data.access.counters.bump("plan_cache_misses")
+        data.plan_cache.put(tkey, template)
+    else:
+        if not template_matches(template, values):
+            return None
+        data.access.counters.bump("plan_cache_template_hits")
+    return PreparedStatement(data, mql, template.statement,
+                             template=template, lifted=values)

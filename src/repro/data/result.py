@@ -89,6 +89,9 @@ class ResultSet:
         self.affected = affected
         #: Surrogate produced by an INSERT.
         self.inserted = inserted
+        #: The one shard a routed cluster read runs on (``None``: one
+        #: engine, or a scatter over all shards).
+        self.shard = getattr(source, "shard", None)
         self._mutex = mutex
 
     # -- the cursor ---------------------------------------------------------

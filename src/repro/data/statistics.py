@@ -180,9 +180,6 @@ class StatisticsCatalog:
 
     # -- queries the planner asks --------------------------------------------------------
 
-    def has_statistics(self, type_name: str) -> bool:
-        return type_name in self._types
-
     def type_statistics(self, type_name: str) -> TypeStatistics | None:
         return self._types.get(type_name)
 
@@ -204,30 +201,3 @@ class StatisticsCatalog:
                 continue
             result *= column.selectivity(op, value)
         return result
-
-    def estimated_molecule_size(self, structure) -> float:
-        """Expected atoms per molecule of a structure (fan-out product).
-
-        Used to price molecule construction ("the molecule-type-specific
-        optimization"); recursion contributes its fan-out geometrically,
-        capped at the type's cardinality.
-        """
-        def expected(node) -> float:
-            stats = self._types.get(node.atom_type)
-            total = 1.0
-            for child in node.children:
-                fanout = 1.0
-                if stats is not None and child.via is not None:
-                    fanout = stats.fanout.get(child.via.source_attr, 1.0)
-                total += fanout * expected(child)
-            if node.recursive and node.via is not None and \
-                    stats is not None:
-                fanout = stats.fanout.get(node.via.source_attr, 0.0)
-                # geometric series sum for fanout < 1, else cap at card.
-                if fanout < 1.0:
-                    total *= 1.0 / max(1.0 - fanout, 1e-6)
-                else:
-                    total = float(stats.cardinality or total)
-            return total
-
-        return expected(structure)

@@ -14,7 +14,11 @@ A subclass supplies
   ``publish_data_version`` / ``obs``): a ``DataSystem`` or a shard
   ``Coordinator``, whose ``prepare`` returns the one statement handle,
   a :class:`~repro.data.prepared.PreparedStatement` (``execute`` /
-  ``open`` / ``bind`` / ``explain`` / ``trace``);
+  ``open`` / ``bind`` / ``explain`` / ``trace``).  The handle plans,
+  settles and lowers through ``data`` (``plan_select`` / ``settle`` /
+  ``lower``): on a cluster the plan is shard 0's with a routing
+  annotation, and it lowers into a ``Route`` to one shard or a
+  ``Gather`` over all of them;
 * ``access`` — direct atom access (``insert`` / ``get`` / ``modify`` /
   ``delete``) and the ``counters`` bag;
 * ``schema`` and ``catalog``; ``shard_count`` and ``engines`` (``1``
@@ -80,9 +84,9 @@ class Engine:
         """Parse, validate, and plan one statement **once**.
 
         The returned :class:`~repro.data.prepared.PreparedStatement`
-        (on a cluster a ``ClusterPrepared`` over one per shard)
-        re-executes with fresh placeholder bindings and zero per-call
-        frontend work::
+        (on a cluster too: planned once, bound once, lowered into the
+        shards at open) re-executes with fresh placeholder bindings and
+        zero per-call frontend work::
 
             stmt = db.prepare("SELECT ALL FROM city WHERE name = ?")
             stmt.execute("Kaiserslautern")
@@ -120,12 +124,9 @@ class Engine:
             return self.data.prepare(mql, use_cache=use_cache) \
                 .execute(*args, **params)
 
-    #: Read-path aliases of :meth:`execute` (one implementation — the
-    #: historic ``query``/``stream`` split was duplication): ``query``
-    #: reads best in application code, ``stream`` where the cursor
-    #: nature matters.
+    #: The read-path alias of :meth:`execute` (one implementation):
+    #: ``query`` reads best in application code.
     query = execute
-    stream = execute
 
     def execute_script(self, mql: str) -> list[ResultSet]:
         """Parse and execute a ';'-separated MQL script.

@@ -114,9 +114,6 @@ class AtomType:
                 f"atom type {self.name!r} has no attribute {name!r}"
             ) from None
 
-    def attr_names(self) -> list[str]:
-        return list(self.attributes)
-
     def reference_attrs(self) -> list[str]:
         """Names of all reference-bearing attributes."""
         return [n for n, t in self.attributes.items() if is_reference(t)]

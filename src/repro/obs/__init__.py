@@ -14,13 +14,18 @@ that can still say where its time went:
 * :mod:`repro.obs.network` — the coupling network's message/byte cost
   model and its thread-safe accumulator.
 
-Every engine-shaped object (``Prima.data``, the shard ``Coordinator``)
-owns one :class:`Observability` bundle; the serving layer adds
+Every engine-shaped object (``Prima.data``, a cluster's coordinator)
+owns one :class:`Observability` bundle, which watches the pipelines its
+statements open (on a cluster one ``shard:<i>`` span per shard sits
+under the ``Gather``); the serving layer adds
 per-session registries on top and ``metrics_report()`` /
 ``Connection.server_stats()`` merge them into one view.
 """
 
 from __future__ import annotations
+
+import time
+from typing import Any
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -63,14 +68,32 @@ class Observability:
         """Turn span collection on (``sample=1.0``: every query)."""
         self.tracer.enable(sample)
 
-    def disable_tracing(self) -> None:
-        self.tracer.disable()
-
     def observe_query(self, text: str, duration: float,
                       span: "Span | None" = None) -> None:
         """Account one finished query: latency histogram + slow log."""
         self.metrics.observe("query_latency_ms", duration * 1000.0)
         self.slowlog.record(text, duration, span)
+
+    def watch(self, text: str, pipeline: Any) -> None:
+        """Arm per-query accounting on a compiled pipeline.
+
+        When the cursor is closed, the elapsed wall-time lands in the
+        ``query_latency_ms`` histogram and the slow log; when the tracer
+        sampled this query, the slow-log entry additionally carries the
+        span tree with one span per operator (rebuilt from the
+        operators' own measurements, so nothing extra runs per row).
+        """
+        span = self.tracer.start("query", mql=text)
+        started = time.perf_counter()
+
+        def _finish(operator: Any) -> None:
+            duration = time.perf_counter() - started
+            if span is not None:
+                span.duration = duration
+                span_from_operator(operator, parent=span)
+            self.observe_query(text, duration, span)
+
+        pipeline.add_close_hook(_finish)
 
     def reset(self) -> None:
         """Zero metrics and drop the slow log (tracing state is kept)."""

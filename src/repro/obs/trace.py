@@ -131,6 +131,9 @@ def span_from_operator(operator: Any, parent: Span | None = None) -> Span:
         detail = describe()
     if detail:
         span.attrs["detail"] = detail
+    extra = getattr(operator, "span_attrs", None)
+    if extra is not None:
+        span.attrs.update(extra())
     for child in getattr(operator, "children", ()):
         span_from_operator(child, parent=span)
     return span
@@ -173,9 +176,6 @@ class Tracer:
         if not 0.0 < sample <= 1.0:
             raise ValueError(f"sample must be in (0, 1], got {sample!r}")
         self.sample = float(sample)
-
-    def disable(self) -> None:
-        self.sample = 0.0
 
     def start(self, name: str, **attrs: Any) -> Span | None:
         """A new root span, or ``None`` when this start is not sampled.

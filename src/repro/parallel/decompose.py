@@ -36,16 +36,14 @@ mutex.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.data.executor import DataSystem
 from repro.data.operators import (
     MoleculeConstruct,
     RootPartition,
     RootScan,
-    order_rank,
     sort_stable,
     top_k_stable,
 )
@@ -72,14 +70,12 @@ from repro.mql.ast import (
 
 
 # ---------------------------------------------------------------------------
-# Gather/shaping machinery, shared with the cluster coordinator
+# Shaping above the decomposed units
 # ---------------------------------------------------------------------------
 #
-# The shaping stage above the decomposed units and the cross-shard
-# gather of :mod:`repro.shard` are the same operation: take ordered (or
-# orderable) item streams whose ORDER BY values are known *before*
-# projection, and shape them exactly like the serial pipeline's
-# Sort/TopK + OFFSET/LIMIT stack would.
+# The units' items carry their ORDER BY values captured *before*
+# projection; the shaping stage orders and windows them exactly like
+# the serial pipeline's Sort/TopK + OFFSET/LIMIT stack would.
 
 def shape_window(items: list, plan: QueryPlan,
                  value_of: Callable[[Any, str], Any]) -> list:
@@ -102,38 +98,6 @@ def shape_window(items: list, plan: QueryPlan,
     if plan.limit is not None:
         items = items[:plan.limit]
     return items
-
-
-def merge_ordered(streams: list, order_by: list[tuple[str, bool]],
-                  value_of: Callable[[Any, str], Any]
-                  ) -> Iterator[tuple[Any, int]]:
-    """Lazily k-way merge already-ordered item streams.
-
-    Each stream honours the operator pull protocol (``next()`` returns
-    the next item or ``None``); every stream must already deliver in the
-    ``order_by`` order.  Yields ``(item, stream_index)`` in global
-    order; ties resolve to the lower stream index (then arrival order
-    within the stream), so the merge is deterministic.  Consuming lazily
-    pulls at most one item ahead per stream — the cross-shard gather
-    stays as pipelined as its inputs.
-    """
-    heap: list[tuple[tuple, int, int, Any]] = []
-    serial = 0
-    for index, stream in enumerate(streams):
-        item = stream.next()
-        if item is not None:
-            heap.append((order_rank(item, order_by, value_of), index,
-                         serial, item))
-            serial += 1
-    heapq.heapify(heap)
-    while heap:
-        _rank, index, _serial, item = heapq.heappop(heap)
-        yield item, index
-        refill = streams[index].next()
-        if refill is not None:
-            heapq.heappush(heap, (order_rank(refill, order_by, value_of),
-                                  index, serial, refill))
-            serial += 1
 
 
 def residual_is_root_only(residual: "Expr | None", root_label: str,

@@ -20,9 +20,9 @@ Two independent byte notions live here:
   bills **identically on every transport** — an in-process OPEN and a
   daemon-socket OPEN account the same bytes.  A molecule batch bills
   the record encoding of every atom *occurrence* (shared subobjects
-  count each time they ship), but :func:`batch_bytes` computes it per
-  *distinct* atom and never encodes anything:
-  :func:`~repro.access.encoding.encoded_size` is arithmetic.
+  count each time they ship) plus a header, but
+  :func:`~repro.access.encoding.molecules_size` computes it per
+  *distinct* atom and never encodes anything.
 * :func:`encode` / :func:`decode` + the length-prefixed framing
   (:func:`pack_frame`, the sync :func:`send_message` /
   :func:`recv_message` and the async helpers in
@@ -46,12 +46,12 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, NoReturn
 
-from repro.access.encoding import encoded_size
+from repro.access.encoding import encoded_size, molecules_size
 from repro.mad.molecule import Molecule
 from repro.mad.types import Surrogate
 
 import repro.errors as _errors
-from repro.errors import ProtocolError, SchemaError, SessionError
+from repro.errors import ProtocolError, SessionError
 
 # ---------------------------------------------------------------------------
 # Modelled message sizes (bytes) — the cost-model constants of the
@@ -81,40 +81,6 @@ DEFAULT_FETCH_SIZE_WIRE = "default"
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
-
-
-def batch_bytes(batch: list[Molecule]) -> int:
-    """Modelled wire size of one response batch: header plus the encoded
-    size of every atom *occurrence* — an atom shared by several molecules
-    (or reached over several paths) is billed each time it ships.
-
-    Each distinct atom is sized once: occurrences are keyed by their
-    surrogate, and a size is reused only for a dict ``==`` to the one
-    that was sized (a qualified projection can give one surrogate
-    different dicts in one batch).  The surrogate fixes the atom type,
-    hence every attribute's type, so ``==`` dicts encode alike.  Atoms
-    without a surrogate are sized afresh.  Nothing is encoded."""
-    total = BATCH_HEADER_BYTES
-    sized: dict[Surrogate, tuple[dict[str, Any], int]] = {}
-    pending = list(batch)
-    while pending:
-        molecule = pending.pop()
-        atom = molecule.atom
-        try:
-            key = molecule.surrogate
-        except SchemaError:          # a hand-built atom without identifier
-            key = None
-        known = sized.get(key)
-        if known is not None and (known[0] is atom or known[0] == atom):
-            total += known[1]
-        else:
-            size = encoded_size(atom)
-            if key is not None and known is None:
-                sized[key] = (atom, size)
-            total += size
-        for components in molecule.components.values():
-            pending.extend(components)
-    return total
 
 
 def bindings_bytes(args: tuple, params: dict[str, Any] | None) -> int:
@@ -499,7 +465,7 @@ def wire_size(message: Request | Response) -> int:
         return (len(message.mql.encode("utf-8"))
                 + bindings_bytes(message.args, message.params))
     if isinstance(message, (OpenReply, Batch)):
-        return batch_bytes(message.batch)
+        return BATCH_HEADER_BYTES + molecules_size(message.batch)
     if isinstance(message, Fetch):
         return FETCH_REQUEST_BYTES
     if isinstance(message, (Prepare,)):
@@ -536,7 +502,7 @@ def wire_size(message: Request | Response) -> int:
         return STATEMENT_HANDLE_BYTES
     if isinstance(message, Notify):
         if message.molecules is not None:
-            return BATCH_HEADER_BYTES + batch_bytes(message.molecules)
+            return 2 * BATCH_HEADER_BYTES + molecules_size(message.molecules)
         return CONTROL_REQUEST_BYTES
     if isinstance(message, (Executed, Ack, Pong, Welcome)):
         return ACK_BYTES

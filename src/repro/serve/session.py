@@ -81,6 +81,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Generator
 
+from repro.access.encoding import molecules_size
 from repro.data.prepared import PreparedStatement
 from repro.errors import (
     CouplingError,
@@ -99,7 +100,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.network import NetworkModel, NetworkStats
 from repro.serve import protocol
 from repro.serve.cursor import ServerCursor
-from repro.serve.protocol import batch_bytes, wire_size
+from repro.serve.protocol import wire_size
 from repro.serve.tuning import AUTO_PROBE_SIZE, tune_fetch_size
 from repro.txn import Transaction, TransactionManager
 
@@ -381,9 +382,7 @@ class Session:
         if fetch_size == protocol.AUTO_FETCH_SIZE:
             batch, exhausted = cursor.fetch(AUTO_PROBE_SIZE)
             if batch:
-                row_bytes = max(
-                    1, (batch_bytes(batch) - protocol.BATCH_HEADER_BYTES)
-                    // len(batch))
+                row_bytes = max(1, molecules_size(batch) // len(batch))
             else:
                 row_bytes = 0
             resolved = tune_fetch_size(self.manager.model, row_bytes)
@@ -395,7 +394,7 @@ class Session:
         self._count_batch(batch)
         return protocol.OpenReply(cursor_id, batch, exhausted,
                                   result.plan_text, resolved,
-                                  shard=getattr(result, "shard", None))
+                                  shard=result.shard)
 
     def _handle_open(self, request: protocol.Open) -> protocol.OpenReply:
         """OPEN: compile the pipeline, deliver the first batch.

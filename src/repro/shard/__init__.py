@@ -5,19 +5,20 @@ scatter-gather query execution.
   shared :class:`~repro.engine.Engine` facade;
 * :class:`ShardRouter` — key → shard placement (stable hash or ranges),
   surrogate → shard by residue arithmetic;
-* :class:`Coordinator` / :class:`ClusterPrepared` — the cluster's
-  execution layer: routed single-shard lookups, ordered cross-shard
-  k-way merge gather with global TopK bound pushdown, DDL fan-out.
+* :class:`Coordinator` — the cluster's ``data``: plans a SELECT once on
+  shard 0 and lowers the bound plan into a ``Route`` to the key's owner
+  or a ``Gather`` over every shard (operators of
+  :mod:`repro.data.operators`, with global TopK bound pushdown); fans
+  DDL out and routes DML.
 """
 
 from repro.shard.cluster import ClusterAccess, ClusterAtoms, ShardedCluster
-from repro.shard.coordinator import ClusterPrepared, Coordinator
+from repro.shard.coordinator import Coordinator
 from repro.shard.router import ShardRouter, stable_hash
 
 __all__ = [
     "ClusterAccess",
     "ClusterAtoms",
-    "ClusterPrepared",
     "Coordinator",
     "ShardRouter",
     "ShardedCluster",

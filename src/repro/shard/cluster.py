@@ -3,10 +3,11 @@
 :class:`ShardedCluster` stacks the scale-out configuration of section 4:
 instead of one engine owning all atoms, N :class:`~repro.db.Prima`
 instances each own a *partition* of every atom type — each with its own
-buffer, locks, catalog, plan cache, statistics, and snapshot store — and
-a :class:`~repro.shard.coordinator.Coordinator` executes MQL across
-them.  The cluster is an :class:`~repro.engine.Engine` like ``Prima``
-— the facade is inherited, not re-typed — so examples, benchmarks, and
+buffer, locks, catalog, statistics, and snapshot store — and a
+:class:`~repro.shard.coordinator.Coordinator` plans MQL once and runs
+it across them as ``Route``/``Gather`` operators.  The cluster is an
+:class:`~repro.engine.Engine` like ``Prima`` — the facade is
+inherited, not re-typed — so examples, benchmarks, and
 the whole serving layer (``SessionManager``, the daemon,
 ``repro.connect``) run over a cluster unchanged; this module holds only
 what a cluster adds (placement and service channels).  Its shard
@@ -24,7 +25,8 @@ Sharding invariants:
   all shards before it is acknowledged.
 
 Each shard also gets a modelled *service channel*
-(:class:`~repro.obs.network.NetworkStats` billed per gathered result): the
+(:class:`~repro.obs.network.NetworkStats`, billed when a shard's
+``Route`` closes with the encoded bytes it delivered): the
 per-channel communication times report the work each shard performed,
 and their maximum is the cluster's makespan — the quantity the scaling
 benchmark gates on, independent of the GIL.

@@ -69,9 +69,6 @@ class DiskFile:
         """Number of blocks ever written (files never shrink)."""
         return len(self._blocks)
 
-    def has_block(self, block_no: int) -> bool:
-        return block_no in self._blocks
-
     def block_numbers(self) -> list[int]:
         return sorted(self._blocks)
 
@@ -87,8 +84,8 @@ class SimulatedDisk:
         byte volume of those transfers,
     ``seeks``
         number of non-sequential positionings paid,
-    ``chained_reads`` / ``chained_writes``
-        number of chained-I/O requests served.
+    ``chained_reads``
+        number of chained-I/O read requests served.
 
     ``io_time_ms`` accumulates the simulated service time.
     """
@@ -182,25 +179,6 @@ class SimulatedDisk:
             self.io_time_ms += self.geometry.request_overhead_ms
             self.counters.bump("chained_reads")
         return out
-
-    def write_chained(self, name: str, writes: list[tuple[int, bytes]]) -> None:
-        """Write many blocks in one request (chained I/O)."""
-        handle = self.file(name)
-        for _, data in writes:
-            if len(data) != handle.block_size:
-                raise StorageError(
-                    f"chained write with wrong block length to file {name!r}"
-                )
-        previous: int | None = None
-        for block_no, data in writes:
-            handle._blocks[block_no] = bytes(data)
-            chained = previous is not None and block_no == previous + 1
-            self._account("written", name, block_no, handle.block_size,
-                          chained=chained)
-            previous = block_no
-        if writes:
-            self.io_time_ms += self.geometry.request_overhead_ms
-            self.counters.bump("chained_writes")
 
     # -- accounting -----------------------------------------------------------
 

@@ -5,8 +5,9 @@ arbitrary length (atom clusters, long strings like texts and images).  The
 storage system therefore offers *page sequences*: one **header page**
 carrying the usual page header plus a *page-sequence header* — the list of
 all component pages — and any number of **component pages** holding the
-payload.  A page sequence is read or written as a whole with chained I/O,
-and an auxiliary addressing structure provides *relative addressing* within
+payload.  A page sequence is read as a whole with chained I/O (its pages
+are written back through the buffer like any other page), and an
+auxiliary addressing structure provides *relative addressing* within
 the sequence, giving fast access to single atoms of an atom cluster
 (Fig. 3.2c).
 

@@ -19,7 +19,7 @@ the benchmarks can swap them freely:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Iterator, Protocol
+from typing import Iterator, Protocol
 
 from repro.storage.page import PageId
 
@@ -149,7 +149,3 @@ def make_policy(name: str) -> ReplacementPolicy:
         known = ", ".join(sorted(policies))
         raise ValueError(f"unknown replacement policy {name!r}; known: {known}")
 
-
-def lru_order(policy: ReplacementPolicy, pages: Iterable[PageId]) -> list[PageId]:
-    """Helper used by tests: the policy's eviction order over ``pages``."""
-    return list(policy.victims(set(pages)))

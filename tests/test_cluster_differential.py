@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro import Prima, ShardedCluster
@@ -157,6 +157,11 @@ PATHS = ("execute", "prepared", "connect")
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(query=queries())
+# An empty window over an order the access path serves: the gather must
+# not look for a boundary among zero candidates.
+@example(query={"order": [("pop", True), ("name", False)], "limit": 0,
+                "offset": 0, "pop": None, "grp": None, "items": None,
+                "bound": False})
 def test_cluster_matches_single_engine(engines, query):
     text, args = render(query)
     unwindowed, unwindowed_args = render(

@@ -17,7 +17,7 @@ SRC = Path(repro.__file__).resolve().parent
 
 #: The facade both configurations share — defined on ``Engine`` only.
 FACADE = {
-    "prepare", "execute", "query", "stream", "execute_script", "explain",
+    "prepare", "execute", "query", "execute_script", "explain",
     "trace", "insert_atom", "get_atom", "modify_atom", "delete_atom",
     "attach_sessions", "dump_ddl", "io_report", "obs", "metrics_report",
     "reset_accounting", "close", "__enter__", "__exit__", "mutex",
@@ -96,11 +96,6 @@ def test_one_shard_cluster_is_byte_identical_to_prima(mql):
     assert answers[0] == answers[1]
 
 
-#: Members the cluster handle must inherit, never re-declare.
-HANDLE_INHERITED = ("execute", "explain", "bound_statement", "_bindings",
-                    "__repr__")
-
-
 def test_every_prepared_handle_is_a_prepared_statement():
     from repro.data.prepared import PreparedStatement
     with Prima() as db, ShardedCluster(shards=2) as cluster:
@@ -123,10 +118,15 @@ def test_every_prepared_handle_is_a_prepared_statement():
 
 
 def test_cluster_handle_inherits_the_statement_surface():
+    # A cluster has no handle class of its own: its prepare() returns
+    # the plain statement handle, whose whole surface serves it.
+    import repro.shard as shard
     from repro.data.prepared import PreparedStatement
-    from repro.shard import ClusterPrepared
-    assert issubclass(ClusterPrepared, PreparedStatement)
-    assert not set(HANDLE_INHERITED) & set(vars(ClusterPrepared))
+    with ShardedCluster(shards=2) as cluster:
+        cluster.execute(DDL)
+        stmt = cluster.prepare("SELECT ALL FROM city WHERE name = ?")
+        assert type(stmt) is PreparedStatement
+    assert not [name for name in vars(shard) if "Prepared" in name]
 
 
 def test_retired_statement_surfaces_are_gone():
@@ -139,7 +139,8 @@ def test_retired_statement_surfaces_are_gone():
         assert not hasattr(DataSystem, name), name
     with Prima() as db:
         assert not hasattr(db.data, "auto_parameterize")
-    for name in ("open_result", "execute_text"):
+    for name in ("open_result", "execute_text", "_open", "_gather",
+                 "_watch", "_open_pipe", "_select_statement"):
         assert not hasattr(Coordinator, name), name
     assert not hasattr(live, "dependency_types")
     assert "dependency_types" not in live.__all__

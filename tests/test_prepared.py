@@ -630,9 +630,9 @@ class TestFacadeLifecycle:
         assert report["net_messages"] == 0
         conn.close()
 
-    def test_query_and_stream_are_one_implementation(self):
+    def test_query_is_execute(self):
         assert Prima.query is Prima.execute
-        assert Prima.stream is Prima.execute
+        assert not hasattr(Prima, "stream")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 import repro
+import repro.data.prepared as prepared
 from repro import Prima, ShardedCluster, ShardRouter
 from repro.errors import DecompositionError, PrimaError
 from repro.mad.types import Surrogate
@@ -179,6 +180,60 @@ class TestRoutedLookup:
 
 
 # ---------------------------------------------------------------------------
+# Plan once, bind once: a cluster statement is one plan, not one per shard
+# ---------------------------------------------------------------------------
+
+class TestBindOnce:
+    @pytest.fixture
+    def binds(self, monkeypatch):
+        """Every ``bind_plan`` call a statement makes."""
+        calls = []
+        original = prepared.bind_plan
+
+        def counting(plan, bindings):
+            calls.append(plan)
+            return original(plan, bindings)
+
+        monkeypatch.setattr(prepared, "bind_plan", counting)
+        return calls
+
+    @pytest.fixture
+    def pins(self, cluster, monkeypatch):
+        """Snapshot pins taken per shard."""
+        counts = [0] * SHARDS
+        for index, engine in enumerate(cluster.engines):
+            original = engine.access.atoms.open_snapshot
+
+            def counting(index=index, original=original):
+                counts[index] += 1
+                return original()
+
+            monkeypatch.setattr(engine.access.atoms, "open_snapshot",
+                                counting)
+        return counts
+
+    def test_routed_lookup_binds_once_and_pins_one_shard(self, cluster,
+                                                         binds, pins):
+        stmt = cluster.prepare("SELECT ALL FROM city WHERE name = ?")
+        result = stmt.open(("c13",))
+        assert payloads(result) == [("c13", 1000 + 13 * 7, 13 % GROUPS)]
+        result.close()
+        assert len(binds) == 1
+        owner = cluster.router.shard_of_key("city", "c13")
+        assert pins == [int(index == owner) for index in range(SHARDS)]
+
+    def test_scatter_binds_once(self, cluster, oracle, binds, pins):
+        mql = "SELECT ALL FROM city WHERE pop > ? ORDER BY pop DESC LIMIT 5"
+        want = payloads(oracle.execute(mql, 1100))
+        binds.clear()
+        result = cluster.prepare(mql).open((1100,))
+        assert payloads(result) == want
+        result.close()
+        assert len(binds) == 1
+        assert pins == [1] * SHARDS
+
+
+# ---------------------------------------------------------------------------
 # Scatter-gather parity against the single-engine oracle
 # ---------------------------------------------------------------------------
 
@@ -337,12 +392,12 @@ class TestDDLInvalidation:
         cluster.execute_ldl("CREATE ACCESS PATH city_pop ON city (pop)")
         cluster.analyze()
         # The summed cluster version moved (every shard's DDL bump);
-        # the handle re-derives routing and the shards replan onto the
-        # fresh access path — no re-prepare needed.
+        # the handle replans on shard 0 onto the fresh access path and
+        # re-derives routing — no re-prepare needed.
         replanned = stmt.explain(args=(1014,))
         assert "city_pop" in replanned
         assert cluster.access.counters.snapshot()[
-            "cluster_plans_invalidated"] >= 1
+            "plans_invalidated"] >= 1
 
     def test_prepared_cache_returns_one_handle(self, cluster):
         first = cluster.prepare("SELECT ALL FROM city WHERE name = ?")
@@ -350,7 +405,7 @@ class TestDDLInvalidation:
             "SELECT  ALL\nFROM city   WHERE name = ?")
         assert second is first
         assert cluster.access.counters.snapshot()[
-            "cluster_prepared_hits"] == 1
+            "plan_cache_hits"] == 1
 
 
 # ---------------------------------------------------------------------------

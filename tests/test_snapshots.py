@@ -59,7 +59,7 @@ class TestAtomVersionStore:
     def test_first_write_per_window_wins(self, db):
         store = db.access.atoms.version_store()
         surrogate = db.access.atoms.find_by_key("item", (3,))
-        snapshot = db.data.open_snapshot()
+        snapshot = db.access.atoms.open_snapshot()
         try:
             db.modify_atom(surrogate, {"grp": 50})
             db.modify_atom(surrogate, {"grp": 60})
@@ -72,7 +72,7 @@ class TestAtomVersionStore:
     def test_unpin_garbage_collects_versions(self, db):
         store = db.access.atoms.version_store()
         surrogate = db.access.atoms.find_by_key("item", (4,))
-        snapshot = db.data.open_snapshot()
+        snapshot = db.access.atoms.open_snapshot()
         db.modify_atom(surrogate, {"grp": 77})
         assert store.versions_preserved == 1
         snapshot.release()
@@ -80,7 +80,7 @@ class TestAtomVersionStore:
         assert store.changed_since(0) == {}
 
     def test_release_is_idempotent(self, db):
-        snapshot = db.data.open_snapshot()
+        snapshot = db.access.atoms.open_snapshot()
         snapshot.release()
         snapshot.release()
         assert not db.access.atoms.version_store().pinned
@@ -92,7 +92,7 @@ class TestAtomVersionStore:
 
 class TestSnapshotView:
     def test_creations_after_the_epoch_are_invisible(self, db):
-        with db.data.open_snapshot() as snapshot:
+        with db.access.atoms.open_snapshot() as snapshot:
             created = db.insert_atom("item", {"n": 9100})
             assert not snapshot.exists(created)
             with pytest.raises(AtomNotFoundError):
@@ -102,7 +102,7 @@ class TestSnapshotView:
 
     def test_deletions_after_the_epoch_are_resurrected(self, db):
         surrogate = db.access.atoms.find_by_key("item", (10,))
-        with db.data.open_snapshot() as snapshot:
+        with db.access.atoms.open_snapshot() as snapshot:
             db.delete_atom(surrogate)
             assert not db.access.atoms.exists(surrogate)
             assert snapshot.exists(surrogate)
@@ -111,14 +111,14 @@ class TestSnapshotView:
 
     def test_modifications_read_their_epoch_values(self, db):
         surrogate = db.access.atoms.find_by_key("item", (11,))
-        with db.data.open_snapshot() as snapshot:
+        with db.access.atoms.open_snapshot() as snapshot:
             db.modify_atom(surrogate, {"grp": 1234})
             assert snapshot.get(surrogate)["grp"] == 11 % GROUPS
             assert db.access.atoms.get(surrogate)["grp"] == 1234
 
     def test_find_by_key_honours_moved_keys(self, db):
         surrogate = db.access.atoms.find_by_key("item", (12,))
-        with db.data.open_snapshot() as snapshot:
+        with db.access.atoms.open_snapshot() as snapshot:
             db.modify_atom(surrogate, {"n": 9200})
             # The live holder of n=9200 held n=12 at the epoch.
             assert snapshot.find_by_key("item", (12,)) == surrogate
@@ -133,7 +133,7 @@ class TestSnapshotView:
         db.execute_ldl("CREATE SORT ORDER item_so ON item (n)")
         prepared = db.prepare("SELECT ALL FROM item WHERE grp = 0 "
                               "ORDER BY n")
-        snapshot = db.data.open_snapshot()
+        snapshot = db.access.atoms.open_snapshot()
         try:
             target = db.access.atoms.find_by_key("item", (18,))
             db.modify_atom(target, {"n": 9999})

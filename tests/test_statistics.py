@@ -54,17 +54,6 @@ class TestCollection:
         face_stats = handles.db.data.statistics.type_statistics("face")
         assert face_stats.fanout["border"] == 4.0
 
-    def test_molecule_size_estimate(self):
-        handles = brep.generate(Prima(), n_solids=2)
-        handles.db.analyze()
-        plan = handles.db.data.plan_select(
-            __import__("repro.mql.parser", fromlist=["parse"]).parse(
-                "SELECT ALL FROM brep-face-edge-point"))
-        estimate = handles.db.data.statistics.estimated_molecule_size(
-            plan.structure)
-        # actual molecule: 1 + 6 + 24 (edge occurrences) + 48 (points)
-        assert 50 <= estimate <= 120
-
 
 class TestSelectivityEstimates:
     def test_equality_uses_distinct(self):

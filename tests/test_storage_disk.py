@@ -141,13 +141,6 @@ class TestChainedIO:
             disk.read_block("seg", no)
         assert disk.io_time_ms > 2 * chained_time
 
-    def test_chained_write(self, disk):
-        disk.create_file("seg", 512)
-        disk.write_chained("seg", [(no, bytes([no]) * 512)
-                                   for no in range(1, 5)])
-        assert disk.read_block("seg", 2) == bytes([2]) * 512
-        assert disk.counters.get("chained_writes") == 1
-
     def test_chained_read_missing_block(self, disk):
         disk.create_file("seg", 512)
         disk.write_block("seg", 1, bytes(512))
