@@ -800,7 +800,8 @@ class Gather(Breaker):
 
     Ties go to the lower shard.  Under ORDER BY the shards run
     projection-free (the merge ranks on root values a projection may
-    prune) and the projection is applied here, at delivery.
+    prune) and the projection is applied here, at delivery; a rewound
+    merge ranks a delivered molecule by the values it had before.
     """
 
     name = "Gather"
@@ -810,7 +811,8 @@ class Gather(Breaker):
         super().__init__(*routes)
         self._plan = plan
         self._counters = counters
-        self._projected: set[int] = set()
+        #: ORDER BY values of the molecules projected so far, by id.
+        self._ranked: dict[int, dict[str, Any]] = {}
 
     def _produce(self) -> Iterator[Molecule]:
         plan = self._plan
@@ -823,7 +825,7 @@ class Gather(Breaker):
             return
         skipped = emitted = 0
         for molecule, index in merge_ordered(list(self.children),
-                                             plan.order_by, _root_value):
+                                             plan.order_by, self._value):
             if skipped < plan.offset:
                 skipped += 1
                 continue
@@ -855,11 +857,15 @@ class Gather(Breaker):
         return [self._project(molecule, index) for _rank, index, _serial,
                 molecule in entries[plan.offset:window]]
 
+    def _value(self, molecule: Molecule, attr: str) -> Any:
+        return self._ranked.get(id(molecule), molecule.atom).get(attr)
+
     def _project(self, molecule: Molecule, index: int) -> Molecule:
         plan = self._plan
         if plan.order_by and not plan.projection.select_all \
-                and id(molecule) not in self._projected:
-            self._projected.add(id(molecule))
+                and id(molecule) not in self._ranked:
+            self._ranked[id(molecule)] = {
+                attr: molecule.atom.get(attr) for attr, _ in plan.order_by}
             self.children[index].data.apply_projection(
                 molecule, plan.projection, plan.structure)
         return molecule

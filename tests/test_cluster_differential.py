@@ -6,9 +6,10 @@ unique ``name`` so the order is total), LIMIT/OFFSET windows, WHERE on
 ``pop``/``grp``, a full or partial projection — with the values written
 as literals or bound as ``?`` parameters.  ``Prima`` is the oracle;
 ``ShardedCluster`` with 1, 2 and 4 shards must agree with it, with and
-without an access path on ``pop`` (plus ANALYZE), along three read paths:
-``engine.execute``, ``engine.prepare(...).execute`` and a
-``repro.connect`` cursor fetching three molecules per message.
+without an access path on ``pop`` (plus ANALYZE), along four read paths:
+``engine.execute``, the same result drained again after ``reopen()``,
+``engine.prepare(...).execute`` and a ``repro.connect`` cursor fetching
+three molecules per message.
 
 Ordered results must match row for row.  Unordered results compare as
 multisets; under an unordered LIMIT/OFFSET window the engines may keep
@@ -124,8 +125,11 @@ def rows(result) -> list[tuple]:
 
 
 def run(engine, path: str, text: str, args: tuple) -> list[tuple]:
-    if path == "execute":
+    if path in ("execute", "reopened"):
         result = engine.execute(text, *args)
+        if path == "reopened":
+            rows(result)
+            result.reopen()
     elif path == "prepared":
         result = engine.prepare(text).execute(*args)
     else:
@@ -152,7 +156,7 @@ def check(query: dict, got: list[tuple], want: list[tuple],
 # The differential property
 # ---------------------------------------------------------------------------
 
-PATHS = ("execute", "prepared", "connect")
+PATHS = ("execute", "reopened", "prepared", "connect")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
