@@ -776,11 +776,6 @@ class Route(Operator):
         return {"shard": self.shard, "bytes": self.bytes_out}
 
 
-def _root_value(molecule: Molecule, attr: str) -> Any:
-    """ORDER BY values read off the unprojected root atom."""
-    return molecule.atom.get(attr)
-
-
 class Gather(Breaker):
     """Merge the :class:`Route` children of a scatter plan.
 
@@ -851,13 +846,14 @@ class Gather(Breaker):
                 self._counters.bump("shard_bounds_pushed")
             for molecule in route:
                 entries.append((order_rank(molecule, plan.order_by,
-                                           _root_value),
+                                           self._value),
                                 index, len(entries), molecule))
         entries.sort()
         return [self._project(molecule, index) for _rank, index, _serial,
                 molecule in entries[plan.offset:window]]
 
     def _value(self, molecule: Molecule, attr: str) -> Any:
+        """An ORDER BY value, as the molecule had it before projection."""
         return self._ranked.get(id(molecule), molecule.atom).get(attr)
 
     def _project(self, molecule: Molecule, index: int) -> Molecule:
