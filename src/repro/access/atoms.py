@@ -41,7 +41,6 @@ from typing import Any, Iterator
 from repro.access.address import (
     BASE_STRUCTURE,
     AddressTable,
-    RecordId,
     SurrogateGenerator,
 )
 from repro.access.container import RecordContainer

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.errors import AccessError
-from repro.access.btree import Key, make_key
+from repro.access.btree import make_key
 from repro.mad.types import Surrogate
 
 

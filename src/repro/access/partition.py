@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.access.address import RecordId
 from repro.access.container import RecordContainer
 from repro.access.encoding import decode_atom, encode_atom
 from repro.access.structure import StorageStructure

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.access.address import RecordId
 from repro.access.btree import BStarTree
 from repro.access.container import RecordContainer
 from repro.access.encoding import decode_atom, encode_atom

@@ -37,7 +37,7 @@ from repro.access.sort_order import SortOrder
 from repro.access.system import AccessSystem
 from repro.data.operators import Operator
 from repro.data.plan import QueryPlan, RootAccess, _render_bounds
-from repro.data.predicates import PredicateEvaluator, path_values
+from repro.data.predicates import PredicateEvaluator
 from repro.data.prepared import (
     PlanCache,
     iter_parameters,
@@ -68,7 +68,6 @@ from repro.mql.ast import (
     Literal,
     ModifyStatement,
     Parameter,
-    Path,
     Projection,
     RefLookup,
     SelectStatement,
@@ -442,7 +441,7 @@ class DataSystem:
         the rest of the root atom set untouched.
         """
         plan = self.plan_select(statement)
-        return ResultSet(source=self.lower(plan), plan_text=plan.explain(),
+        return ResultSet(source=self.lower(plan), plan=plan,
                          mutex=self.mutex)
 
     # -- root access ----------------------------------------------------------------

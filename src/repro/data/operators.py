@@ -170,6 +170,12 @@ class Operator:
             for hook in hooks:
                 hook(self)
 
+    def has_pending(self) -> bool | None:
+        """Whether rows remain undelivered, when that is known without
+        running anything; None when only a pull can tell.  A result set
+        asks this on close to decide truncation."""
+        return None
+
     def rewind(self) -> None:
         """Re-open the operator at the start of its stream.
 
@@ -404,9 +410,20 @@ class ResidualFilter(Operator):
 class Breaker(Operator):
     """A pipeline breaker: its emitted run is computed once and cached
     (``_run``), so ``rewind()`` replays it instead of re-pulling its
-    children; only a breaker that has not run yet rewinds them."""
+    children; only a breaker that has not run yet rewinds them.
+
+    A *windowed* breaker (ORDER BY + LIMIT) that has not run yet counts
+    its window as pending: closing it unread decides truncation without
+    running the whole input, at the price of calling an unread empty
+    window truncated.  A full Sort leaves the decision to a pull."""
 
     _run: list | None = None
+    windowed = False
+
+    def has_pending(self) -> bool | None:
+        if self.windowed and self._iterator is None and self._run is None:
+            return True
+        return None
 
     def rewind(self) -> None:
         if self._closed:
@@ -560,6 +577,7 @@ class TopK(Breaker):
     """
 
     name = "TopK"
+    windowed = True
 
     def __init__(self, child: Operator, order_by: list[tuple[str, bool]],
                  limit: int, offset: int = 0,
@@ -729,6 +747,10 @@ class Project(Operator):
                                         self._structure)
             yield molecule
 
+    def has_pending(self) -> bool | None:
+        # One row out per row in, none held between pulls.
+        return self.children[0].has_pending()
+
     def detail(self) -> str:
         if self._projection.select_all:
             return "ALL"
@@ -762,6 +784,9 @@ class Route(Operator):
         while (molecule := pipeline.next()) is not None:
             self.bytes_out += molecules_size((molecule,))
             yield molecule
+
+    def has_pending(self) -> bool | None:
+        return self.children[0].has_pending()
 
     def push_bound(self, values: tuple) -> None:
         """Install a global stop bound on this shard's root scan (a
@@ -806,12 +831,13 @@ class Gather(Breaker):
         super().__init__(*routes)
         self._plan = plan
         self._counters = counters
+        self.windowed = bool(plan.order_by) and plan.limit is not None
         #: ORDER BY values of the molecules projected so far, by id.
         self._ranked: dict[int, dict[str, Any]] = {}
 
     def _produce(self) -> Iterator[Molecule]:
         plan = self._plan
-        if plan.order_by and plan.limit is not None:
+        if self.windowed:
             if self._run is None:
                 self._run = self._window()
             yield from self._run

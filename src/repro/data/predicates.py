@@ -25,7 +25,6 @@ from typing import Any, Callable, Iterator
 from repro.access.btree import make_key
 from repro.errors import ExecutionError
 from repro.mad.molecule import Molecule
-from repro.mad.types import Surrogate
 from repro.mql.ast import (
     And,
     Comparison,

@@ -514,8 +514,7 @@ class PreparedStatement:
         plan = self.bind(args, params)
         pipeline = data.lower(plan, pinned)
         data.obs.watch(self.text, pipeline)
-        return ResultSet(source=pipeline, plan_text=plan.explain(),
-                         mutex=data.mutex)
+        return ResultSet(source=pipeline, plan=plan, mutex=data.mutex)
 
     def open(self, args: tuple = (),
              params: dict[str, Any] | None = None) -> ResultSet:

@@ -29,7 +29,7 @@ Cursor contract:
   the partial fetch cache as the complete result; the streaming
   interface keeps serving the cached prefix.  Closing after the last
   molecule was fetched — even without pulling the terminal None — is
-  not a truncation (``close()`` probes the pipeline once to decide),
+  not a truncation (``close()`` asks the pipeline, or probes it once),
   and ``reopen()`` stays legal over the complete cache.
 * Molecules are delivered against the root scan's opening snapshot:
   atoms deleted while the cursor is open are skipped at delivery time
@@ -38,12 +38,12 @@ Cursor contract:
   ``execute_script`` do so automatically).
 
 The ``source`` of a lazy set is anything honouring the operator cursor
-protocol — ``next()``/``close()``/``rewind()``.  Besides the physical
-operator pipeline that is, notably, a :class:`repro.serve.RemoteCursor`:
-the serving layer wraps a remote streaming cursor in a ResultSet, so the
-client-side cursor contract above (including close-while-pending
-truncation, which then propagates to the server's pipeline) holds
-unchanged across the coupling network.
+protocol — ``next()``/``close()``/``rewind()``/``has_pending()``.
+Besides the physical operator pipeline that is, notably, a
+:class:`repro.serve.RemoteCursor`: the serving layer wraps a remote
+streaming cursor in a ResultSet, so the client-side cursor contract
+above (including close-while-pending truncation, which then propagates
+to the server's pipeline) holds unchanged across the coupling network.
 
 An engine-built set takes the engine ``mutex`` per pull, ``close()`` and
 ``reopen()``, never for the cursor's lifetime; client-side sets over a
@@ -61,6 +61,7 @@ from repro.mad.types import Surrogate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.data.operators import Operator
+    from repro.data.plan import QueryPlan
 
 
 class ResultSet:
@@ -70,7 +71,8 @@ class ResultSet:
                  plan_text: str = "", affected: int = 0,
                  inserted: Surrogate | None = None,
                  source: "Operator | None" = None,
-                 mutex: AbstractContextManager = nullcontext()) -> None:
+                 mutex: AbstractContextManager = nullcontext(),
+                 plan: "QueryPlan | None" = None) -> None:
         #: Molecules pulled from the pipeline (or given eagerly) so far.
         self._fetched: list[Molecule] = \
             list(molecules) if molecules is not None else []
@@ -84,7 +86,9 @@ class ResultSet:
         #: True when close() abandoned the pipeline before it was fully
         #: fetched — the cache is a truncated prefix, not the set.
         self._truncated = False
-        self.plan_text = plan_text
+        self._plan_text = plan_text
+        #: The processing plan, rendered into ``plan_text`` on first read.
+        self._plan = plan
         #: Atoms touched by a DML statement.
         self.affected = affected
         #: Surrogate produced by an INSERT.
@@ -93,6 +97,13 @@ class ResultSet:
         #: engine, or a scatter over all shards).
         self.shard = getattr(source, "shard", None)
         self._mutex = mutex
+
+    @property
+    def plan_text(self) -> str:
+        """The rendered processing plan (EXPLAIN text)."""
+        if self._plan is not None:
+            self._plan_text, self._plan = self._plan.explain(), None
+        return self._plan_text
 
     # -- the cursor ---------------------------------------------------------
 
@@ -160,19 +171,16 @@ class ResultSet:
         the set **truncated**: the fetch cache is a prefix of the result,
         and ``reopen()`` / the whole-set accessors (``len()``,
         ``to_dicts()``, ...) will refuse to present it as the complete
-        set.  Whether molecules were pending is decided by one bounded
-        probe of the pipeline — a cursor that consumed every molecule but
-        never pulled the terminal None is complete, not truncated (the
-        probed molecule, if any, joins the cache).  A source that can
-        answer ``has_pending()`` (a remote cursor, whose probe would cost
-        a network round trip and ahead-of-need construction) is asked
-        instead of pulled."""
+        set.  Whether molecules were pending is asked of the source
+        first (``has_pending()``): a remote cursor answers from its
+        buffers, an unread windowed breaker (ORDER BY + LIMIT) without
+        running its input.  Where the source cannot tell, one bounded
+        probe decides — a cursor that consumed every molecule but never
+        pulled the terminal None is complete, not truncated (the probed
+        molecule, if any, joins the cache)."""
         with self._mutex:
             if self._source is not None:
-                pending: bool | None = None
-                has_pending = getattr(self._source, "has_pending", None)
-                if has_pending is not None:
-                    pending = has_pending()
+                pending = self._source.has_pending()
                 if pending is None:
                     probe = self._source.next()
                     if probe is not None:

@@ -14,7 +14,6 @@ from typing import Any
 from repro.mql.ast import (
     And,
     Comparison,
-    EmptyLiteral,
     Expr,
     Literal,
     Not,

@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.access.btree import make_key
 from repro.access.system import AccessSystem
-from repro.mad.types import Surrogate, is_reference, reference_values
+from repro.mad.types import reference_values
 
 
 #: How many most-common values ANALYZE retains per attribute.  Only

@@ -24,8 +24,6 @@ Resolution rules:
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.errors import ValidationError
 # ``MoleculeTypeCatalog`` lives in :mod:`repro.mad.molecule`; older
 # checkpoints pickle it under this module's name, so it stays
@@ -35,7 +33,6 @@ from repro.mad.schema import Schema
 from repro.mql.ast import (
     And,
     Comparison,
-    EmptyLiteral,
     Expr,
     FromNode,
     Not,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ParseError
 from repro.mql.ast import FromNode
 from repro.mql.parser import Parser
 

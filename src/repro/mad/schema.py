@@ -10,7 +10,7 @@ relationship kind (1:1, 1:n, n:m), and records KEYS_ARE constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.errors import SchemaError, TypeMismatchError, UnknownTypeError
@@ -18,7 +18,6 @@ from repro.mad.types import (
     AttrType,
     IdentifierType,
     ReferenceType,
-    SetType,
     is_reference,
     reference_of,
 )

@@ -19,7 +19,7 @@ supplies a :meth:`default` used when an insert omits the attribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import CardinalityError, TypeMismatchError

@@ -307,8 +307,7 @@ class SemanticDecomposer:
         # explicit final sort followed by the OFFSET/LIMIT window.
         value_of = lambda unit, attr: unit.order_values.get(attr)  # noqa: E731
         selected = shape_window(qualified, plan, value_of)
-        return ResultSet([u.result for u in selected],
-                         plan_text=plan.explain())
+        return ResultSet([u.result for u in selected], plan=plan)
 
     # -- DML decomposition ----------------------------------------------------------
 

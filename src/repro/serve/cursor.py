@@ -4,7 +4,10 @@ A served SELECT is not shipped as one monolithic molecule set; it is an
 **OPEN / FETCH(n) / CLOSE** conversation in the typed messages of
 :mod:`repro.serve.protocol`.  The server side (:class:`ServerCursor`)
 keeps the lazy :class:`~repro.data.result.ResultSet` pipeline open and
-delivers it in ``fetch_size`` batches; the client side
+delivers it in ``fetch_size`` batches.  A set whose first batch
+exhausts it — every set under ``fetch_size=None`` — is the OPEN
+exchange alone: the server ends its cursor inside the reply, and the
+client neither FETCHes nor CLOSEs.  The client side
 (:class:`RemoteCursor`) honours the operator cursor protocol
 (``next()``/``close()``/``rewind()``), so a plain ResultSet wraps it and
 the whole client-side cursor contract — lazy iteration, fetch caching,
@@ -52,8 +55,9 @@ class ServerCursor:
     batches from it.  A close-hook on the pipeline root records the
     actual release (``serve_pipelines_released``), so tests and the
     serving benchmark can verify that a client CLOSE — truncating or
-    not — really tore the operator tree down.  Its id and idle time
-    live in the session's cursor table.
+    not — or the exhaustion of a one-batch answer really tore the
+    operator tree down.  A cursor that outlives its open reply has its
+    id and idle time in the session's cursor table.
     """
 
     def __init__(self, session: "Session", result: "ResultSet") -> None:
@@ -104,7 +108,9 @@ class RemoteCursor:
     Constructed from the :class:`~repro.serve.protocol.OpenReply` of an
     OPEN or EXECUTE_PREPARED exchange; ``fetch_size`` is the *resolved*
     batch size the server answered with (its default knob, or the
-    auto-tuned value of an ``"auto"`` open).
+    auto-tuned value of an ``"auto"`` open).  An exhausted reply holds
+    the whole answer and leaves no server cursor behind: the cursor
+    keeps that batch, and ``close()``/``rewind()`` cost no message.
     """
 
     def __init__(self, transport, reply: protocol.OpenReply,
@@ -117,6 +123,9 @@ class RemoteCursor:
         self._pos = 0
         self._prefetched: list[Molecule] | None = None
         self._server_exhausted = reply.exhausted
+        #: The whole answer, when it shipped in the open reply (the
+        #: server then holds no cursor); None for a multi-batch cursor.
+        self._held = reply.batch if reply.exhausted else None
         self._closed = False
         self._close_hooks: list[Callable[[Any], None]] = []
         self.plan_text = reply.plan_text
@@ -195,34 +204,45 @@ class RemoteCursor:
         return molecule
 
     def close(self) -> None:
-        """Send CLOSE: the server releases its pipeline for good."""
+        """End the cursor: send CLOSE, so the server releases its
+        pipeline for good — or nothing, when the answer shipped whole in
+        the open reply and the server already released it."""
         if self._closed:
             return
         self._closed = True
         self._buffer = []
         self._prefetched = None
         self._pos = 0
-        self._transport.request(protocol.CloseCursor(self.cursor_id))
+        if self._held is None:
+            self._transport.request(protocol.CloseCursor(self.cursor_id))
         hooks, self._close_hooks = self._close_hooks, []
         for hook in hooks:
             hook(self)
 
     def rewind(self) -> None:
-        """Send REOPEN: restart the stream at the first molecule.
+        """Restart the stream at the first molecule: send REOPEN, or
+        replay the held answer locally when it shipped whole in the open
+        reply.  Either way ``on_arrival`` runs again for the first batch.
 
-        Server-side truncation (the cursor was closed while molecules
-        were pending) surfaces as
+        A REOPEN re-reads the cursor's pinned snapshot (pipeline
+        breakers replay their cached run), so the local replay is the
+        same answer.  Server-side truncation (the cursor was closed
+        while molecules were pending) surfaces as
         :class:`~repro.errors.CursorStateError`.
         """
         if self._closed:
             raise SessionStateError(
                 f"remote cursor #{self.cursor_id} is closed"
             )
-        reply = self._transport.request(
-            protocol.Reopen(self.cursor_id, self._fetch_size))
-        self._server_exhausted = reply.exhausted
-        self._arrive(reply.batch)
-        self._buffer = reply.batch
+        if self._held is not None:
+            batch = self._held
+        else:
+            reply = self._transport.request(
+                protocol.Reopen(self.cursor_id, self._fetch_size))
+            self._server_exhausted = reply.exhausted
+            batch = reply.batch
+        self._arrive(batch)
+        self._buffer = batch
         self._prefetched = None
         self._pos = 0
         self._note_in_flight()
@@ -245,7 +265,8 @@ class RemoteCursor:
         ``next()``: molecules standing in the client buffers, or a
         server known not to be exhausted, decide truncation for free —
         no FETCH (and no prefetch cascade) just to learn what the
-        double-buffering state already proves.  ``None`` means unknown
+        double-buffering state already proves.  A one-batch answer is
+        decided by its held batch alone.  ``None`` means unknown
         (the caller falls back to the one-molecule probe), which cannot
         occur in practice: a non-exhausted server always has a standing
         batch client-side, and a short batch flips the exhausted flag.

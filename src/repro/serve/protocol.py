@@ -162,7 +162,11 @@ class Open(Request):
 class OpenReply(Response):
     """The open cursor: id, first batch, and the *resolved* fetch size
     (the server's default, or the auto-tuned value) the client should
-    use for subsequent FETCH messages."""
+    use for subsequent FETCH messages.
+
+    An ``exhausted`` reply carries the whole answer and ``cursor_id ==
+    0``: the server ended the cursor before replying, so no server
+    cursor remains to FETCH, REOPEN or CLOSE."""
     cursor_id: int = 0
     batch: list[Molecule] = field(default_factory=list)
     exhausted: bool = True
@@ -502,7 +506,7 @@ def wire_size(message: Request | Response) -> int:
         return STATEMENT_HANDLE_BYTES
     if isinstance(message, Notify):
         if message.molecules is not None:
-            return 2 * BATCH_HEADER_BYTES + molecules_size(message.molecules)
+            return BATCH_HEADER_BYTES + molecules_size(message.molecules)
         return CONTROL_REQUEST_BYTES
     if isinstance(message, (Executed, Ack, Pong, Welcome)):
         return ACK_BYTES

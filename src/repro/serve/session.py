@@ -366,8 +366,14 @@ class Session:
         against a pinned snapshot of the atom-version epoch, so it keeps
         reading the state as of this open — concurrent commits neither
         block it nor leak into it.  The pin is released when the
-        pipeline closes (client CLOSE, exhaustion teardown, idle reap,
-        or session close).
+        pipeline closes: right here when the first batch exhausts the
+        set, else on client CLOSE, idle reap or session close.
+
+        A set whose first batch exhausts it ends inside this reply: the
+        pipeline closes before the reply leaves, no cursor id is
+        allocated (the reply's ``cursor_id`` is 0) and the cursor counts
+        as opened and closed at once — a one-batch answer is one round
+        trip, with no CLOSE to follow.
 
         ``fetch_size="auto"`` serves a probe batch and answers with the
         size tuned from the network model against the *measured* mean
@@ -378,20 +384,29 @@ class Session:
         result = prepared.open(args, params or {})
         self._count("snapshot_reads")
         cursor = ServerCursor(self, result)
-        cursor_id = self._cursors.add(cursor)
-        if fetch_size == protocol.AUTO_FETCH_SIZE:
-            batch, exhausted = cursor.fetch(AUTO_PROBE_SIZE)
-            if batch:
-                row_bytes = max(1, molecules_size(batch) // len(batch))
+        try:
+            if fetch_size == protocol.AUTO_FETCH_SIZE:
+                batch, exhausted = cursor.fetch(AUTO_PROBE_SIZE)
+                if batch:
+                    row_bytes = max(1, molecules_size(batch) // len(batch))
+                else:
+                    row_bytes = 0
+                resolved = tune_fetch_size(self.manager.model, row_bytes)
+                self._count("fetch_sizes_tuned")
             else:
-                row_bytes = 0
-            resolved = tune_fetch_size(self.manager.model, row_bytes)
-            self._count("fetch_sizes_tuned")
-        else:
-            batch, exhausted = cursor.fetch(fetch_size)
-            resolved = fetch_size
+                batch, exhausted = cursor.fetch(fetch_size)
+                resolved = fetch_size
+        except BaseException:
+            cursor.close()
+            raise
         self._count("cursors_opened")
         self._count_batch(batch)
+        if exhausted:
+            cursor.close()
+            self._count("cursors_closed")
+            cursor_id = 0
+        else:
+            cursor_id = self._cursors.add(cursor)
         return protocol.OpenReply(cursor_id, batch, exhausted,
                                   result.plan_text, resolved,
                                   shard=result.shard)

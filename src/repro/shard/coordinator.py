@@ -170,8 +170,8 @@ class Coordinator:
         """
         if isinstance(statement, SelectStatement):
             plan = self.plan_select(statement)
-            return ResultSet(source=self.lower(plan),
-                             plan_text=plan.explain(), mutex=self.mutex)
+            return ResultSet(source=self.lower(plan), plan=plan,
+                             mutex=self.mutex)
         if isinstance(statement, _DDL_STATEMENTS):
             for engine in self.cluster.engines:
                 result = engine.data.execute(statement)

@@ -640,3 +640,9 @@ class TestProtocolCodec:
             protocol.STATEMENT_HANDLE_BYTES
         assert protocol.wire_size(protocol.Batch([], True)) == \
             protocol.BATCH_HEADER_BYTES
+
+    def test_notify_batch_bills_like_a_batch(self, db):
+        molecules = db.query("SELECT ALL FROM item WHERE grp = 1") \
+            .materialize()
+        assert protocol.wire_size(protocol.Notify(molecules=molecules)) \
+            == protocol.wire_size(protocol.Batch(molecules, True))

@@ -84,3 +84,63 @@ def test_no_repro_import_below_module_top():
              for path in sources()
              for node, module, top in repro_imports(path) if not top]
     assert not local
+
+
+def module_imports(tree: ast.Module) -> list[tuple[ast.stmt, str]]:
+    """``(node, bound name)`` for every import statement directly in
+    the module body — ``if TYPE_CHECKING:`` blocks are not scanned, and
+    ``from __future__`` is excluded."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            found.extend((node, (alias.asname or alias.name).split(".")[0])
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            found.extend((node, alias.asname or alias.name)
+                         for alias in node.names)
+    return found
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def referenced(tree: ast.Module) -> set[str]:
+    """Every name a module reads, string annotations included."""
+    nodes = list(ast.walk(tree))
+    for node in list(nodes):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        if annotation is None:
+            continue
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value,
+                                                             str):
+                nodes.extend(ast.walk(ast.parse(part.value, mode="eval")))
+    return {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
+def test_every_module_import_is_used():
+    """A module-level import is read somewhere in its module; package
+    ``__init__`` re-exports and ``__all__`` names count as read."""
+    unused = []
+    for path in sources():
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = referenced(tree) | exported(tree)
+        unused.extend(f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                      for node, name in module_imports(tree)
+                      if name not in used)
+    assert not unused

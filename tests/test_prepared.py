@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro import Prima
+from repro.data.plan import QueryPlan
 from repro.errors import (
     ExecutionError,
     PrimaError,
@@ -269,6 +270,31 @@ class TestPreparedSargability:
 # ---------------------------------------------------------------------------
 # The plan cache
 # ---------------------------------------------------------------------------
+
+class TestLazyPlanText:
+    """An execute renders its plan text only when somebody reads it."""
+
+    def test_execute_and_drain_never_render_the_plan(self, db,
+                                                     monkeypatch):
+        make_items(db)
+        stmt = db.prepare("SELECT ALL FROM item WHERE n = ?")
+        expected = stmt.explain(args=(7,))
+        rendered: list = []
+        explain = QueryPlan.explain
+        monkeypatch.setattr(QueryPlan, "explain",
+                            lambda plan: rendered.append(plan)
+                            or explain(plan))
+        result = stmt.execute(7)
+        assert [m.atom["n"] for m in result.materialize()] == [7]
+        result.close()
+        adhoc = db.query("SELECT ALL FROM item WHERE n = 3")
+        assert len(adhoc) == 1
+        assert rendered == []
+        assert result.plan_text == expected
+        assert len(rendered) == 1
+        assert result.plan_text == expected
+        assert len(rendered) == 1
+
 
 class TestPlanCache:
     def test_repeated_text_parses_once(self, db):

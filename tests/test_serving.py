@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.parallel import parallel_select
 from repro.serve import PrimaDaemon, SessionManager, protocol
+from repro.shard import ShardedCluster
 from repro.workloads import brep
 
 N_ITEMS = 120
@@ -471,6 +472,92 @@ class TestServingCounters:
         assert len(outcome["molecules"]) == N_ITEMS // GROUPS
 
 
+class TestOneBatchAnswer:
+    """A set whose first batch exhausts it is one OPEN exchange: the
+    server ends its cursor inside the reply, the client's close sends
+    nothing and its rewind replays the held batch."""
+
+    LOOKUP = "SELECT ALL FROM item WHERE n = ?"
+
+    @pytest.fixture(params=["local", "daemon", "shard4"])
+    def served(self, request):
+        """(engine, connection) over an in-process connection, the
+        daemon socket, and a 4-shard cluster."""
+        engine = ShardedCluster(shards=4) if request.param == "shard4" \
+            else Prima()
+        engine.execute("CREATE ATOM_TYPE item (item_id: IDENTIFIER, "
+                       "n: INTEGER, grp: INTEGER) KEYS_ARE (n)")
+        for i in range(N_ITEMS):
+            engine.insert_atom("item", {"n": i, "grp": i % GROUPS})
+        with contextlib.ExitStack() as stack:
+            target = engine if request.param != "daemon" else \
+                stack.enter_context(PrimaDaemon(SessionManager(engine)))
+            yield engine, stack.enter_context(repro.connect(target))
+
+    @staticmethod
+    def messages(engine) -> int:
+        return engine.io_report()["net_messages"]
+
+    @staticmethod
+    def assert_released(engine, conn) -> None:
+        report = engine.io_report()
+        assert report["serve_cursors_closed"] == \
+            report["serve_cursors_opened"]
+        assert report["serve_pipelines_released"] == \
+            report["serve_cursors_opened"]
+        if conn.session is not None:
+            assert conn.session.open_cursors == 0
+        assert not any(shard.access.atoms.version_store().pinned
+                       for shard in engine.engines)
+
+    def test_lookup_costs_one_message_pair(self, served):
+        engine, conn = served
+        stmt = conn.prepare(self.LOOKUP)
+        before = self.messages(engine)
+        result = stmt.execute(7)
+        rows = result.materialize()
+        result.close()
+        assert self.messages(engine) - before == 2
+        assert [m.atom["n"] for m in rows] == [7]
+        self.assert_released(engine, conn)
+
+    def test_rewind_replays_the_held_answer(self, served):
+        engine, conn = served
+        arrived: list = []
+        stmt = conn.prepare(self.LOOKUP)
+        result = stmt.execute(7, fetch_size=None, on_arrival=arrived.append)
+        first = [m.to_dict() for m in result.materialize()]
+        before = self.messages(engine)
+        result.reopen()
+        assert [m.to_dict() for m in result.materialize()] == first
+        result.close()
+        assert self.messages(engine) == before
+        assert [m.atom["n"] for m in arrived] == [7, 7]
+        self.assert_released(engine, conn)
+
+    def test_query_reopens_without_a_server_cursor(self, served):
+        engine, conn = served
+        result = conn.query("SELECT ALL FROM item WHERE grp = 3",
+                            fetch_size=None)
+        first = [m.atom["n"] for m in result]
+        result.reopen()
+        assert [m.atom["n"] for m in result] == first
+        assert len(first) == N_ITEMS // GROUPS
+        result.close()
+        self.assert_released(engine, conn)
+
+    def test_multi_batch_cursor_still_closes(self, served):
+        engine, conn = served
+        before = self.messages(engine)
+        result = conn.query("SELECT ALL FROM item WHERE n < 5", fetch_size=2)
+        assert sorted(m.atom["n"] for m in result) == [0, 1, 2, 3, 4]
+        assert engine.io_report().get("serve_cursors_closed", 0) == 0
+        result.close()
+        # OPEN (2 rows), FETCH (2 rows), FETCH (1 row: exhausted), CLOSE.
+        assert self.messages(engine) - before == 8
+        self.assert_released(engine, conn)
+
+
 class TestWorkstationStreaming:
     @pytest.fixture
     def coupled(self):
@@ -595,7 +682,7 @@ class TestBillingParity:
         frames = drain_notifications(conn)
         assert frames and all(frame.molecules for frame in frames)
         billed = handles.db.io_report()["net_bytes"] - before
-        assert billed == sum(2 * protocol.BATCH_HEADER_BYTES
+        assert billed == sum(protocol.BATCH_HEADER_BYTES
                              + occurrence_bytes(frame.molecules)
                              for frame in frames)
 

@@ -14,6 +14,7 @@ import pytest
 from repro import Prima
 from repro.data.operators import Sort, TopK, top_k_stable
 from repro.mql.parser import parse
+from repro.shard import ShardedCluster
 
 N_PARTS = 60
 
@@ -301,3 +302,37 @@ class TestSortRunCaching:
         pipeline.rewind()
         assert [m.atom["n"] for m in pipeline] == first
         assert sort.children[0].rows_out == construct_rows
+
+
+class TestUnreadClose:
+    """Closing an unread ORDER BY + LIMIT result decides truncation
+    without running the window: no atom is read, on one engine or on a
+    cluster (whose Gather would otherwise run every shard's TopK)."""
+
+    QUERY = "SELECT ALL FROM city ORDER BY pop LIMIT 5"
+
+    @pytest.fixture(params=["prima", "shard4"])
+    def engine(self, request):
+        engine = ShardedCluster(shards=4) if request.param == "shard4" \
+            else Prima()
+        engine.execute("CREATE ATOM_TYPE city (city_id: IDENTIFIER, "
+                       "name: CHAR_VAR, pop: INTEGER) KEYS_ARE (name)")
+        for i in range(200):
+            engine.insert_atom("city", {"name": f"c{i}",
+                                        "pop": (i * 37) % 200})
+        return engine
+
+    def test_close_reads_no_atom(self, engine):
+        engine.reset_accounting()
+        result = engine.query(self.QUERY)
+        result.close()
+        assert engine.io_report().get("atoms_read", 0) == 0
+        assert result.truncated
+
+    def test_close_after_the_window_is_read_is_complete(self, engine):
+        result = engine.query(self.QUERY)
+        assert [m.atom["pop"] for m in result.fetch_many(5)] == \
+            [0, 1, 2, 3, 4]
+        result.close()
+        assert not result.truncated
+        assert len(result) == 5
