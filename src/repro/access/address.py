@@ -17,7 +17,7 @@ atom, keyed by the storage structure owning each copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import AtomNotFoundError
 from repro.mad.types import Surrogate
@@ -27,9 +27,9 @@ from repro.storage.page import PageId
 BASE_STRUCTURE = "base"
 
 
-@dataclass(frozen=True, order=True)
-class RecordId:
-    """Physical address of one record: page plus slot."""
+class RecordId(NamedTuple):
+    """Physical address of one record: page plus slot (a named tuple,
+    hashed and compared in C like :class:`PageId`)."""
 
     page: PageId
     slot: int

@@ -163,8 +163,6 @@ class MetricsRegistry(Counters):
         return state
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):
-            state = state[1]
         super().__setstate__({"_values": state["_values"]})
         self._gauges = state.get("_gauges", {})
         self._histograms = state.get("_histograms", {})

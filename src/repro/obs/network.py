@@ -62,8 +62,6 @@ class NetworkStats:
                 "comm_time_ms": self.comm_time_ms}
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):   # legacy __slots__ pickle shape
-            state = state[1]
         self.messages = state.get("messages", 0)
         self.bytes_sent = state.get("bytes_sent", 0)
         self.comm_time_ms = state.get("comm_time_ms", 0.0)

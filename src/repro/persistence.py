@@ -5,7 +5,9 @@ reproduction's simulated disk lives in memory, so durability is provided as
 explicit *checkpointing*: :func:`save` serialises the complete instance —
 disk blocks, buffer, catalogs, addressing structures, tuning structures —
 and :func:`load` restores it bit-identically.  The file carries a magic
-header and a format version so foreign files fail fast.
+header and a format version so foreign files fail fast.  The format is
+version 2: pages carry a CRC-based checksum and page/record ids pickle as
+named tuples.  A version-1 file is refused, not converted.
 
 Checkpointing sits one layer above the engine, so it is these two
 functions, not methods of :class:`~repro.db.Prima`.  A checkpoint holds
@@ -34,7 +36,7 @@ from repro.errors import PrimaError
 
 #: File magic + format version.
 _MAGIC = b"PRIMA-REPRO\x00"
-_VERSION = 1
+_VERSION = 2
 
 
 def save(db: Prima, path: str | Path) -> int:

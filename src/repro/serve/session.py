@@ -195,10 +195,12 @@ class _HandleTable:
             self._session._count(self._counter, len(idle))
         return len(idle)
 
-    def clear(self) -> None:
-        """Release every entry (session teardown)."""
-        for handle_id in list(self._entries):
+    def clear(self) -> int:
+        """Release every entry (session teardown); returns how many."""
+        released = list(self._entries)
+        for handle_id in released:
             self.discard(handle_id)
+        return len(released)
 
     def values(self) -> list[Any]:
         return [resource for resource, _used in self._entries.values()]
@@ -805,7 +807,9 @@ class Session:
             if expired:
                 self.expired = True
                 self._count("sessions_expired")
-            self._cursors.clear()
+            released = self._cursors.clear()
+            if released:
+                self._count("cursors_closed", released)
             self._statements.clear()
             self.closed = True
             finish()

@@ -13,6 +13,11 @@ discussed in section 3.3 of the paper:
 
 Pages are fixed (pinned) while in use and unfixed afterwards; fixed pages
 are never evicted.  Dirty pages are written back on eviction or flush.
+
+A miss costs O(1) Python work whatever the buffer size: one block read,
+one header check (page number plus a CRC checksum computed in C), and one
+victim probe per evicted page (see :mod:`repro.storage.replacement`).
+Nothing on the miss path visits every frame.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ class BufferManager:
     def resident(self) -> set[PageId]:
         """Page ids currently held in the buffer."""
         return set(self._frames)
+
+    def is_resident(self, page_id: PageId) -> bool:
+        return page_id in self._frames
 
     def is_fixed(self, page_id: PageId) -> bool:
         frame = self._frames.get(page_id)
@@ -138,17 +146,17 @@ class BufferManager:
         self.policy.on_admit(page_id)
 
     def _make_room(self, needed: int) -> None:
-        if self._used_bytes + needed <= self.capacity_bytes:
-            return
-        evictable = {pid for pid, f in self._frames.items() if f.pins == 0}
-        for victim in self.policy.victims(evictable):
+        while self._used_bytes + needed > self.capacity_bytes:
+            victim = self.policy.victim(self._unpinned)
+            if victim is None:
+                fixed = sum(1 for f in self._frames.values() if f.pins)
+                raise BufferFullError(
+                    f"cannot free {needed} bytes: {fixed} pages are fixed"
+                )
             self._evict(victim)
-            if self._used_bytes + needed <= self.capacity_bytes:
-                return
-        raise BufferFullError(
-            f"cannot free {needed} bytes: "
-            f"{len(self._frames) - len(evictable)} pages are fixed"
-        )
+
+    def _unpinned(self, page_id: PageId) -> bool:
+        return self._frames[page_id].pins == 0
 
     def _evict(self, page_id: PageId) -> None:
         frame = self._frames.pop(page_id)
@@ -243,6 +251,9 @@ class PartitionedBufferManager:
         for part in self._parts.values():
             out |= part.resident()
         return out
+
+    def is_resident(self, page_id: PageId) -> bool:
+        return self._part_for(page_id).is_resident(page_id)
 
     def is_fixed(self, page_id: PageId) -> bool:
         return self._part_for(page_id).is_fixed(page_id)

@@ -124,10 +124,10 @@ class PageSequenceManager:
         segment_name = header_id.segment
         pieces: dict[int, bytes] = {}
         if chained:
-            resident = self._storage.buffer.resident()
+            is_resident = self._storage.buffer.is_resident
             missing = [
                 no for no in components
-                if PageId(segment_name, no) not in resident
+                if not is_resident(PageId(segment_name, no))
             ]
             if missing:
                 blocks = self._storage.disk.read_chained(segment_name, missing)

@@ -13,13 +13,20 @@ the benchmarks can swap them freely:
 * :meth:`on_admit` — a page entered the buffer,
 * :meth:`on_access` — a resident page was fixed again,
 * :meth:`on_evict` — the buffer removed a page (policy bookkeeping),
-* :meth:`victims` — produce an eviction order over the evictable pages.
+* :meth:`victim` — the next page to evict, or None.
+
+:meth:`victim` is one probe: it walks the policy's order from the
+eviction end and stops at the first page ``evictable`` accepts, so a miss
+costs O(1) Python work however many frames the buffer holds (pinned pages
+are rare and sit near the recently-used end).  The buffer evicts the page
+before it asks again, so repeated probes yield the same order as one walk
+over all unpinned pages.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Protocol
+from typing import Callable, Protocol
 
 from repro.storage.page import PageId
 
@@ -35,7 +42,7 @@ class ReplacementPolicy(Protocol):
 
     def on_evict(self, page_id: PageId) -> None: ...
 
-    def victims(self, evictable: set[PageId]) -> Iterator[PageId]: ...
+    def victim(self, evictable: Callable[[PageId], bool]) -> PageId | None: ...
 
 
 class ModifiedLRU:
@@ -61,34 +68,21 @@ class ModifiedLRU:
     def on_evict(self, page_id: PageId) -> None:
         self._order.pop(page_id, None)
 
-    def victims(self, evictable: set[PageId]) -> Iterator[PageId]:
-        for page_id in list(self._order):
-            if page_id in evictable:
-                yield page_id
+    def victim(self, evictable: Callable[[PageId], bool]) -> PageId | None:
+        for page_id in self._order:
+            if evictable(page_id):
+                return page_id
+        return None
 
 
-class FIFO:
+class FIFO(ModifiedLRU):
     """First-in-first-out baseline: eviction order is admission order."""
 
     name = "fifo"
 
-    def __init__(self) -> None:
-        self._order: OrderedDict[PageId, None] = OrderedDict()
-
-    def on_admit(self, page_id: PageId) -> None:
-        self._order[page_id] = None
-
     def on_access(self, page_id: PageId) -> None:
         # FIFO ignores re-references.
         return
-
-    def on_evict(self, page_id: PageId) -> None:
-        self._order.pop(page_id, None)
-
-    def victims(self, evictable: set[PageId]) -> Iterator[PageId]:
-        for page_id in list(self._order):
-            if page_id in evictable:
-                yield page_id
 
 
 class Clock:
@@ -109,30 +103,21 @@ class Clock:
     def on_evict(self, page_id: PageId) -> None:
         self._ring.pop(page_id, None)
 
-    def victims(self, evictable: set[PageId]) -> Iterator[PageId]:
-        # Sweep the ring clearing reference bits until a clear page in the
-        # evictable set is found; repeat for as many victims as requested.
-        spared: set[PageId] = set()
-        while True:
-            chosen: PageId | None = None
-            for page_id, referenced in list(self._ring.items()):
-                if page_id not in evictable or page_id in spared:
-                    continue
-                if referenced:
-                    self._ring[page_id] = False
-                    continue
-                chosen = page_id
-                break
-            if chosen is None:
-                # Second sweep: everything had its bit set.
-                for page_id in list(self._ring):
-                    if page_id in evictable and page_id not in spared:
-                        chosen = page_id
-                        break
-            if chosen is None:
-                return
-            spared.add(chosen)
-            yield chosen
+    def victim(self, evictable: Callable[[PageId], bool]) -> PageId | None:
+        # Sweep the ring clearing reference bits until a clear evictable
+        # page is found; if every bit was set, the second sweep takes the
+        # first evictable page.
+        for page_id, referenced in self._ring.items():
+            if not evictable(page_id):
+                continue
+            if referenced:
+                self._ring[page_id] = False
+                continue
+            return page_id
+        for page_id in self._ring:
+            if evictable(page_id):
+                return page_id
+        return None
 
 
 def make_policy(name: str) -> ReplacementPolicy:

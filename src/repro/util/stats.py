@@ -34,10 +34,6 @@ class Counters:
         return {"_values": self._values}
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):
-            # Legacy __slots__ pickle (pre-lock checkpoints): the payload
-            # arrives as (None, {'_values': ...}).
-            state = state[1]
         self._values = state["_values"]
         self._lock = threading.Lock()
 

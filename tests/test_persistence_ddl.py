@@ -98,6 +98,21 @@ class TestPersistence:
             load(path)
         assert "version" in str(err.value)
 
+    def test_version_one_checkpoint_rejected(self, tmp_path):
+        """Version 1 used an additive page checksum and dataclass page and
+        record ids; such a file is refused, not converted."""
+        db = Prima()
+        db.execute("CREATE ATOM_TYPE a (a_id: IDENTIFIER, n: INTEGER)")
+        path = tmp_path / "old.prima"
+        save(db, path)
+        image = bytearray(path.read_bytes())
+        magic = len(b"PRIMA-REPRO\x00")
+        assert int.from_bytes(image[magic:magic + 4], "little") == 2
+        image[magic:magic + 4] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(image))
+        with pytest.raises(PrimaError, match="format version 1"):
+            load(path)
+
 
 class TestDdlRoundTrip:
     def test_atom_type_rendering(self):

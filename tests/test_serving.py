@@ -280,6 +280,16 @@ class TestRemoteCursor:
         conn.close()
         assert db.io_report()["serve_pipelines_released"] >= 1
 
+    def test_session_close_counts_the_cursors_it_releases(self, manager):
+        """Teardown keeps opened = closed + open + reaped."""
+        conn = repro.connect(manager, name="w")
+        conn.cursor("SELECT ALL FROM item WHERE n < 20", fetch_size=4)
+        conn.close()
+        report = manager.io_report()
+        assert report["session:w:cursors_opened"] == 1
+        assert report["session:w:cursors_closed"] == 1
+        assert "session:w:cursors_reaped" not in report
+
 
 class TestLockScope:
     def test_peer_write_proceeds_under_open_cursor(self, manager):

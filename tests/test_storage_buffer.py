@@ -1,5 +1,7 @@
 """Unit tests: buffer manager, replacement policies, partitioned buffer."""
 
+import sys
+
 import pytest
 
 from repro.errors import BufferFullError, StorageError
@@ -15,6 +17,16 @@ def _disk_with_pages(size: int = 512, count: int = 20) -> SimulatedDisk:
     for no in range(1, count + 1):
         disk.write_block("seg", no, Page.format(size, no).to_bytes())
     return disk
+
+
+def _eviction_order(policy, evictable) -> list:
+    """Probe ``policy`` as the buffer does: each victim is evicted before
+    the next probe."""
+    order = []
+    while (victim := policy.victim(evictable.__contains__)) is not None:
+        order.append(victim)
+        policy.on_evict(victim)
+    return order
 
 
 class TestFixUnfix:
@@ -52,8 +64,22 @@ class TestFixUnfix:
         buffer = BufferManager(disk, capacity_bytes=2 * 512)
         buffer.fix(PageId("seg", 1))
         buffer.fix(PageId("seg", 2))
-        with pytest.raises(BufferFullError):
+        with pytest.raises(BufferFullError, match="2 pages are fixed"):
             buffer.fix(PageId("seg", 3))
+
+    def test_pinned_lru_head_is_skipped(self):
+        """The victim is the least recently used *unpinned* page."""
+        disk = _disk_with_pages()
+        buffer = BufferManager(disk, capacity_bytes=3 * 512)
+        head = PageId("seg", 1)
+        buffer.fix(head)                  # pinned, least recently used
+        for no in (2, 3):
+            buffer.fix(PageId("seg", no))
+            buffer.unfix(PageId("seg", no))
+        buffer.fix(PageId("seg", 4))      # evicts page 2
+        assert buffer.resident() == {head, PageId("seg", 3),
+                                     PageId("seg", 4)}
+        assert buffer.counters.get("evictions") == 1
 
     def test_dirty_write_back_on_eviction(self):
         disk = _disk_with_pages()
@@ -159,7 +185,7 @@ class TestPolicies:
         for pid in pids:
             policy.on_admit(pid)
         policy.on_access(pids[0])   # 0 becomes most recent
-        order = list(policy.victims(set(pids)))
+        order = _eviction_order(policy, set(pids))
         assert order == [pids[1], pids[2], pids[0]]
 
     def test_fifo_ignores_access(self):
@@ -168,7 +194,7 @@ class TestPolicies:
         for pid in pids:
             policy.on_admit(pid)
         policy.on_access(pids[0])
-        order = list(policy.victims(set(pids)))
+        order = _eviction_order(policy, set(pids))
         assert order == pids
 
     def test_clock_second_chance(self):
@@ -177,15 +203,14 @@ class TestPolicies:
         for pid in pids:
             policy.on_admit(pid)
         # all referenced: first sweep clears, second selects pids[0]
-        first = next(iter(policy.victims(set(pids))))
-        assert first == pids[0]
+        assert policy.victim(set(pids).__contains__) == pids[0]
 
     def test_evicted_pages_leave_policy(self):
         policy = ModifiedLRU()
         pid = PageId("s", 1)
         policy.on_admit(pid)
         policy.on_evict(pid)
-        assert list(policy.victims({pid})) == []
+        assert _eviction_order(policy, {pid}) == []
 
 
 class TestPartitionedBuffer:
@@ -221,3 +246,36 @@ class TestPartitionedBuffer:
         buffer.flush()
         assert buffer.hit_ratio() == 0.0
         assert buffer.used_bytes == 512
+
+
+class TestMissCost:
+    """A miss does the same Python work whatever the buffer size: one
+    block read, one C-speed checksum, one victim probe — nothing that
+    visits every frame."""
+
+    @staticmethod
+    def _calls_per_miss(frames: int) -> int:
+        disk = _disk_with_pages(8192, frames + 1)
+        buffer = BufferManager(disk, capacity_bytes=frames * 8192)
+        for no in range(1, frames + 1):
+            buffer.fix(PageId("seg", no))
+            buffer.unfix(PageId("seg", no))
+        calls = 0
+
+        def count(_frame, event, _arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            buffer.fix(PageId("seg", frames + 1))
+        finally:
+            sys.setprofile(previous)
+        assert buffer.counters.get("evictions") == 1
+        return calls
+
+    def test_calls_per_miss_do_not_grow_with_the_buffer(self):
+        small, large = self._calls_per_miss(16), self._calls_per_miss(160)
+        assert small == large <= 60

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PageOverflowError, StorageError
+from repro.storage.constants import PAGE_HEADER_SIZE
 from repro.storage.page import PAGE_TYPE_DATA, PAGE_TYPE_META, Page
 
 
@@ -42,6 +43,17 @@ class TestHeader:
         # keep the magic intact, corrupt the body
         corrupted = Page(bytearray(image))
         assert not corrupted.verify_checksum()
+
+    def test_checksum_detects_swapped_bytes(self, page):
+        """Two distinct bytes trading places leave an additive sum as it
+        was; the CRC catches them."""
+        page.insert(b"payload")
+        image = bytearray(page.to_bytes())
+        first, second = PAGE_HEADER_SIZE, PAGE_HEADER_SIZE + 1   # "p", "a"
+        assert image[first] != image[second]
+        image[first], image[second] = image[second], image[first]
+        assert sum(image) == sum(page.to_bytes())
+        assert not Page(image).verify_checksum()
 
     def test_bad_size_rejected(self):
         with pytest.raises(Exception):

@@ -171,6 +171,25 @@ class TestPageSequences:
         big.sequences.read(header)
         assert big.disk.counters.get("chained_reads") >= 1
 
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_chained_read_fetches_only_missing_components(self,
+                                                           partitioned):
+        storage = StorageSystem(buffer_capacity=64 * 8192,
+                                partitioned=partitioned)
+        storage.create_segment("seq", 512)
+        header = storage.sequences.create("seq")
+        payload = bytes(range(256)) * 80
+        storage.sequences.write(header, payload)
+        storage.flush()
+        dropped = storage.sequences.component_pages(header)[2:5]
+        for pid in dropped:
+            storage.buffer.discard(pid)
+        storage.reset_accounting()
+        assert storage.sequences.read(header) == payload
+        assert storage.disk.counters.get("blocks_read") == len(dropped)
+        assert storage.disk.counters.get("chained_reads") == 1
+        assert all(storage.buffer.is_resident(pid) for pid in dropped)
+
     def test_drop_frees_everything(self, storage):
         storage.create_segment("seq", 512)
         header = storage.sequences.create("seq")
