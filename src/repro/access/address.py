@@ -74,6 +74,11 @@ class SurrogateGenerator:
         self._next[atom_type] = number + self.stride
         return Surrogate(atom_type, number)
 
+    def next_numbers(self) -> dict[str, int]:
+        """Each type's next surrogate number, by type name (types never
+        generated are absent)."""
+        return dict(sorted(self._next.items()))
+
     def note_existing(self, surrogate: Surrogate) -> None:
         """Advance the counter past an externally created surrogate,
         staying inside this generator's residue class."""

@@ -22,8 +22,8 @@ leaves nothing to read), and snapshots stay correct.  Every read still
 fixes its page and counts as ``atoms_read``; only misses count as
 ``atom_decodes``.  Each caller gets its own copy (fresh lists and dicts,
 shared immutable leaves).  The memo holds at most the buffer's
-``capacity_bytes`` of record bytes, is cleared wholesale when a miss would
-exceed that, and is never pickled.
+``capacity_bytes`` of record bytes and is cleared wholesale when a miss
+would exceed that; a checkpoint never holds it.
 
 A miss also **interns** the record's surrogates into a pool owned by the
 memo (:func:`~repro.access.encoding.decode_atom` with a pool): the edge a
@@ -31,7 +31,7 @@ face's ``border`` lists and that edge's own ``edge_id`` are then one
 object, and so is every copy handed out.  A molecule set thus carries one
 ``Surrogate`` per logical address — equality checks short-cut on
 identity, and pickling a wire reply writes each surrogate once per frame.
-The pool is cleared with the memo and, like it, never pickled.
+The pool is cleared with the memo.
 """
 
 from __future__ import annotations
@@ -91,20 +91,10 @@ def _copier(value: list | dict):
 class AtomManager:
     """Insert, read, modify and delete atoms; maintain all their records."""
 
-    #: Monotonic LDL stamp (class-level default keeps old checkpoints
-    #: loadable): bumped whenever a tuning structure is installed or
-    #: dropped — access-path choices of cached plans depend on the
-    #: structure inventory, so this feeds the plan-cache version.
-    structures_version = 0
-
-    #: Copy-on-write version store (class-level default keeps old
-    #: checkpoints loadable; see :meth:`version_store`).
-    versions: AtomVersionStore | None = None
-
     #: Decoded-record memo: record bytes -> (values, per-attribute copiers
     #: of its nested values), the record bytes it holds, and the surrogate
-    #: pool its decodes intern into.  Created on first use and never
-    #: pickled (see :meth:`decode`).
+    #: pool its decodes intern into.  Created on first use; a checkpoint
+    #: never holds it (see :meth:`decode`).
     _decoded: dict[bytes, tuple] | None = None
     _decoded_bytes = 0
     _interned: dict[bytes, Surrogate] | None = None
@@ -122,38 +112,25 @@ class AtomManager:
         self._key_index: dict[str, dict[tuple, Surrogate]] = {}
         self._structures: dict[str, StorageStructure] = {}
         self._structures_by_type: dict[str, list[StorageStructure]] = {}
+        #: Monotonic LDL stamp: bumped whenever a tuning structure is
+        #: installed or dropped — access-path choices of cached plans
+        #: depend on the structure inventory, so this feeds the
+        #: plan-cache version.
         self.structures_version = 0
+        #: The copy-on-write version store behind snapshots.
         self.versions = AtomVersionStore()
 
-    def __getstate__(self) -> dict[str, Any]:
-        # The memo caches what the stored bytes already say: checkpoints
-        # leave it out and it refills on the first reads after a load.
-        state = dict(self.__dict__)
-        state.pop("_decoded", None)
-        state.pop("_decoded_bytes", None)
-        state.pop("_interned", None)
-        return state
-
     # ----------------------------------------------------------- snapshots --
-
-    def version_store(self) -> AtomVersionStore:
-        """The copy-on-write version store (created on demand, so
-        checkpoints from before the snapshot era load fine)."""
-        store = self.versions
-        if store is None:
-            store = self.versions = AtomVersionStore()
-        return store
 
     def publish_epoch(self) -> int:
         """Publish a new epoch — called at commit boundaries (checkin,
         DML statement end, DDL), never per low-level operation."""
-        return self.version_store().publish()
+        return self.versions.publish()
 
     def open_snapshot(self) -> SnapshotView:
         """Pin a snapshot at the current epoch; the caller must
         :meth:`SnapshotView.release` it when the reader is done."""
-        store = self.version_store()
-        epoch = store.pin()
+        epoch = self.versions.pin()
         self.counters.bump("snapshots_pinned")
         return SnapshotView(self, epoch)
 
@@ -234,6 +211,10 @@ class AtomManager:
     def structure_names(self) -> list[str]:
         return sorted(self._structures)
 
+    def structures(self) -> list[StorageStructure]:
+        """Every installed tuning structure, in creation order."""
+        return list(self._structures.values())
+
     # ----------------------------------------------------------------- inserts --
 
     def insert(self, type_name: str, values: dict[str, Any] | None = None,
@@ -251,7 +232,7 @@ class AtomManager:
         checked[atom_type.identifier_attr] = surrogate
         self._check_key_free(atom_type, checked)
 
-        store = self.version_store()
+        store = self.versions
         store.preserve(surrogate, None)
         store.note_touched(type_name)
         self.addresses.register(surrogate)
@@ -275,9 +256,9 @@ class AtomManager:
                      values: dict[str, Any]) -> None:
         """Re-insert a previously deleted atom under its old surrogate.
 
-        Used by transaction recovery to undo a delete: the atom reappears
-        with its last stored state, and back-references to it are re-built
-        from its own reference attributes (symmetry restores both sides).
+        Used by transaction undo and checkpoint load: the atom reappears
+        with its last stored state; back-references to it are re-built
+        from its reference attributes (symmetry restores both sides).
         """
         atom_type = self.schema.atom_type(surrogate.atom_type)
         if self.addresses.exists(surrogate):
@@ -285,7 +266,7 @@ class AtomManager:
         stored = dict(values)
         stored[atom_type.identifier_attr] = surrogate
         self._check_key_free(atom_type, stored)
-        store = self.version_store()
+        store = self.versions
         store.preserve(surrogate, None)
         store.note_touched(surrogate.atom_type)
         self.surrogates.note_existing(surrogate)
@@ -404,7 +385,7 @@ class AtomManager:
                 else:
                     self._backref_add(atom_type, attr_name, surrogate, added)
 
-        store = self.version_store()
+        store = self.versions
         store.preserve(surrogate, old)
         store.note_touched(surrogate.atom_type)
         self._write_base(surrogate, new)
@@ -423,7 +404,7 @@ class AtomManager:
         """
         atom_type = self.schema.atom_type(surrogate.atom_type)
         values = self._read_base_values(surrogate)
-        store = self.version_store()
+        store = self.versions
         store.preserve(surrogate, values)
         store.note_touched(surrogate.atom_type)
         for attr_name in atom_type.reference_attrs():
@@ -476,7 +457,7 @@ class AtomManager:
             new_value = members
         new = dict(current)
         new[assoc.target_attr] = new_value
-        store = self.version_store()
+        store = self.versions
         store.preserve(target, current)
         store.note_touched(target.atom_type)
         self._write_base(target, new)
@@ -501,7 +482,7 @@ class AtomManager:
             new_value = members
         new = dict(current)
         new[assoc.target_attr] = new_value
-        store = self.version_store()
+        store = self.versions
         store.preserve(target, current)
         store.note_touched(target.atom_type)
         self._write_base(target, new)
@@ -643,6 +624,12 @@ class AtomManager:
         for name, copy in copiers:
             out[name] = copy(values[name])
         return out
+
+    def forget_decodes(self) -> None:
+        """Drop the memo; the next decode starts it, and its surrogate
+        pool, afresh."""
+        self._decoded = None
+        self._decoded_bytes = 0
 
     def _write_base(self, surrogate: Surrogate,
                     values: dict[str, Any]) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.access.container import RecordContainer
-from repro.access.encoding import decode_atom, encode_atom
+from repro.access.encoding import encode_atom
 from repro.access.structure import StorageStructure
 from repro.errors import SchemaError
 from repro.mad.schema import AtomType
@@ -31,8 +31,6 @@ class Partition(StorageStructure):
 
     kind = "partition"
     deferred = True
-    #: Class-level default keeps checkpoints from before the memo loadable.
-    _decode = staticmethod(decode_atom)
 
     def __init__(self, name: str, atom_type: AtomType, attrs: list[str],
                  storage: StorageSystem, atoms: AtomManager,

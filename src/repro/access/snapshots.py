@@ -72,16 +72,6 @@ class AtomVersionStore:
         #: handoffs only — never engine work.
         self._listeners: list[Any] = []
 
-    # The store rides inside the (picklable) AtomManager; only the
-    # clock survives a checkpoint — pins and pre-images are runtime
-    # state of the serving process.
-    def __getstate__(self) -> dict[str, Any]:
-        return {"epoch": self.epoch}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__init__()
-        self.epoch = state.get("epoch", 0)
-
     # -- the epoch clock ------------------------------------------------------
 
     def publish(self) -> int:
@@ -221,7 +211,7 @@ class SnapshotView:
 
     def __init__(self, manager: "AtomManager", epoch: int) -> None:
         self._manager = manager
-        self._store = manager.version_store()
+        self._store = manager.versions
         self.epoch = epoch
         self.schema = manager.schema
         self.counters = manager.counters

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.access.btree import BStarTree
 from repro.access.container import RecordContainer
-from repro.access.encoding import decode_atom, encode_atom
+from repro.access.encoding import encode_atom
 from repro.access.structure import StorageStructure
 from repro.mad.schema import AtomType
 from repro.mad.types import Surrogate
@@ -33,8 +33,6 @@ class SortOrder(StorageStructure):
 
     kind = "sort_order"
     deferred = True
-    #: Class-level default keeps checkpoints from before the memo loadable.
-    _decode = staticmethod(decode_atom)
 
     def __init__(self, name: str, atom_type: AtomType, sort_attrs: list[str],
                  storage: StorageSystem, atoms: AtomManager,

@@ -106,13 +106,6 @@ class DataSystem:
         #: ``Engine.mutex`` (a cluster rebinds it to the coordinator's).
         self.mutex = threading.RLock()
 
-    def __getstate__(self) -> dict[str, Any]:
-        # A lock does not pickle: a checkpoint drops it, a load makes one.
-        return {k: v for k, v in self.__dict__.items() if k != "mutex"}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state, mutex=threading.RLock())
-
     @property
     def catalog_version(self) -> int:
         """Monotonic stamp of everything a cached plan depends on:

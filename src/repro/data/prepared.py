@@ -741,19 +741,6 @@ class PlanCache:
         #: the shared template (see DataSystem auto-parameterization).
         self._template_candidates: set[str] = set()
 
-    def __getstate__(self) -> dict[str, Any]:
-        # Locks are not picklable and cached plans hold the whole data
-        # system — a persistence checkpoint stores an *empty* cache (it
-        # re-fills on first use after load).
-        return {"capacity": self.capacity, "evictions": self.evictions}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.capacity = state.get("capacity", 128)
-        self.evictions = state.get("evictions", 0)
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self._template_candidates = set()
-
     #: MQL string literals ('...' or "..."), matched so normalization
     #: never touches whitespace *inside* them.
     _STRING_LITERAL = re.compile(r"('[^']*'|\"[^\"]*\")")

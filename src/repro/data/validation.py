@@ -25,9 +25,6 @@ Resolution rules:
 from __future__ import annotations
 
 from repro.errors import ValidationError
-# ``MoleculeTypeCatalog`` lives in :mod:`repro.mad.molecule`; older
-# checkpoints pickle it under this module's name, so it stays
-# importable here.
 from repro.mad.molecule import MoleculeTypeCatalog, StructureNode
 from repro.mad.schema import Schema
 from repro.mql.ast import (

@@ -31,7 +31,8 @@ and gets every method below plus ``session_managers``, the serving
 managers opened over it, and ``mutex``.  What really differs stays on
 the subclass: ``execute_ldl``, ``analyze``, ``verify_integrity`` on
 ``Prima``; placement and channels on the cluster.  Checkpointing
-(:mod:`repro.persistence`) and semantic parallelism
+(:mod:`repro.persistence`: the :meth:`~Engine.dump_ddl` and
+:meth:`~Engine.dump_ldl` texts plus the atoms) and semantic parallelism
 (:mod:`repro.parallel`) are functions over a ``Prima``, a layer above.
 
 ``mutex`` is the one reentrant lock of an engine tree (a cluster shares
@@ -49,6 +50,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.data.result import ResultSet
+from repro.ldl.parser import structure_to_ldl
 from repro.mad.ddl import dump_schema
 from repro.mad.types import Surrogate
 from repro.mql.parser import parse_script
@@ -67,11 +69,6 @@ class Engine:
         #: their network accounting is summed into :meth:`io_report`,
         #: their per-session counters reset with :meth:`reset_accounting`.
         self.session_managers: list["SessionManager"] = []
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Serving managers hold locks and are not data: a checkpoint
-        # drops them, so a loaded engine starts unserved.
-        return {**self.__dict__, "session_managers": []}
 
     @property
     def mutex(self):
@@ -223,6 +220,14 @@ class Engine:
         """Regenerate the MQL DDL of the current catalog (round-trips
         through the parser; see :mod:`repro.mad.ddl`)."""
         return dump_schema(self.schema, self.catalog)
+
+    def dump_ldl(self) -> str:
+        """Regenerate the LDL of the installed tuning structures, in
+        creation order (every engine of a cluster holds the same ones);
+        ``execute_ldl`` of the text re-creates them."""
+        return ";\n".join(
+            structure_to_ldl(structure)
+            for structure in self.engines[0].access.atoms.structures())
 
     # -- maintenance ---------------------------------------------------------------------
 

@@ -13,12 +13,16 @@ Grammar (sharing the MQL lexer and FROM-structure syntax)::
 The exact concrete syntax of PRIMA's LDL is not given in the paper; this
 grammar realises precisely the four mechanisms section 2.3 enumerates
 (access methods, partitioning, sort orders, physical clusters).
+:func:`structure_to_ldl` renders an installed structure back into the
+CREATE statement that re-creates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.access.structure import StorageStructure
+from repro.mad.ddl import structure_to_from_clause
 from repro.mql.ast import FromNode
 from repro.mql.parser import Parser
 
@@ -149,3 +153,18 @@ def parse_ldl(text: str) -> LdlStatement:
 def parse_ldl_script(text: str) -> list[LdlStatement]:
     """Parse a ';'-separated LDL script."""
     return LdlParser(text).parse_ldl_script()
+
+
+def structure_to_ldl(structure: StorageStructure) -> str:
+    """The CREATE statement that re-creates ``structure`` (read from the
+    attributes each kind keeps; parses back with :func:`parse_ldl`)."""
+    head = f"{structure.name} ON {structure.atom_type}"
+    if structure.kind == "access_path":
+        return (f"CREATE ACCESS PATH {head} ({', '.join(structure.attrs)}) "
+                f"USING {structure.method.upper()}")
+    if structure.kind == "sort_order":
+        return f"CREATE SORT ORDER {head} ({', '.join(structure.sort_attrs)})"
+    if structure.kind == "partition":
+        return f"CREATE PARTITION {head} ({', '.join(structure.attrs)})"
+    return (f"CREATE ATOM_CLUSTER {structure.name} FROM "
+            f"{structure_to_from_clause(structure.structure)}")

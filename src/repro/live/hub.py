@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 def _version_stores(db: "Engine") -> list[Any]:
     """Every epoch clock feeding this hub — one per shard engine for a
     cluster, the single engine's otherwise."""
-    return [engine.access.atoms.version_store() for engine in db.engines]
+    return [engine.access.atoms.versions for engine in db.engines]
 
 
 class LiveQueryHub:

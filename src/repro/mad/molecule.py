@@ -98,12 +98,10 @@ class MoleculeType:
 class MoleculeTypeCatalog:
     """Named (pre-defined) molecule types: DEFINE MOLECULE TYPE results."""
 
-    #: Monotonic stamp bumped on DEFINE/DROP (class-level default keeps
-    #: old checkpoints loadable); part of the plan-cache version.
-    version = 0
-
     def __init__(self) -> None:
         self._types: dict[str, MoleculeType] = {}
+        #: Monotonic stamp bumped on DEFINE/DROP; part of the plan-cache
+        #: version.
         self.version = 0
 
     def define(self, molecule_type: MoleculeType) -> None:

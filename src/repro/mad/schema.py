@@ -163,13 +163,10 @@ class AtomType:
 class Schema:
     """The schema catalog: all atom types plus derived association info."""
 
-    #: Monotonic DDL stamp (class-level default keeps old checkpoints
-    #: loadable): bumped on every CREATE/DROP ATOM_TYPE, it feeds the
-    #: catalog version that invalidates cached query plans.
-    version = 0
-
     def __init__(self) -> None:
         self._atom_types: dict[str, AtomType] = {}
+        #: Monotonic DDL stamp: bumped on every CREATE/DROP ATOM_TYPE,
+        #: it feeds the catalog version that invalidates cached plans.
         self.version = 0
 
     # -- atom type management -------------------------------------------------------

@@ -14,9 +14,9 @@ counter bag with
   implicit overflow bucket past the last bound).
 
 Registries :meth:`merge` associatively, so per-session and per-shard
-registries aggregate into one cluster view, and they pickle without
-their locks (checkpoint restore) exactly like
-``Counters``.
+registries aggregate into one cluster view.  Like every counter, they
+are runtime state: a checkpoint does not hold them, and a loaded engine
+starts them empty.
 """
 
 from __future__ import annotations
@@ -150,22 +150,6 @@ class MetricsRegistry(Counters):
         super().__init__()
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
-
-    # -- pickling (locks excluded, like Counters) ----------------------------
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = super().__getstate__()
-        with self._lock:
-            state["_gauges"] = dict(self._gauges)
-            state["_histograms"] = {name: hist.copy()
-                                    for name, hist in
-                                    self._histograms.items()}
-        return state
-
-    def __setstate__(self, state) -> None:
-        super().__setstate__({"_values": state["_values"]})
-        self._gauges = state.get("_gauges", {})
-        self._histograms = state.get("_histograms", {})
 
     # -- gauges ---------------------------------------------------------------
 

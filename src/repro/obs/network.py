@@ -56,17 +56,6 @@ class NetworkStats:
         self.comm_time_ms = 0.0
         self._lock = threading.Lock()
 
-    def __getstate__(self) -> dict[str, float | int]:
-        # Locks are not picklable; persistence checkpoints recreate one.
-        return {"messages": self.messages, "bytes_sent": self.bytes_sent,
-                "comm_time_ms": self.comm_time_ms}
-
-    def __setstate__(self, state) -> None:
-        self.messages = state.get("messages", 0)
-        self.bytes_sent = state.get("bytes_sent", 0)
-        self.comm_time_ms = state.get("comm_time_ms", 0.0)
-        self._lock = threading.Lock()
-
     def account(self, model: NetworkModel, nbytes: int) -> None:
         with self._lock:
             self.messages += 1

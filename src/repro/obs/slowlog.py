@@ -60,22 +60,6 @@ class SlowLog:
                 heapq.heappush(self._heap, item)
             return True
 
-    # -- pickling (the lock is excluded, like Counters) -----------------------
-
-    def __getstate__(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "_heap": [(d, s, dict(e)) for d, s, e in self._heap],
-                "_seq": self._seq,
-            }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.capacity = state["capacity"]
-        self._heap = list(state["_heap"])
-        self._seq = state["_seq"]
-        self._lock = threading.Lock()
-
     def entries(self) -> list[dict[str, Any]]:
         """The kept entries, slowest first (JSON-able dicts)."""
         with self._lock:

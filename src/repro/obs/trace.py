@@ -156,17 +156,6 @@ class Tracer:
         self._seq = 0
         self._lock = threading.Lock()
 
-    # A checkpointed engine carries its tracer; the lock is excluded
-    # (recreated on load), like every other lock-holding accounting
-    # object in the repo.
-    def __getstate__(self) -> dict[str, Any]:
-        return {"sample": self.sample, "_seq": self._seq}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.sample = state["sample"]
-        self._seq = state["_seq"]
-        self._lock = threading.Lock()
-
     @property
     def enabled(self) -> bool:
         return self.sample > 0.0

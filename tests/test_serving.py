@@ -517,7 +517,7 @@ class TestOneBatchAnswer:
             report["serve_cursors_opened"]
         if conn.session is not None:
             assert conn.session.open_cursors == 0
-        assert not any(shard.access.atoms.version_store().pinned
+        assert not any(shard.access.atoms.versions.pinned
                        for shard in engine.engines)
 
     def test_lookup_costs_one_message_pair(self, served):

@@ -44,20 +44,20 @@ def manager(db):
 
 class TestAtomVersionStore:
     def test_publish_advances_the_epoch(self, db):
-        store = db.access.atoms.version_store()
+        store = db.access.atoms.versions
         before = store.epoch
         db.insert_atom("item", {"n": 9000})
         assert store.epoch > before
 
     def test_preserve_is_a_noop_without_pins(self, db):
-        store = db.access.atoms.version_store()
+        store = db.access.atoms.versions
         surrogate = db.access.atoms.find_by_key("item", (3,))
         db.modify_atom(surrogate, {"grp": 99})
         assert store.versions_preserved == 0
         assert not store.pinned
 
     def test_first_write_per_window_wins(self, db):
-        store = db.access.atoms.version_store()
+        store = db.access.atoms.versions
         surrogate = db.access.atoms.find_by_key("item", (3,))
         snapshot = db.access.atoms.open_snapshot()
         try:
@@ -70,7 +70,7 @@ class TestAtomVersionStore:
             snapshot.release()
 
     def test_unpin_garbage_collects_versions(self, db):
-        store = db.access.atoms.version_store()
+        store = db.access.atoms.versions
         surrogate = db.access.atoms.find_by_key("item", (4,))
         snapshot = db.access.atoms.open_snapshot()
         db.modify_atom(surrogate, {"grp": 77})
@@ -83,7 +83,7 @@ class TestAtomVersionStore:
         snapshot = db.access.atoms.open_snapshot()
         snapshot.release()
         snapshot.release()
-        assert not db.access.atoms.version_store().pinned
+        assert not db.access.atoms.versions.pinned
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ class TestServingIsolation:
                 result.reopen()
 
     def test_snapshot_pin_released_on_close(self, db, manager):
-        store = db.access.atoms.version_store()
+        store = db.access.atoms.versions
         with repro.connect(manager) as conn:
             cursor = conn.cursor("SELECT ALL FROM item", fetch_size=8)
             assert store.pinned
