@@ -95,6 +95,13 @@ class AddressTable:
 
     def __init__(self) -> None:
         self._map: dict[Surrogate, dict[str, Placement]] = {}
+        #: surrogate -> base record, mirrored from ``_map`` by every
+        #: write of a base placement, so the read path's probe
+        #: (:attr:`base_record`) runs in C.
+        self._base: dict[Surrogate, RecordId] = {}
+        #: ``base_record(surrogate)``: the atom's base record, or None
+        #: when no atom has this logical address (one dict probe).
+        self.base_record = self._base.get
 
     # -- existence ----------------------------------------------------------------
 
@@ -108,6 +115,7 @@ class AddressTable:
         """Drop the entry of a deleted atom (the address is released)."""
         self._require(surrogate)
         del self._map[surrogate]
+        self._base.pop(surrogate, None)
 
     def exists(self, surrogate: Surrogate) -> bool:
         return surrogate in self._map
@@ -126,10 +134,14 @@ class AddressTable:
               record: RecordId, fresh: bool = True) -> None:
         """Record that ``structure`` materialises the atom at ``record``."""
         self._require(surrogate)[structure] = Placement(structure, record, fresh)
+        if structure == BASE_STRUCTURE:
+            self._base[surrogate] = record
 
     def unplace(self, surrogate: Surrogate, structure: str) -> None:
         """Remove the atom's placement in ``structure`` (if any)."""
         self._require(surrogate).pop(structure, None)
+        if structure == BASE_STRUCTURE:
+            self._base.pop(surrogate, None)
 
     def placement(self, surrogate: Surrogate,
                   structure: str) -> Placement | None:
@@ -160,6 +172,8 @@ class AddressTable:
             return
         target = record if record is not None else placement.record
         entry[structure] = Placement(structure, target, True)
+        if structure == BASE_STRUCTURE:
+            self._base[surrogate] = target
 
     def stale_placements(self, surrogate: Surrogate) -> list[Placement]:
         return [p for p in self._require(surrogate).values() if not p.fresh]

@@ -295,32 +295,58 @@ class AtomManager:
         (larger) base record.
         """
         atom_type = self.schema.atom_type(surrogate.atom_type)
+        if attrs is None:
+            values = self.get_or_none(surrogate)
+            if values is None:
+                raise AtomNotFoundError(
+                    f"no atom with logical address {surrogate}")
+            return values
         if not self.addresses.exists(surrogate):
             raise AtomNotFoundError(f"no atom with logical address {surrogate}")
         self.counters.bump("atoms_read")
-        if attrs is not None:
-            unknown = set(attrs) - set(atom_type.attributes)
-            if unknown:
-                raise AtomNotFoundError(
-                    f"atom type {atom_type.name!r} has no attributes "
-                    f"{sorted(unknown)}"
-                )
-            for partition in self.structures_for(surrogate.atom_type,
-                                                 "partition"):
-                if partition.covers(attrs):                # type: ignore[attr-defined]
-                    copy = partition.read(surrogate)       # type: ignore[attr-defined]
-                    if copy is not None:
-                        self.counters.bump("reads_from_partition")
-                        out = {atom_type.identifier_attr: surrogate}
-                        for attr in attrs:
-                            out[attr] = copy.get(attr)
-                        return out
+        unknown = set(attrs) - set(atom_type.attributes)
+        if unknown:
+            raise AtomNotFoundError(
+                f"atom type {atom_type.name!r} has no attributes "
+                f"{sorted(unknown)}"
+            )
+        for partition in self.structures_for(surrogate.atom_type,
+                                             "partition"):
+            if partition.covers(attrs):                # type: ignore[attr-defined]
+                copy = partition.read(surrogate)       # type: ignore[attr-defined]
+                if copy is not None:
+                    self.counters.bump("reads_from_partition")
+                    out = {atom_type.identifier_attr: surrogate}
+                    for attr in attrs:
+                        out[attr] = copy.get(attr)
+                    return out
         values = self._read_base_values(surrogate)
-        if attrs is None:
-            return values
         out = {atom_type.identifier_attr: surrogate}
         for attr in attrs:
             out[attr] = values.get(attr)
+        return out
+
+    def get_or_none(self, surrogate: Surrogate) -> dict[str, Any] | None:
+        """The whole atom, or None when no atom has this logical address.
+
+        The read path of molecule construction and scans: one
+        address-table probe both tests existence and finds the base
+        record, where ``exists`` then ``get`` probed twice.  Counts
+        ``atoms_read`` like :meth:`get`.
+        """
+        record = self.addresses.base_record(surrogate)
+        if record is None:
+            return None
+        self.counters.bump("atoms_read")
+        payload = self._containers[surrogate.atom_type].read(record)
+        # A memo hit is copied here; a miss (or no memo yet) decodes.
+        entry = self._decoded.get(payload) if self._decoded else None
+        if entry is None:
+            return self.decode(payload)
+        values, copiers = entry
+        out = values.copy()
+        for name, copy in copiers:
+            out[name] = copy(values[name])
         return out
 
     def exists(self, surrogate: Surrogate) -> bool:
@@ -589,11 +615,10 @@ class AtomManager:
     # --------------------------------------------------------- record plumbing --
 
     def _read_base_values(self, surrogate: Surrogate) -> dict[str, Any]:
-        placement = self.addresses.placement(surrogate, BASE_STRUCTURE)
-        if placement is None:
+        record = self.addresses.base_record(surrogate)
+        if record is None:
             raise AtomNotFoundError(f"no atom with logical address {surrogate}")
-        payload = self._container(surrogate.atom_type).read(placement.record)
-        return self.decode(payload)
+        return self.decode(self._containers[surrogate.atom_type].read(record))
 
     def decode(self, payload: bytes) -> dict[str, Any]:
         """Decode a whole-atom record, once per stored image; the caller

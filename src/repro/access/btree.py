@@ -53,7 +53,8 @@ class Key:
         for mine, theirs in zip(self.values, other.values):
             if mine == theirs:
                 continue
-            my_rank, their_rank = _rank(mine), _rank(theirs)
+            # make_key validated both ranks, so the probes cannot miss.
+            my_rank, their_rank = _RANKS[type(mine)], _RANKS[type(theirs)]
             if my_rank != their_rank:
                 return my_rank < their_rank
             if isinstance(mine, Surrogate):
@@ -84,7 +85,8 @@ def make_key(values: Any) -> Key:
     else:
         parts = (values,)
     for part in parts:
-        _rank(part)
+        if type(part) not in _RANKS:
+            _rank(part)   # raises the AccessError
     return Key(parts)
 
 

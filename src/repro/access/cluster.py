@@ -84,6 +84,10 @@ class AtomCluster(StorageStructure):
         """Characteristic atoms (cluster roots) in surrogate order."""
         return sorted(self._sequences)
 
+    def has_root(self, root: Surrogate) -> bool:
+        """Does ``root`` have a cluster record (one probe, no sort)?"""
+        return root in self._sequences
+
     def is_stale(self, root: Surrogate) -> bool:
         return root in self._stale
 

@@ -94,13 +94,16 @@ class RecordContainer:
         """Return the record's byte string (an empty slot raises
         :class:`RecordNotFoundError`, any other storage failure its own
         :class:`StorageError`)."""
-        self._check_ownership(record_id)
-        sequence = self._long.get(record_id)
-        if sequence is not None:
-            return self._storage.sequences.read(sequence)
-        with self._storage.page(record_id.page) as page:
+        page_id, slot = record_id
+        if page_id.segment != self.segment_name:
+            self._check_ownership(record_id)
+        if self._long:
+            sequence = self._long.get(record_id)
+            if sequence is not None:
+                return self._storage.sequences.read(sequence)
+        with self._storage.page(page_id) as page:
             try:
-                return page.read(record_id.slot)
+                return page.read(slot)
             except StorageError as exc:
                 raise RecordNotFoundError(str(exc)) from exc
 

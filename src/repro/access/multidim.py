@@ -49,6 +49,8 @@ class GridFile:
         self._scales: list[list[Any]] = [[] for _ in range(dims)]
         #: cell coordinates -> entries in that cell.
         self._cells: dict[tuple[int, ...], list[tuple[tuple, Surrogate]]] = {}
+        #: Every (key, surrogate) entry, for the duplicate test in O(1).
+        self._entries: set[tuple[tuple, Surrogate]] = set()
         self._size = 0
         self._next_split_dim = 0
 
@@ -98,26 +100,43 @@ class GridFile:
     def insert(self, key_values: Any, surrogate: Surrogate) -> None:
         """Add an entry; duplicate (key, surrogate) pairs are rejected."""
         key = self._check_key(key_values)
+        entry = (key, surrogate)
+        if entry in self._entries:
+            raise AccessError(f"duplicate grid entry {entry}")
         coord = self._coord(key)
         bucket = self._cells.setdefault(coord, [])
-        if (key, surrogate) in bucket:
-            raise AccessError(f"duplicate grid entry {(key, surrogate)}")
-        bucket.append((key, surrogate))
+        bucket.append(entry)
+        self._entries.add(entry)
         self._size += 1
-        if len(bucket) > self.bucket_capacity:
+        if len(bucket) > self.bucket_capacity and (
+                len(bucket) == self.bucket_capacity + 1
+                or self._new_key(key, bucket[0][0])):
             self._split(coord)
+
+    def _new_key(self, key: tuple, held: tuple) -> bool:
+        """Does ``key`` differ from ``held`` in some dimension's rank?
+
+        A bucket that was already over capacity failed to split, and a
+        split fails only when every entry has the same key in every
+        dimension (a bucket holding two values in one dimension always
+        has a median inside its cell).  Cuts through it cannot separate
+        equal keys, so it stays unsplittable until an entry with a new
+        key arrives: only then is a split worth trying again.
+        """
+        rankable = self._rankable
+        return any(rankable(mine) != rankable(theirs)
+                   for mine, theirs in zip(key, held))
 
     def delete(self, key_values: Any, surrogate: Surrogate) -> None:
         """Remove an entry; raises when absent."""
         key = self._check_key(key_values)
+        entry = (key, surrogate)
+        if entry not in self._entries:
+            raise AccessError(f"grid entry {entry} not found")
         coord = self._coord(key)
-        bucket = self._cells.get(coord, [])
-        try:
-            bucket.remove((key, surrogate))
-        except ValueError:
-            raise AccessError(
-                f"grid entry {(key, surrogate)} not found"
-            ) from None
+        bucket = self._cells[coord]
+        bucket.remove(entry)
+        self._entries.remove(entry)
         self._size -= 1
         if not bucket:
             del self._cells[coord]

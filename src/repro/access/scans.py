@@ -140,8 +140,8 @@ class Scan:
     def _count_delivery(self) -> None:
         self.rows_delivered += 1
         if self._counters is not None:
-            self._counters.bump("scan_rows_delivered")
-            self._counters.bump(f"scan_rows:{type(self).__name__}")
+            self._counters.bump_each("scan_rows_delivered",
+                                     f"scan_rows:{type(self).__name__}")
 
     # Subclasses provide the ordered snapshot and the delivery logic. ----------
 
@@ -258,9 +258,9 @@ class AtomTypeScan(Scan):
         return [s for s, _values in self._manager.atoms_of_type(self._type_name)]
 
     def _deliver(self, position: Surrogate):
-        if not self._manager.exists(position):
+        values = self._manager.get_or_none(position)
+        if values is None:
             return None
-        values = self._manager.get(position)
         if self._search is not None and not self._search.matches(values):
             return None
         if self._attrs is not None:
@@ -444,18 +444,20 @@ class SortScan(Scan):
             yield raw, surrogate
 
     def _deliver(self, position: Surrogate):
-        if not self._manager.exists(position):
-            return None
         values: dict[str, Any] | None = None
         # The sort order's record copies track the *live* state; under a
         # snapshot only the manager (the epoch view) may serve values.
         if self._support is not None and \
                 not getattr(self._manager, "is_snapshot", False):
+            if not self._manager.exists(position):
+                return None
             values = self._support.read(position)
             if values is not None:
                 self._manager.counters.bump("reads_from_sort_order")
         if values is None:
-            values = self._manager.get(position)
+            values = self._manager.get_or_none(position)
+            if values is None:
+                return None
         if self._search is not None and not self._search.matches(values):
             return None
         return position, values
@@ -547,9 +549,9 @@ class AccessPathScan(Scan):
         yield from _merge_entries(live, extra, self._reverse)
 
     def _deliver(self, position: Surrogate):
-        if not self._manager.exists(position):
+        values = self._manager.get_or_none(position)
+        if values is None:
             return None
-        values = self._manager.get(position)
         if self._search is not None and not self._search.matches(values):
             return None
         return position, values

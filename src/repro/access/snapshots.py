@@ -24,7 +24,7 @@ of them.  This module supplies the two halves of that idea:
 
 :class:`SnapshotView`
     The read facade.  It mirrors the :class:`~repro.access.atoms
-    .AtomManager` read surface (``get`` / ``exists`` /
+    .AtomManager` read surface (``get`` / ``get_or_none`` / ``exists`` /
     ``atoms_of_type`` / ``find_by_key`` / ``count`` / structure
     inspection), overlaying the version store on the live manager:
     atoms created after the epoch are invisible, atoms deleted after it
@@ -236,6 +236,18 @@ class SnapshotView:
         if changed:
             return values is not None
         return self._manager.exists(surrogate)
+
+    def get_or_none(self, surrogate: Surrogate) -> dict[str, Any] | None:
+        """The whole atom as of the epoch, or None when it did not exist
+        then (see :meth:`AtomManager.get_or_none`)."""
+        changed, values = self._store.version_at(surrogate, self.epoch)
+        if not changed:
+            return self._manager.get_or_none(surrogate)
+        if values is None:
+            return None
+        self.counters.bump("atoms_read")
+        self.counters.bump("snapshot_version_reads")
+        return dict(values)
 
     def get(self, surrogate: Surrogate,
             attrs: list[str] | None = None) -> dict[str, Any]:

@@ -48,14 +48,14 @@ from repro.data.result import ResultSet
 from repro.data.simplification import sargable_root_terms, simplify
 from repro.data.statistics import StatisticsCatalog
 from repro.data.validation import Validator
-from repro.errors import ExecutionError, ValidationError
+from repro.errors import AtomNotFoundError, ExecutionError, ValidationError
 from repro.mad.molecule import (
     Molecule,
     MoleculeType,
     MoleculeTypeCatalog,
     StructureNode,
 )
-from repro.mad.types import Surrogate, reference_values
+from repro.mad.types import Surrogate
 from repro.mql.ast import (
     CreateAtomType,
     DefineMoleculeType,
@@ -519,8 +519,9 @@ class DataSystem:
         """
         if atoms is None:
             atoms = self.access.atoms
-        if cluster is not None and root in cluster.roots():
-            fetched: dict[Surrogate, dict[str, Any]] = {}
+        fetched: dict[Surrogate, dict[str, Any]] | None = None
+        if cluster is not None and cluster.has_root(root):
+            fetched = {}
             label_types = {node.label: node.atom_type
                            for node in cluster.structure.walk()}
             for label, cluster_atoms in cluster.read_cluster(root).items():
@@ -529,76 +530,100 @@ class DataSystem:
                 for atom in cluster_atoms:
                     fetched[atom[id_attr]] = atom
             self.access.counters.bump("molecules_from_cluster")
-            return self._build(structure, root, fetched, atoms=atoms)
-        self.access.counters.bump("molecules_from_traversal")
-        return self._build(structure, root, None, atoms=atoms)
+            atom = fetched.get(root)
+        else:
+            self.access.counters.bump("molecules_from_traversal")
+            atom = None
+        if atom is None:
+            atom = atoms.get_or_none(root)
+            if atom is None:
+                raise AtomNotFoundError(
+                    f"no atom with logical address {root}")
+        return self._build(structure, root, atom, fetched, frozenset(),
+                           atoms)
 
-    def _fetch(self, surrogate: Surrogate,
-               fetched: dict[Surrogate, dict[str, Any]] | None,
-               atoms: Any) -> dict[str, Any]:
-        if fetched is not None and surrogate in fetched:
-            return fetched[surrogate]
-        return atoms.get(surrogate)
+    @staticmethod
+    def _fetch(surrogate: Surrogate,
+               fetched: dict[Surrogate, dict[str, Any]],
+               atoms: Any) -> dict[str, Any] | None:
+        """A component atom of a clustered molecule: the cluster's copy
+        when it holds one and the atom exists, else one read (None: no
+        such atom)."""
+        if surrogate in fetched:
+            return fetched[surrogate] if atoms.exists(surrogate) else None
+        return atoms.get_or_none(surrogate)
+
+    # Construction reads each component atom once, through the reader's
+    # ``get_or_none`` (existence test and read in one), and hands it to
+    # the recursive call.  The targets of an edge come from its
+    # association, resolved when the structure was validated:
+    # ``source_many`` edges hold a list of references, the others one.
 
     def _build(self, node: StructureNode, surrogate: Surrogate,
+               atom: dict[str, Any],
                fetched: dict[Surrogate, dict[str, Any]] | None,
-               ancestors: frozenset[Surrogate] = frozenset(),
-               atoms: Any = None) -> Molecule:
-        if atoms is None:
-            atoms = self.access.atoms
-        atom = self._fetch(surrogate, fetched, atoms)
+               ancestors: frozenset[Surrogate], atoms: Any) -> Molecule:
         molecule = Molecule(node, atom)
         for child in node.children:
-            assert child.via is not None
-            attr_type = self.schema.atom_type(node.atom_type) \
-                .attr(child.via.source_attr)
-            targets = reference_values(attr_type,
-                                       atom.get(child.via.source_attr))
-            for target in targets:
-                if not atoms.exists(target):
+            via = child.via
+            assert via is not None
+            value = atom.get(via.source_attr)
+            if value is None:
+                continue
+            parts = molecule.components[child.label]
+            for target in (value if via.source_many else (value,)):
+                target_atom = atoms.get_or_none(target) if fetched is None \
+                    else self._fetch(target, fetched, atoms)
+                if target_atom is None:
                     continue
                 if child.recursive:
-                    component = self._build_recursive(child, target, fetched,
-                                                      ancestors | {surrogate},
-                                                      atoms)
-                else:
-                    component = self._build(child, target, fetched, ancestors,
-                                            atoms)
-                molecule.add_component(child.label, component)
+                    parts.append(self._build_recursive(
+                        child, target, target_atom, fetched,
+                        ancestors | {surrogate}, atoms))
+                elif child.children:
+                    parts.append(self._build(child, target, target_atom,
+                                             fetched, ancestors, atoms))
+                else:   # a leaf: nothing below it to read
+                    parts.append(Molecule(child, target_atom))
         return molecule
 
     def _build_recursive(self, node: StructureNode, surrogate: Surrogate,
+                         atom: dict[str, Any],
                          fetched: dict[Surrogate, dict[str, Any]] | None,
                          ancestors: frozenset[Surrogate],
                          atoms: Any) -> Molecule:
         """Level-wise recursion: expand the incoming association until the
         frontier is exhausted; ancestor atoms stop cycles."""
-        atom = self._fetch(surrogate, fetched, atoms)
         molecule = Molecule(node, atom)
-        assert node.via is not None
-        attr_type = self.schema.atom_type(node.atom_type) \
-            .attr(node.via.source_attr)
-        targets = reference_values(attr_type, atom.get(node.via.source_attr))
-        for target in targets:
-            if target in ancestors or target == surrogate:
-                continue   # cycle protection
-            if not atoms.exists(target):
-                continue
-            component = self._build_recursive(node, target, fetched,
-                                              ancestors | {surrogate}, atoms)
-            molecule.add_component(node.label, component)
+        via = node.via
+        assert via is not None
+        value = atom.get(via.source_attr)
+        if value is not None:
+            parts = molecule.components[node.label]
+            for target in (value if via.source_many else (value,)):
+                if target in ancestors or target == surrogate:
+                    continue   # cycle protection
+                target_atom = atoms.get_or_none(target) if fetched is None \
+                    else self._fetch(target, fetched, atoms)
+                if target_atom is None:
+                    continue
+                parts.append(self._build_recursive(
+                    node, target, target_atom, fetched,
+                    ancestors | {surrogate}, atoms))
         # Non-recursive children below the recursion node apply per level.
         for child in node.children:
-            assert child.via is not None
-            child_type = self.schema.atom_type(node.atom_type) \
-                .attr(child.via.source_attr)
-            for target in reference_values(child_type,
-                                           atom.get(child.via.source_attr)):
-                if atoms.exists(target):
-                    molecule.add_component(
-                        child.label,
-                        self._build(child, target, fetched, ancestors, atoms),
-                    )
+            child_via = child.via
+            assert child_via is not None
+            value = atom.get(child_via.source_attr)
+            if value is None:
+                continue
+            parts = molecule.components[child.label]
+            for target in (value if child_via.source_many else (value,)):
+                target_atom = atoms.get_or_none(target) if fetched is None \
+                    else self._fetch(target, fetched, atoms)
+                if target_atom is not None:
+                    parts.append(self._build(child, target, target_atom,
+                                             fetched, ancestors, atoms))
         return molecule
 
     # -- projection -------------------------------------------------------------------------

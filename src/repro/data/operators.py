@@ -114,7 +114,8 @@ class Operator:
         if self._closed:
             return None
         started = time.perf_counter()
-        self.open()
+        if self._iterator is None:
+            self.open()
         assert self._iterator is not None
         try:
             row = next(self._iterator)

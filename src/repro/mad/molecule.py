@@ -140,11 +140,14 @@ class Molecule:
     def __init__(self, node: StructureNode, atom: dict[str, Any]) -> None:
         self.node = node
         self.atom = atom
-        self.components: dict[str, list[Molecule]] = {
-            child.label: [] for child in node.children
-        }
+        # A loop, not a comprehension: one Molecule per atom read, and a
+        # comprehension is a function call of its own before Python 3.12.
+        components: dict[str, list[Molecule]] = {}
+        for child in node.children:
+            components[child.label] = []
         if node.recursive:
-            self.components.setdefault(node.label, [])
+            components.setdefault(node.label, [])
+        self.components = components
 
     # -- identity ------------------------------------------------------------------
 

@@ -63,6 +63,9 @@ class ClusterAtoms:
             **kwargs: Any) -> dict[str, Any]:
         return self._owner(surrogate).get(surrogate, attrs, **kwargs)
 
+    def get_or_none(self, surrogate: Surrogate) -> dict[str, Any] | None:
+        return self._owner(surrogate).get_or_none(surrogate)
+
     def modify(self, surrogate: Surrogate,
                values: dict[str, Any]) -> None:
         self._owner(surrogate).modify(surrogate, values)

@@ -17,7 +17,9 @@ are never evicted.  Dirty pages are written back on eviction or flush.
 A miss costs O(1) Python work whatever the buffer size: one block read,
 one header check (page number plus a CRC checksum computed in C), and one
 victim probe per evicted page (see :mod:`repro.storage.replacement`).
-Nothing on the miss path visits every frame.
+Nothing on the miss path visits every frame.  A hit is one frame probe,
+one counter call (``fixes`` and ``hits`` under one lock) and one recency
+move.
 """
 
 from __future__ import annotations
@@ -91,14 +93,13 @@ class BufferManager:
 
     def fix(self, page_id: PageId) -> Page:
         """Pin ``page_id`` in the buffer, loading it from disk on a miss."""
-        self.counters.bump("fixes")
         frame = self._frames.get(page_id)
         if frame is not None:
-            self.counters.bump("hits")
+            self.counters.bump_each("fixes", "hits")
             frame.pins += 1
             self.policy.on_access(page_id)
             return frame.page
-        self.counters.bump("misses")
+        self.counters.bump_each("fixes", "misses")
         data = self.disk.read_block(page_id.segment, page_id.page_no)
         page = Page.from_bytes(data)
         # The page header exists "for identification, description, and

@@ -41,6 +41,9 @@ from repro.storage.constants import PAGE_HEADER_SIZE, SLOT_ENTRY_SIZE, check_pag
 _MAGIC = 0xDB87
 _HEADER = struct.Struct("<HIBBHHHH")
 _CHECKSUM_AT = 14
+_U16 = struct.Struct("<H")
+#: One slot-directory entry: record offset (0 = empty slot), length.
+_ENTRY = struct.Struct("<HH")
 
 #: Page type tags stored in the header.
 PAGE_TYPE_FREE = 0
@@ -102,10 +105,10 @@ class Page:
     # -- header accessors -----------------------------------------------------
 
     def _field(self, offset: int) -> int:
-        return struct.unpack_from("<H", self.data, offset)[0]
+        return _U16.unpack_from(self.data, offset)[0]
 
     def _set_field(self, offset: int, value: int) -> None:
-        struct.pack_into("<H", self.data, offset, value)
+        _U16.pack_into(self.data, offset, value)
 
     @property
     def size(self) -> int:
@@ -149,17 +152,26 @@ class Page:
 
     # -- slot directory -------------------------------------------------------
 
-    def _slot_pos(self, slot: int) -> int:
-        return self.size - (slot + 1) * SLOT_ENTRY_SIZE
-
     def _slot(self, slot: int) -> tuple[int, int]:
-        if not 0 <= slot < self.slot_count:
+        data = self.data
+        if not 0 <= slot < _U16.unpack_from(data, 8)[0]:
             raise StorageError(f"slot {slot} out of range on page {self.page_no}")
-        pos = self._slot_pos(slot)
-        return struct.unpack_from("<HH", self.data, pos)
+        return _ENTRY.unpack_from(data, len(data) - (slot + 1) * SLOT_ENTRY_SIZE)
 
     def _set_slot(self, slot: int, offset: int, length: int) -> None:
-        struct.pack_into("<HH", self.data, self._slot_pos(slot), offset, length)
+        data = self.data
+        _ENTRY.pack_into(data, len(data) - (slot + 1) * SLOT_ENTRY_SIZE,
+                         offset, length)
+
+    def _offsets(self) -> tuple[int, ...]:
+        """Every slot's record offset in slot order (0: empty), read in
+        one C pass over the directory, which grows down from the page
+        end (slot 0 last)."""
+        data = self.data
+        count = _U16.unpack_from(data, 8)[0]
+        entries = struct.unpack_from(f"<{2 * count}H", data,
+                                     len(data) - count * SLOT_ENTRY_SIZE)
+        return entries[-2::-2]
 
     @property
     def free_space(self) -> int:
@@ -175,12 +187,10 @@ class Page:
     def insert(self, payload: bytes) -> int:
         """Store ``payload`` in a free slot; returns the slot number."""
         needed = len(payload)
-        # Reuse an empty slot when one exists (offset 0 marks a tombstone).
-        slot = None
-        for candidate in range(self.slot_count):
-            if self._slot(candidate)[0] == 0:
-                slot = candidate
-                break
+        # Reuse the lowest empty slot when one exists (offset 0 marks a
+        # tombstone).
+        offsets = self._offsets()
+        slot = offsets.index(0) if 0 in offsets else None
         grows_directory = slot is None
         needed_total = needed + (SLOT_ENTRY_SIZE if grows_directory else 0)
         if self.free_space < needed_total:
@@ -202,10 +212,14 @@ class Page:
 
     def read(self, slot: int) -> bytes:
         """Return the payload stored in ``slot``."""
-        offset, length = self._slot(slot)
+        data = self.data
+        if not 0 <= slot < _U16.unpack_from(data, 8)[0]:
+            raise StorageError(f"slot {slot} out of range on page {self.page_no}")
+        offset, length = _ENTRY.unpack_from(
+            data, len(data) - (slot + 1) * SLOT_ENTRY_SIZE)
         if offset == 0:
             raise StorageError(f"slot {slot} on page {self.page_no} is empty")
-        return bytes(self.data[offset:offset + length])
+        return bytes(data[offset:offset + length])
 
     def delete(self, slot: int) -> None:
         """Remove the record in ``slot`` (the slot becomes reusable)."""
@@ -244,7 +258,7 @@ class Page:
 
     def slots(self) -> list[int]:
         """Slot numbers currently holding a record, in slot order."""
-        return [s for s in range(self.slot_count) if self._slot(s)[0] != 0]
+        return [slot for slot, offset in enumerate(self._offsets()) if offset]
 
     def records(self) -> list[tuple[int, bytes]]:
         """All (slot, payload) pairs on the page."""

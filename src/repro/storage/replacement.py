@@ -57,13 +57,13 @@ class ModifiedLRU:
 
     def __init__(self) -> None:
         self._order: OrderedDict[PageId, None] = OrderedDict()
+        # A re-reference moves the page to the recently-used end in one
+        # C call: the buffer reports only resident pages, and every
+        # resident page is in the order.
+        self.on_access: Callable[[PageId], None] = self._order.move_to_end
 
     def on_admit(self, page_id: PageId) -> None:
         self._order[page_id] = None
-
-    def on_access(self, page_id: PageId) -> None:
-        if page_id in self._order:
-            self._order.move_to_end(page_id)
 
     def on_evict(self, page_id: PageId) -> None:
         self._order.pop(page_id, None)
@@ -80,9 +80,13 @@ class FIFO(ModifiedLRU):
 
     name = "fifo"
 
-    def on_access(self, page_id: PageId) -> None:
-        # FIFO ignores re-references.
-        return
+    def __init__(self) -> None:
+        super().__init__()
+        self.on_access = self._ignore
+
+    @staticmethod
+    def _ignore(page_id: PageId) -> None:
+        """FIFO ignores re-references."""
 
 
 class Clock:

@@ -7,12 +7,15 @@ This is the interface the access system programs against (Fig. 3.1:
 * a buffer manager (single size-aware buffer or static partitions),
 * page allocation with buffered first writes,
 * and the :class:`~repro.storage.page_sequence.PageSequenceManager`.
+
+:meth:`StorageSystem.page` is the one way the access system reaches a
+page (fix on entry, unfix on exit, also when the block raises).  It runs
+once per record read, so a buffer hit through it costs a handful of
+Python calls: the scope object is a tuple built in C, entry is one
+buffer fix, exit one unfix.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.errors import PageNotFoundError
 from repro.storage.buffer import BufferManager, PartitionedBufferManager
@@ -22,6 +25,22 @@ from repro.storage.page import PAGE_TYPE_DATA, Page, PageId
 from repro.storage.page_sequence import PageSequenceManager
 from repro.storage.segment import Segment, SegmentDirectory
 from repro.util.stats import Counters
+
+
+class _PageScope(tuple):
+    """One scoped fix: ``(buffer, page_id, write)``.
+
+    A tuple subclass, so building it runs no Python code; ``__exit__``
+    unfixes whether or not the block raised.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> Page:
+        return self[0].fix(self[1])
+
+    def __exit__(self, _type: object, _value: object, _tb: object) -> None:
+        self[0].unfix(self[1], self[2])
 
 
 class StorageSystem:
@@ -85,14 +104,14 @@ class StorageSystem:
         """Release a pin, optionally marking the page modified."""
         self.buffer.unfix(page_id, dirty)
 
-    @contextmanager
-    def page(self, page_id: PageId, write: bool = False) -> Iterator[Page]:
-        """Scoped fix/unfix: ``with storage.page(pid, write=True) as p: ...``"""
-        page = self.fix(page_id)
-        try:
-            yield page
-        finally:
-            self.unfix(page_id, dirty=write)
+    def page(self, page_id: PageId, write: bool = False) -> _PageScope:
+        """Scoped fix/unfix: ``with storage.page(pid, write=True) as p: ...``
+
+        The page is fixed when the ``with`` block is entered and unfixed
+        when it is left, marked modified when ``write`` is true, also
+        when the block raises.
+        """
+        return _PageScope((self.buffer, page_id, write))
 
     def flush(self) -> None:
         """Write every dirty buffered page back to disk."""

@@ -34,6 +34,14 @@ class Counters:
         with self._lock:
             self._values[name] += amount
 
+    def bump_each(self, *names: str) -> None:
+        """Increase each named counter by one, under one lock
+        acquisition (a buffer hit bumps ``fixes`` and ``hits``)."""
+        with self._lock:
+            values = self._values
+            for name in names:
+                values[name] += 1
+
     def get(self, name: str) -> float:
         """Current value of counter ``name`` (0 if never bumped)."""
         with self._lock:

@@ -1,7 +1,10 @@
 """Unit tests: atom clusters (Fig. 3.2)."""
 
+import sys
+
 import pytest
 
+from repro import Prima
 from repro.errors import AccessError
 from repro.mad.molecule import StructureNode
 
@@ -145,3 +148,40 @@ class TestRecursiveCluster:
         segment = cluster._segment  # noqa: SLF001
         access.drop_structure("fc")
         assert not access.storage.segments.exists(segment)
+
+
+class TestClusteredScanCost:
+    """Building a molecule from a cluster probes its root in O(1): the
+    Python calls per molecule do not grow with the number of clusters."""
+
+    @staticmethod
+    def _calls_per_molecule(rows: int) -> float:
+        db = Prima()
+        db.execute("CREATE ATOM_TYPE t (t_id: IDENTIFIER, n: INTEGER)")
+        for n in range(rows):
+            db.insert_atom("t", {"n": n})
+        db.execute_ldl("CREATE ATOM_CLUSTER t_cl FROM t")
+        db.query("SELECT ALL FROM t").materialize()   # warm
+        calls = 0
+
+        def count(_frame, event, _arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            result = db.query("SELECT ALL FROM t")
+            molecules = result.materialize()
+            result.close()
+        finally:
+            sys.setprofile(previous)
+        assert len(molecules) == rows
+        assert db.io_report()["molecules_from_cluster"] >= rows
+        return calls / rows
+
+    def test_calls_per_molecule_do_not_grow(self):
+        small, large = self._calls_per_molecule(200), \
+            self._calls_per_molecule(2_000)
+        assert large <= small * 1.05

@@ -54,6 +54,54 @@ class TestBasics:
         assert len(grid) == 10
 
 
+class TestDuplicateKeys:
+    """An over-capacity bucket of one repeated key cannot split; an
+    insert into it is O(1), not a re-split over the whole bucket."""
+
+    @staticmethod
+    def _rankable_calls_per_insert(rows: int, monkeypatch) -> float:
+        calls = 0
+        rankable = GridFile._rankable
+
+        def counting(value):
+            nonlocal calls
+            calls += 1
+            return rankable(value)
+
+        monkeypatch.setattr(GridFile, "_rankable", staticmethod(counting))
+        grid = GridFile(dims=2)
+        for i in range(rows):
+            grid.insert((7, "same"), s(i + 1))
+        monkeypatch.undo()
+        grid.check_invariants()
+        assert grid.cell_count == 1
+        return calls / rows
+
+    def test_rankable_calls_per_insert_do_not_grow(self, monkeypatch):
+        small = self._rankable_calls_per_insert(1_000, monkeypatch)
+        large = self._rankable_calls_per_insert(4_000, monkeypatch)
+        assert large <= small * 1.2
+
+    def test_new_key_splits_a_stuck_bucket(self):
+        grid = GridFile(dims=1, bucket_capacity=4)
+        for i in range(10):
+            grid.insert((5,), s(i))
+        assert grid.cell_count == 1
+        grid.insert((9,), s(10))
+        assert grid.cell_count == 2
+        grid.check_invariants()
+
+    def test_duplicate_rejected_in_a_stuck_bucket(self):
+        grid = GridFile(dims=1, bucket_capacity=2)
+        for i in range(5):
+            grid.insert((5,), s(i))
+        with pytest.raises(AccessError):
+            grid.insert((5,), s(3))
+        grid.delete((5,), s(3))
+        grid.insert((5,), s(3))
+        assert len(grid) == 5
+
+
 class TestBoxQueries:
     @pytest.fixture
     def grid(self):

@@ -156,14 +156,14 @@ def tenk(rows: int) -> Prima:
 
 class TestTenkRoundTrip:
     def test_tenk(self, tmp_path):
-        # 2 000 rows keep this under 2 s; at 20 000 the LDL backfill
-        # alone takes ~9 s (the grid file's grows quadratically).
+        # 2 000 rows keep this under 2 s.
         db = tenk(2_000)
         db.execute_ldl("""
             CREATE ACCESS PATH t_u1 ON tenk (unique1);
             CREATE ACCESS PATH t_pct ON tenk (onepct, tenpct) USING GRID;
             CREATE SORT ORDER t_str ON tenk (stringu1);
-            CREATE PARTITION t_ten ON tenk (tenpct)""")
+            CREATE PARTITION t_ten ON tenk (tenpct);
+            CREATE ATOM_CLUSTER t_cl FROM tenk""")
         db.analyze()
         loaded = assert_round_trips(db, tmp_path, [
             "SELECT ALL FROM tenk WHERE unique2 = 17",

@@ -1,14 +1,18 @@
 """Unit tests: buffer manager, replacement policies, partitioned buffer."""
 
+import os
 import sys
 
 import pytest
 
+import repro
+from repro import Prima
 from repro.errors import BufferFullError, StorageError
 from repro.storage.buffer import BufferManager, PartitionedBufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageId
 from repro.storage.replacement import FIFO, Clock, ModifiedLRU, make_policy
+from repro.workloads import brep
 
 
 def _disk_with_pages(size: int = 512, count: int = 20) -> SimulatedDisk:
@@ -279,3 +283,51 @@ class TestMissCost:
     def test_calls_per_miss_do_not_grow_with_the_buffer(self):
         small, large = self._calls_per_miss(16), self._calls_per_miss(160)
         assert small == large <= 60
+
+
+class TestReadCost:
+    """A buffered atom read is a handful of Python calls: one address
+    probe, one page scope (fix, read, unfix), one decode-memo hit.  The
+    figure is counted over whole molecule constructions, so operator
+    and molecule overhead is spread over the reads it served."""
+
+    STATEMENTS = ("SELECT ALL FROM brep-face-edge-point",
+                  "SELECT ALL FROM edge-point ORDER BY length LIMIT 10")
+
+    @staticmethod
+    def _package_calls_per_read() -> float:
+        db = Prima()
+        brep.generate(db, n_solids=16, seed=1987)
+        prepared = [db.prepare(text) for text in TestReadCost.STATEMENTS]
+
+        def run_op():
+            for statement in prepared:
+                result = statement.execute()
+                result.materialize()
+                result.close()
+
+        for _ in range(3):   # warm: plans bound, decode memo filled
+            run_op()
+        package = os.path.dirname(repro.__file__) + os.sep
+        calls = 0
+
+        def count(frame, event, _arg):
+            nonlocal calls
+            if event == "call" and \
+                    frame.f_code.co_filename.startswith(package):
+                calls += 1
+
+        reads = db.io_report()["atoms_read"]
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            for _ in range(2):
+                run_op()
+        finally:
+            sys.setprofile(previous)
+        reads = db.io_report()["atoms_read"] - reads
+        assert reads == 2 * 2048
+        return calls / reads
+
+    def test_calls_per_atom_read(self):
+        assert self._package_calls_per_read() <= 15

@@ -84,6 +84,16 @@ class TestRecords:
         assert again == first
         assert page.read(again) == b"c"
 
+    def test_insert_takes_the_lowest_empty_slot(self, page):
+        slots = [page.insert(bytes([i]) * 8) for i in range(6)]
+        for victim in (4, 1, 3):
+            page.delete(slots[victim])
+        assert [page.insert(b"x"), page.insert(b"y"), page.insert(b"z")] \
+            == [1, 3, 4]
+        assert page.insert(b"new") == 6
+        assert page.slots() == list(range(7))
+        assert page.read(3) == b"y"
+
     def test_update_in_place(self, page):
         slot = page.insert(b"aaaa")
         page.update(slot, b"bb")
